@@ -49,7 +49,6 @@ from .linearized import (
     LinearizedRHS,
     Perturbation,
     apply_L,
-    assemble_L,
     solve_linearized,
 )
 from .montecarlo import SDEConfig, l1_distance, simulate_density

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import Field, SpaceTimeField, integrate
-from .linearized import Perturbation, ResidualBundle, solve_linearized
+from .linearized import LinearSolveError, Perturbation, ResidualBundle, solve_linearized
 from .system import LambdaData, MFGProblem, SolutionPair, residual_full
 
 __all__ = [
@@ -38,7 +38,6 @@ class SolverConfig:
     dlambda_min: float = 1e-4
     dlambda_max: float = 0.25
     m_positivity_margin: float = 1e-6
-    linear_method: str = "auto"
 
     def __post_init__(self):
         if self.newton_tol <= 0.0 or self.m_positivity_margin <= 0.0:
@@ -127,7 +126,8 @@ def newton_correct(
 
     Accepts once the sup-norm drops below ``newton_tol``.  Each step is
     halved until the residual decreases and the density keeps its positivity
-    margin; running out of damping or iterations raises NewtonFailure.
+    margin; running out of damping or iterations, or an inner linear solve
+    that misses its tolerance, raises NewtonFailure.
     """
     current = pair.copy()
     bundle = residual_full(problem, lam_data, current)
@@ -137,9 +137,12 @@ def newton_correct(
         if res <= config.newton_tol:
             diag.converged = True
             return current, diag
-        direction: Perturbation = solve_linearized(
-            problem, lam_data, current, _negate(bundle), method=config.linear_method
-        )
+        try:
+            direction: Perturbation = solve_linearized(
+                problem, lam_data, current, _negate(bundle)
+            )
+        except LinearSolveError as exc:
+            raise NewtonFailure(f"inner linear solve failed: {exc}", diag) from exc
         step = 1.0
         accepted = None
         for _ in range(40):

@@ -143,11 +143,6 @@ class HamiltonianModel:
         eye = np.eye(d).reshape((d, d) + (1,) * (p.ndim - 1))
         return a * eye + b * (p[:, None] * p[None, :])
 
-    def hess_apply(self, p: np.ndarray, w: np.ndarray, x_index=None) -> np.ndarray:
-        """Hessian-vector product D^2 H(x, p) . w without forming matrices."""
-        a, b = self.hess_coeffs(p, x_index)
-        return a * w + b * np.sum(p * w, axis=0) * p
-
     def hess_eig_bounds(self, p: np.ndarray, x_index=None) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise (min, max) eigenvalue of the Hessian.
 

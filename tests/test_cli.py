@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mfgcon.cli import main
-from mfgcon.fileio import read_field, write_field
+from mfgcon.continuation import HorizonError, solve_path
+from mfgcon.fileio import build_problem, load_config, read_field, write_field
 
 TINY = """
 [problem]
@@ -174,3 +175,21 @@ def test_inflated_horizon_contract(tmp_path):
         assert "horizon_failure" in log
     else:
         assert "lambda=0.000000" in log
+
+
+def test_failed_linear_solve_ends_in_horizon_failure(tmp_path, monkeypatch):
+    # every inner Krylov solve reports non-convergence: each one must count as a
+    # Newton failure that halves the step, until the step underflows
+    import scipy.sparse.linalg as spla
+
+    monkeypatch.setattr(spla, "lgmres", lambda A, b, **kw: (np.zeros_like(b), 1))
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY)
+    with pytest.raises(HorizonError) as err:
+        solve_path(build_problem(load_config(str(cfg))))
+    assert [s.lam for s in err.value.states] == [1.0]
+    out = tmp_path / "o"
+    code = main(["solve", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    log = open(out / "path.log").read().strip().splitlines()
+    assert log[-1].startswith("horizon_failure")

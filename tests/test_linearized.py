@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from mfgcon.continuation import trivial_solution
-from mfgcon.grids import SpaceTimeField, _grad_stack
+from mfgcon.grids import SpaceTimeField, _grad_stack, _lap_stack
 from mfgcon.linearized import (
-    MemoryBudgetError,
     Perturbation,
+    _heat_chain_preconditioner,
     apply_L,
-    assemble_L,
     bundle_to_vector,
     solve_linearized,
     vector_to_perturbation,
@@ -143,42 +142,43 @@ def test_single_mode_stays_single_mode_at_trivial_base(small_problem):
             assert np.max(np.abs(spec[:, mask])) < 1e-9 * max(np.max(np.abs(spec)), 1.0)
 
 
-def test_assembled_matrix_matches_matrix_free(small_problem):
-    rng = np.random.default_rng(5)
-    base = perturbed_base(small_problem, rng)
-    lam = LambdaData.from_problem(small_problem, 0.3)
-    op = assemble_L(small_problem, lam, base)
-    for _ in range(10):
-        direction = random_direction(small_problem, rng)
-        x = np.concatenate([direction.v.values.ravel(), direction.f.values.ravel()])
-        lhs = op.matvec(x)
-        rhs = bundle_to_vector(apply_L(small_problem, lam, base, direction))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
-    # spatial blocks couple one grid line per slice plus the time neighbor
-    assert op.nnz_per_row <= 4 * small_problem.grid.points_per_dim + 2
-
-
-def test_memory_budget_enforced(small_problem, rng):
-    base = perturbed_base(small_problem, rng)
-    lam = LambdaData.from_problem(small_problem, 0.3)
-    with pytest.raises(MemoryBudgetError):
-        assemble_L(small_problem, lam, base, max_entries=1000)
-
-
-def test_direct_and_krylov_solves_agree(small_problem):
+@pytest.mark.parametrize(
+    "dim, lam_value",
+    [(1, 0.0), (1, 0.3), (1, 0.6), (2, 0.6)],
+    ids=["d1-lam0.0", "d1-lam0.3", "d1-lam0.6", "d2-lam0.6"],
+)
+def test_krylov_solve_inverts_the_operator(small_problem, dim, lam_value):
+    # d = 2 on 32x32 nodes x 33 slices: 67,584 unknowns
+    problem = small_problem if dim == 1 else make_problem(n=32, n_t=32, dim=2)
     rng = np.random.default_rng(21)
-    base = perturbed_base(small_problem, rng)
-    lam = LambdaData.from_problem(small_problem, 0.6)
-    rhs_dir = random_direction(small_problem, rng, amp=0.3)
-    rhs = apply_L(small_problem, lam, base, rhs_dir)  # consistent right-hand side
-    sol_direct = solve_linearized(small_problem, lam, base, rhs, method="direct")
-    sol_krylov = solve_linearized(small_problem, lam, base, rhs, method="krylov")
-    scale = max(sol_direct.v.sup_norm(), sol_direct.f.sup_norm())
-    assert np.max(np.abs(sol_direct.v.values - sol_krylov.v.values)) < 1e-7 * scale
-    assert np.max(np.abs(sol_direct.f.values - sol_krylov.f.values)) < 1e-7 * scale
-    # and the direct solve inverts the operator
-    assert np.max(np.abs(sol_direct.v.values - rhs_dir.v.values)) < 1e-8
-    assert np.max(np.abs(sol_direct.f.values - rhs_dir.f.values)) < 1e-8
+    base = perturbed_base(problem, rng)
+    lam = LambdaData.from_problem(problem, lam_value)
+    known = random_direction(problem, rng, amp=0.3)
+    rhs = apply_L(problem, lam, base, known)  # consistent right-hand side
+    sol = solve_linearized(problem, lam, base, rhs)
+    rhs_vec = bundle_to_vector(rhs)
+    achieved = bundle_to_vector(apply_L(problem, lam, base, sol)) - rhs_vec
+    assert np.linalg.norm(achieved) <= 1e-9 * np.linalg.norm(rhs_vec)
+    assert np.max(np.abs(sol.v.values - known.v.values)) < 1e-8
+    assert np.max(np.abs(sol.f.values - known.f.values)) < 1e-8
+
+
+@pytest.mark.parametrize("dim, n", [(1, 32), (2, 16)], ids=["d1", "d2"])
+def test_heat_chain_preconditioner_inverts_decoupled_chains(dim, n):
+    problem = make_problem(n=n, n_t=12, dim=dim)
+    grid, dt = problem.grid, problem.time.dt
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(problem.time.num_slices, grid.num_nodes))
+    f = rng.normal(size=v.shape)
+    # implicit heat rows of the value chain (backward, terminal row last) and
+    # the density chain (forward, initial row first)
+    rows_v = v.copy()
+    rows_v[:-1] = (v[:-1] - v[1:]) / dt - _lap_stack(v[:-1], grid)
+    rows_f = f.copy()
+    rows_f[1:] = (f[1:] - f[:-1]) / dt - _lap_stack(f[1:], grid)
+    precond = _heat_chain_preconditioner(problem)
+    back = precond.matvec(np.concatenate([rows_v.ravel(), rows_f.ravel()]))
+    assert np.max(np.abs(back - np.concatenate([v.ravel(), f.ravel()]))) < 1e-12
 
 
 def energy_identity_sides(problem, lam, base, direction):
