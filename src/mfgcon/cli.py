@@ -37,7 +37,7 @@ from .hamiltonians import (
     legendre_transform,
 )
 from .montecarlo import SDEConfig, l1_distance, sampling_l1_error, simulate_density
-from .system import LambdaData, SolutionPair
+from .system import LambdaData, NonpositiveDensityError, SolutionPair
 
 __all__ = ["main", "console_main"]
 
@@ -145,7 +145,10 @@ def _cmd_mc(args) -> int:
         paths=cfg.mc.paths, seed=args.seed, substeps=cfg.mc.substeps
     )
     lam_data = LambdaData.from_problem(problem, 0.0)
-    empirical = simulate_density(problem, lam_data, pair, mc_cfg)
+    try:
+        empirical = simulate_density(problem, lam_data, pair, mc_cfg)
+    except NonpositiveDensityError as exc:
+        raise FieldFileError(f"{args.m_file}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     write_field(os.path.join(args.out, "empirical.field"), empirical, "empirical")
     dists = l1_distance(empirical, pair.m)

@@ -198,7 +198,6 @@ def assemble_galerkin_system(
     de = basis.grads
     k_slices = problem.time.num_slices
     n = basis.n_modes
-    alpha = problem.alpha
 
     stiffness = vol * np.einsum("dkm,dlm->kl", de, de)
     p_blocks = np.empty((k_slices, n, n))
@@ -206,17 +205,15 @@ def assemble_galerkin_system(
     r_blocks = np.empty((k_slices, n, n))
     g_blocks = np.empty((k_slices, n, n))
 
-    m_om = coef.m ** (1.0 - alpha)
     for j in range(k_slices):
         cp = coef.drift_coef[:, j, :]                      # (d, M)
         p_blocks[j] = vol * np.einsum("dm,lm,dkm->kl", cp, e, de)
         qde = np.einsum("dm,dnm->nm", coef.q[:, j, :], de)  # (n, M)
         s_blocks[j] = vol * (
-            np.einsum("m,dkm,dlm->kl", m_om[j] * coef.hess_a[j], de, de)
-            + np.einsum("m,km,lm->kl", m_om[j] * coef.hess_b[j], qde, qde)
+            np.einsum("m,dkm,dlm->kl", coef.flux_a[j], de, de)
+            + np.einsum("m,km,lm->kl", coef.flux_b[j], qde, qde)
         )
-        transport = coef.dp_h[:, j, :] + lam_data.b_values
-        r_blocks[j] = vol * np.einsum("dm,km,dlm->kl", transport, e, de)
+        r_blocks[j] = vol * np.einsum("dm,km,dlm->kl", coef.transport[:, j, :], e, de)
         g_blocks[j] = vol * np.einsum("m,km,lm->kl", coef.zero_order_u[j], e, e)
 
     return GalerkinSystem(

@@ -6,6 +6,14 @@ provides the discrete identities the rest of the package leans on: summation
 by parts between gradient and divergence, exact mass conservation of the heat
 flow, and Laplacian == divergence(gradient).
 
+Fields are real, so the spectral layer works on the half spectrum: rfftn
+keeps the N//2 + 1 nonnegative frequencies of the last axis, and every
+symbol is stored cut to that half.  Stacks of fields (time slices, vector
+components) go through one batched transform.  The fused kernels give each
+field a single forward transform per evaluation: _grad_lap_stack returns
+gradient and Laplacian from one spectrum, and _div_lap_stack forms
+Laplacian plus flux divergence in spectral space before one inverse.
+
 Fields store their node samples as flat float64 arrays of length N**d in
 row-major node order; shaped views are taken internally for the FFTs.
 """
@@ -196,64 +204,100 @@ class SpaceTimeField:
 
 @lru_cache(maxsize=64)
 def _spectra(dim: int, n: int):
-    """Angular wavenumber arrays for an N^d grid on the unit torus.
+    """Half-spectrum symbols for an N^d grid on the unit torus.
 
-    Returns (deriv, ksq): per-axis first-derivative symbols with the Nyquist
-    mode dropped (an odd derivative has no real representative there), and
-    the full |omega|^2 Laplacian symbol.
+    Real fields are transformed with rfftn, which keeps the n//2 + 1
+    nonnegative frequencies of the last axis.  Returns (ideriv, ksq):
+    per-axis first-derivative symbols i*omega_a with the Nyquist mode dropped
+    (an odd derivative has no real representative there), and the |omega|^2
+    Laplacian symbol, each broadcastable against a half spectrum.
     """
     w = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
     d1 = w.copy()
     d1[n // 2] = 0.0
+    half = n // 2 + 1
     if dim == 1:
-        return (d1,), w**2
-    deriv = (d1[:, None], d1[None, :])
-    ksq = w[:, None] ** 2 + w[None, :] ** 2
-    return deriv, ksq
+        return (1j * d1[:half],), w[:half] ** 2
+    ideriv = (1j * d1[:, None], 1j * d1[None, :half])
+    ksq = w[:, None] ** 2 + w[None, :half] ** 2
+    return ideriv, ksq
 
 
 def _fft_axes(dim: int) -> tuple[int, ...]:
     return tuple(range(-dim, 0))
 
 
+def _rfft_stack(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Half spectrum of a (..., N**d) stack of real fields."""
+    shaped = values.reshape(values.shape[:-1] + grid.shape)
+    return np.fft.rfftn(shaped, axes=_fft_axes(grid.dim))
+
+
+def _irfft_stack(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Real (..., N**d) stack of fields with the given half spectra."""
+    out = np.fft.irfftn(spec, s=grid.shape, axes=_fft_axes(grid.dim))
+    return out.reshape(out.shape[: out.ndim - grid.dim] + (grid.num_nodes,))
+
+
+def _apply_symbols(symbols: tuple, spec: np.ndarray) -> np.ndarray:
+    """Stack of symbol * spec, one leading component per symbol."""
+    out = np.empty((len(symbols),) + spec.shape, dtype=complex)
+    for a, sym in enumerate(symbols):
+        np.multiply(sym, spec, out=out[a])
+    return out
+
+
+def _div_spectrum(comps: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Divergence of the first d components of a half-spectrum stack."""
+    ideriv, _ = _spectra(grid.dim, grid.points_per_dim)
+    acc = ideriv[0] * comps[0]
+    for a in range(1, grid.dim):
+        acc += ideriv[a] * comps[a]
+    return acc
+
+
 def _grad_stack(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Gradient of a (..., N**d) stack, returned as (d, ..., N**d)."""
-    deriv, _ = _spectra(grid.dim, grid.points_per_dim)
-    axes = _fft_axes(grid.dim)
-    shaped = values.reshape(values.shape[:-1] + grid.shape)
-    spec = np.fft.fftn(shaped, axes=axes)
-    out = np.empty((grid.dim,) + values.shape)
-    for a in range(grid.dim):
-        out[a] = np.fft.ifftn(1j * deriv[a] * spec, axes=axes).real.reshape(values.shape)
-    return out
+    ideriv, _ = _spectra(grid.dim, grid.points_per_dim)
+    return _irfft_stack(_apply_symbols(ideriv, _rfft_stack(values, grid)), grid)
 
 
 def _div_stack(comps: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Divergence of a (d, ..., N**d) stack, returned as (..., N**d)."""
-    deriv, _ = _spectra(grid.dim, grid.points_per_dim)
-    axes = _fft_axes(grid.dim)
-    batch = comps.shape[1:]
-    acc = np.zeros(batch[:-1] + grid.shape, dtype=complex)
-    for a in range(grid.dim):
-        shaped = comps[a].reshape(batch[:-1] + grid.shape)
-        acc += 1j * deriv[a] * np.fft.fftn(shaped, axes=axes)
-    return np.fft.ifftn(acc, axes=axes).real.reshape(batch)
+    return _irfft_stack(_div_spectrum(_rfft_stack(comps, grid), grid), grid)
 
 
 def _lap_stack(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     _, ksq = _spectra(grid.dim, grid.points_per_dim)
-    axes = _fft_axes(grid.dim)
-    shaped = values.reshape(values.shape[:-1] + grid.shape)
-    spec = np.fft.fftn(shaped, axes=axes)
-    return np.fft.ifftn(-ksq * spec, axes=axes).real.reshape(values.shape)
+    return _irfft_stack(-ksq * _rfft_stack(values, grid), grid)
+
+
+def _grad_lap_stack(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Gradient and Laplacian of a (..., N**d) stack from one forward transform.
+
+    Returns (d + 1, ..., N**d): the d gradient components, then the Laplacian,
+    all brought back by one inverse transform.
+    """
+    ideriv, ksq = _spectra(grid.dim, grid.points_per_dim)
+    return _irfft_stack(_apply_symbols(ideriv + (-ksq,), _rfft_stack(values, grid)), grid)
+
+
+def _div_lap_stack(stack: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """div(stack[:d]) + laplacian(stack[d]) of a (d + 1, ..., N**d) stack.
+
+    One forward transform of the whole stack; the sum is formed in spectral
+    space and brought back by one inverse transform.
+    """
+    _, ksq = _spectra(grid.dim, grid.points_per_dim)
+    spec = _rfft_stack(stack, grid)
+    acc = _div_spectrum(spec, grid)
+    acc -= ksq * spec[grid.dim]
+    return _irfft_stack(acc, grid)
 
 
 def _heat_stack(values: np.ndarray, grid: PeriodicGrid, dt: float) -> np.ndarray:
     _, ksq = _spectra(grid.dim, grid.points_per_dim)
-    axes = _fft_axes(grid.dim)
-    shaped = values.reshape(values.shape[:-1] + grid.shape)
-    spec = np.fft.fftn(shaped, axes=axes)
-    return np.fft.ifftn(np.exp(-ksq * dt) * spec, axes=axes).real.reshape(values.shape)
+    return _irfft_stack(np.exp(-ksq * dt) * _rfft_stack(values, grid), grid)
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:

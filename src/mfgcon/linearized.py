@@ -3,9 +3,14 @@
 The derivative is taken of the discrete equations themselves, so Newton
 inherits quadratic local convergence and a finite-difference check of the
 directional derivative is exact up to the quadratic remainder.  The operator
-is applied matrix-free, and every linear solve is a Krylov iteration
-preconditioned by the two decoupled implicit heat chains, each inverted with
-one batched real FFT pair over all of its time slices.
+is applied matrix-free on the real half spectrum, with its coefficient fields
+frozen once per solve.  Each field is transformed once per apply: v forward
+once for both its gradient and its Laplacian, and f with the d flux components
+forward as one stack, whose Laplacian and divergence are summed in spectral
+space and brought back by one inverse.  That is 2d + 4 real field transforms
+per apply, batched into four numpy calls.  Every linear solve is a Krylov
+iteration preconditioned by the two decoupled implicit heat chains, each
+inverted with one batched real FFT pair over all of its time slices.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ import scipy.sparse.linalg as spla
 from .grids import (
     Field,
     SpaceTimeField,
-    _div_stack,
-    _fft_axes,
+    _div_lap_stack,
+    _grad_lap_stack,
     _grad_stack,
-    _lap_stack,
+    _irfft_stack,
+    _rfft_stack,
     _spectra,
 )
 from .system import (
@@ -73,15 +79,11 @@ class LinearSolveError(RuntimeError):
 class _BaseCoefficients:
     """Frozen per-slice coefficient fields of the linearization at a base pair."""
 
-    q: np.ndarray            # (d, K, M) congestion ratio
-    dp_h: np.ndarray         # (d, K, M) momentum gradient of H at q
-    h_val: np.ndarray        # (K, M)
-    hess_a: np.ndarray       # (K, M) isotropic Hessian coefficient
-    hess_b: np.ndarray       # (K, M) rank-one Hessian coefficient
-    m_pow: np.ndarray        # (K, M) m^alpha (floored)
-    m: np.ndarray            # (K, M)
-    dv_dz: np.ndarray        # (K, M) derivative of the blended coupling
-    drift_coef: np.ndarray   # (d, K, M) flux coefficient in front of f
+    q: np.ndarray             # (d, K, M) congestion ratio
+    flux_a: np.ndarray        # (K, M) m^(1-alpha) times the isotropic Hessian coefficient
+    flux_b: np.ndarray        # (K, M) m^(1-alpha) times the rank-one Hessian coefficient
+    drift_coef: np.ndarray    # (d, K, M) flux coefficient in front of f
+    transport: np.ndarray     # (d, K, M) D_pH(q) + b, the value equation's drift
     zero_order_u: np.ndarray  # (K, M) coefficient of f in the value equation
 
 
@@ -100,20 +102,16 @@ def _base_coefficients(
     hess_a, hess_b = ham.hess_coeffs(q)
     q_sq = np.sum(q * q, axis=0)
     hess_q = (hess_a + hess_b * q_sq) * q  # D^2H . q, radial for this family
-    drift_coef = dp_h - alpha * hess_q + lam_data.b_values[:, None, :]
     q_dot_dp = np.sum(q * dp_h, axis=0)
-    m_pow = m_safe**alpha
     zero_order_u = alpha * m_safe ** (alpha - 1.0) * (h_val - q_dot_dp) - lam_data.potential_dz(m)
+    m_om = m_safe ** (1.0 - alpha)
+    b = lam_data.b_values[:, None, :]
     return _BaseCoefficients(
         q=q,
-        dp_h=dp_h,
-        h_val=h_val,
-        hess_a=hess_a,
-        hess_b=hess_b,
-        m_pow=m_pow,
-        m=m_safe,
-        dv_dz=lam_data.potential_dz(m),
-        drift_coef=drift_coef,
+        flux_a=m_om * hess_a,
+        flux_b=m_om * hess_b,
+        drift_coef=dp_h - alpha * hess_q + b,
+        transport=dp_h + b,
         zero_order_u=zero_order_u,
     )
 
@@ -132,34 +130,42 @@ def apply_L(
     row v(., T)), plus those two data rows repeated as plain fields.
     """
     coef = _base_coefficients(problem, lam_data, base, strict)
-    return _apply_from_coefficients(problem, lam_data, coef, direction)
+    fp, hjb = _apply_rows(problem, coef, direction.v.values, direction.f.values)
+    grid, time = problem.grid, problem.time
+    return ResidualBundle(
+        fp=SpaceTimeField(grid, time, fp),
+        hjb=SpaceTimeField(grid, time, hjb),
+        initial=Field(grid, fp[0].copy()),
+        terminal=Field(grid, hjb[-1].copy()),
+    )
 
 
-def _apply_from_coefficients(
-    problem: MFGProblem,
-    lam_data: LambdaData,
-    coef: _BaseCoefficients,
-    direction: Perturbation,
-) -> ResidualBundle:
+def _apply_rows(
+    problem: MFGProblem, coef: _BaseCoefficients, v: np.ndarray, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transport and value rows of the linearization applied to (v, f).
+
+    v takes one forward transform for its gradient and Laplacian; f and the
+    d flux components take one forward transform as a stack, and the
+    Laplacian of f plus the flux divergence come back in one inverse.
+    """
     grid, dt = problem.grid, problem.time.dt
-    alpha = problem.alpha
-    v, f = direction.v.values, direction.f.values
-    dv = _grad_stack(v, grid)
-    q_dot_dv = np.sum(coef.q * dv, axis=0)
-    hess_dv = coef.hess_a * dv + coef.hess_b * q_dot_dv * coef.q
+    d = grid.dim
+    dv_lap = _grad_lap_stack(v, grid)
+    dv, lap_v = dv_lap[:d], dv_lap[d]
 
-    m_om = coef.m ** (1.0 - alpha)
-    flux = coef.drift_coef * f[None, :, :] + m_om * hess_dv
-    div_flux = _div_stack(flux, grid)
-    lap_f = _lap_stack(f, grid)
+    q_dot_dv = np.sum(coef.q * dv, axis=0)
+    flux_f = np.empty((d + 1,) + f.shape)
+    np.multiply(coef.drift_coef, f, out=flux_f[:d])
+    flux_f[:d] += coef.flux_a * dv + (coef.flux_b * q_dot_dv) * coef.q
+    flux_f[d] = f
+    lap_div = _div_lap_stack(flux_f, grid)
+
     fp = np.empty_like(f)
-    fp[1:] = (f[1:] - f[:-1]) / dt - lap_f[1:] - div_flux[1:]
+    fp[1:] = (f[1:] - f[:-1]) / dt - lap_div[1:]
     fp[0] = f[0]
 
-    lap_v = _lap_stack(v, grid)
-    transport = np.einsum("dkm,dkm->km", coef.dp_h, dv) + np.einsum(
-        "dm,dkm->km", lam_data.b_values, dv
-    )
+    transport = np.sum(coef.transport * dv, axis=0)
     hjb = np.empty_like(v)
     hjb[:-1] = (
         (v[:-1] - v[1:]) / dt
@@ -168,13 +174,7 @@ def _apply_from_coefficients(
         + transport[:-1]
     )
     hjb[-1] = v[-1]
-
-    return ResidualBundle(
-        fp=SpaceTimeField(grid, problem.time, fp),
-        hjb=SpaceTimeField(grid, problem.time, hjb),
-        initial=Field(grid, fp[0].copy()),
-        terminal=Field(grid, hjb[-1].copy()),
-    )
+    return fp, hjb
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +218,13 @@ def _heat_chain_preconditioner(problem: MFGProblem):
     grid, time = problem.grid, problem.time
     mm, k, dt = grid.num_nodes, time.num_slices, time.dt
     _, ksq = _spectra(grid.dim, grid.points_per_dim)
-    # rfftn keeps the nonnegative half of the last axis' frequencies
-    sym = 1.0 / (1.0 / dt + ksq[..., : grid.points_per_dim // 2 + 1])
-    axes = _fft_axes(grid.dim)
+    sym = 1.0 / (1.0 / dt + ksq)
 
     def chain(rows: np.ndarray, order: range) -> np.ndarray:
-        spec = np.fft.rfftn(rows.reshape((k,) + grid.shape), axes=axes)
+        spec = _rfft_stack(rows.reshape(k, mm), grid)
         for prev, n in zip(order, order[1:]):  # the first row is a data row
             spec[n] = sym * (spec[n] + spec[prev] / dt)
-        return np.fft.irfftn(spec, s=grid.shape, axes=axes).ravel()
+        return _irfft_stack(spec, grid).ravel()
 
     def apply(x: np.ndarray) -> np.ndarray:
         v = chain(x[: k * mm], range(k - 1, -1, -1))
@@ -249,15 +247,16 @@ def solve_linearized(
     heat-chain inverse; a solve that misses its tolerance raises
     :class:`LinearSolveError`.
     """
-    n_dof = 2 * problem.time.num_slices * problem.grid.num_nodes
+    k, mm = problem.time.num_slices, problem.grid.num_nodes
+    n_dof = 2 * k * mm
     rhs_vec = bundle_to_vector(rhs)
     coef = _base_coefficients(problem, lam_data, base, strict=True)
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        direction = vector_to_perturbation(x, problem)
-        return bundle_to_vector(
-            _apply_from_coefficients(problem, lam_data, coef, direction)
+        fp, hjb = _apply_rows(
+            problem, coef, x[: k * mm].reshape(k, mm), x[k * mm :].reshape(k, mm)
         )
+        return np.concatenate([hjb.ravel(), fp.ravel()])
 
     a_op = spla.LinearOperator((n_dof, n_dof), matvec=matvec)
     precond = _heat_chain_preconditioner(problem)

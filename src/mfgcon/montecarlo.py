@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import SpaceTimeField, _grad_stack
-from .system import LambdaData, MFGProblem, SolutionPair, _congestion_stack
+from .system import (
+    LambdaData,
+    MFGProblem,
+    SolutionPair,
+    _check_strict_density,
+    _congestion_stack,
+)
 
 __all__ = [
     "SDEConfig",
@@ -110,11 +116,11 @@ def simulate_density(
 
     Euler-Maruyama with the solver step split into ``substeps``; the drift is
     held on the current solver slice and interpolated linearly in space.
-    Every returned slice integrates to one exactly.
+    Every returned slice integrates to one exactly.  A pair with a
+    nonpositive density sample raises NonpositiveDensityError.
     """
     grid, time = problem.grid, problem.time
-    if pair.min_density() <= 0.0:
-        raise ValueError("pair must have positive density")
+    _check_strict_density(pair.m.values, strict=True)
     du = _grad_stack(pair.u.values, grid)
     q = _congestion_stack(du, pair.m.values, problem.alpha, problem.m_floor)
     drift = -(lam_data.hamiltonian.grad(q) + lam_data.b_values[:, None, :])  # (d, K, M)

@@ -24,9 +24,8 @@ from .grids import (
     SpaceTimeField,
     TimeGrid,
     VectorField,
-    _div_stack,
-    _grad_stack,
-    _lap_stack,
+    _div_lap_stack,
+    _grad_lap_stack,
     integrate,
 )
 from .hamiltonians import HamiltonianModel
@@ -231,6 +230,56 @@ def _congestion_stack(du, m, alpha, m_floor):
     return du / np.maximum(m, m_floor) ** alpha
 
 
+class _SharedTerms(NamedTuple):
+    """Fields both residual rows evaluate at one pair."""
+
+    du: np.ndarray      # (d, K, M) gradient of u
+    lap_u: np.ndarray   # (K, M)
+    q: np.ndarray       # (d, K, M) congestion ratio
+    m_pow: np.ndarray   # (K, M) max(m, floor)^alpha
+
+
+def _shared_terms(problem: MFGProblem, pair: SolutionPair, strict: bool) -> _SharedTerms:
+    m = pair.m.values
+    _check_strict_density(m, strict)
+    d = problem.grid.dim
+    du_lap = _grad_lap_stack(pair.u.values, problem.grid)
+    m_pow = np.maximum(m, problem.m_floor) ** problem.alpha
+    du = du_lap[:d]
+    return _SharedTerms(du=du, lap_u=du_lap[d], q=du / m_pow, m_pow=m_pow)
+
+
+def _hjb_rows(problem, lam_data, pair, terms: _SharedTerms) -> SpaceTimeField:
+    dt = problem.time.dt
+    u, m = pair.u.values, pair.m.values
+    h_vals = lam_data.hamiltonian.value(terms.q)
+    drift = np.einsum("dm,dkm->km", lam_data.b_values, terms.du)
+    out = np.empty_like(u)
+    out[:-1] = (
+        (u[:-1] - u[1:]) / dt
+        - terms.lap_u[:-1]
+        + terms.m_pow[:-1] * h_vals[:-1]
+        + drift[:-1]
+        - lam_data.potential_value(m[:-1])
+    )
+    out[-1] = u[-1] - lam_data.psi_values
+    return SpaceTimeField(problem.grid, problem.time, out)
+
+
+def _fp_rows(problem, lam_data, pair, terms: _SharedTerms) -> SpaceTimeField:
+    grid, dt = problem.grid, problem.time.dt
+    m = pair.m.values
+    dp_h = lam_data.hamiltonian.grad(terms.q)
+    flux_m = np.empty((grid.dim + 1,) + m.shape)
+    np.multiply(dp_h + lam_data.b_values[:, None, :], m, out=flux_m[: grid.dim])
+    flux_m[grid.dim] = m
+    lap_div = _div_lap_stack(flux_m, grid)  # Laplacian of m plus the flux divergence
+    out = np.empty_like(m)
+    out[1:] = (m[1:] - m[:-1]) / dt - lap_div[1:]
+    out[0] = m[0] - lam_data.m_init_values
+    return SpaceTimeField(grid, problem.time, out)
+
+
 def residual_hjb(
     problem: MFGProblem, lam_data: LambdaData, pair: SolutionPair, strict: bool = True
 ) -> SpaceTimeField:
@@ -239,25 +288,7 @@ def residual_hjb(
     Interior slice n carries (u^n - u^(n+1))/dt with all spatial terms on
     slice n; the last slice carries the terminal mismatch u(., T) - psi.
     """
-    grid, dt = problem.grid, problem.time.dt
-    u, m = pair.u.values, pair.m.values
-    _check_strict_density(m, strict)
-    du = _grad_stack(u, grid)
-    q = _congestion_stack(du, m, problem.alpha, problem.m_floor)
-    h_vals = lam_data.hamiltonian.value(q)
-    lap_u = _lap_stack(u, grid)
-    drift = np.einsum("dm,dkm->km", lam_data.b_values, du)
-    m_safe = np.maximum(m, problem.m_floor)
-    out = np.empty_like(u)
-    out[:-1] = (
-        (u[:-1] - u[1:]) / dt
-        - lap_u[:-1]
-        + m_safe[:-1] ** problem.alpha * h_vals[:-1]
-        + drift[:-1]
-        - lam_data.potential_value(m[:-1])
-    )
-    out[-1] = u[-1] - lam_data.psi_values
-    return SpaceTimeField(grid, problem.time, out)
+    return _hjb_rows(problem, lam_data, pair, _shared_terms(problem, pair, strict))
 
 
 def residual_fp(
@@ -270,27 +301,20 @@ def residual_fp(
     sum of the spatial part vanishes identically, so a zero residual implies
     exact conservation of the initial mass.
     """
-    grid, dt = problem.grid, problem.time.dt
-    u, m = pair.u.values, pair.m.values
-    _check_strict_density(m, strict)
-    du = _grad_stack(u, grid)
-    q = _congestion_stack(du, m, problem.alpha, problem.m_floor)
-    dp_h = lam_data.hamiltonian.grad(q)
-    flux = (dp_h + lam_data.b_values[:, None, :]) * m[None, :, :]
-    div_flux = _div_stack(flux, grid)
-    lap_m = _lap_stack(m, grid)
-    out = np.empty_like(m)
-    out[1:] = (m[1:] - m[:-1]) / dt - lap_m[1:] - div_flux[1:]
-    out[0] = m[0] - lam_data.m_init_values
-    return SpaceTimeField(grid, problem.time, out)
+    return _fp_rows(problem, lam_data, pair, _shared_terms(problem, pair, strict))
 
 
 def residual_full(
     problem: MFGProblem, lam_data: LambdaData, pair: SolutionPair, strict: bool = True
 ) -> ResidualBundle:
-    """All four residual rows: transport first, then value, then the data rows."""
-    fp = residual_fp(problem, lam_data, pair, strict)
-    hjb = residual_hjb(problem, lam_data, pair, strict)
+    """All four residual rows: transport first, then value, then the data rows.
+
+    The density check, the gradient and Laplacian of u and the congestion
+    ratio are computed once and shared by both rows.
+    """
+    terms = _shared_terms(problem, pair, strict)
+    fp = _fp_rows(problem, lam_data, pair, terms)
+    hjb = _hjb_rows(problem, lam_data, pair, terms)
     initial = Field(problem.grid, fp.values[0].copy())
     terminal = Field(problem.grid, hjb.values[-1].copy())
     return ResidualBundle(fp=fp, hjb=hjb, initial=initial, terminal=terminal)

@@ -114,6 +114,23 @@ def test_mc_command(workdir):
     assert np.max(np.abs(vol * np.sum(emp.values, axis=1) - 1.0)) < 1e-12
 
 
+def test_mc_on_nonpositive_density_is_usage_error(workdir, tmp_path, capsys):
+    out = workdir["out"]
+    m, _ = read_field(os.path.join(out, "m.field"))
+    m.values[3, 5] = -0.1
+    bad = str(tmp_path / "m.field")
+    write_field(bad, m, "m")
+    capsys.readouterr()
+    code = main([
+        "mc", "--config", workdir["cfg"], "--out", str(tmp_path / "mc"),
+        os.path.join(out, "u.field"), bad,
+    ])
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("mc: ") and "slice 3, node 5" in err[0]
+
+
 def test_legendre_command(workdir):
     code = main(["legendre", "--config", workdir["cfg"]])
     assert code == 0

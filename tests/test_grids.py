@@ -4,8 +4,14 @@ import pytest
 from mfgcon.grids import (
     Field,
     PeriodicGrid,
+    SpaceTimeField,
     TimeGrid,
     VectorField,
+    _div_lap_stack,
+    _div_stack,
+    _grad_lap_stack,
+    _grad_stack,
+    _lap_stack,
     divergence,
     fourier_interpolate,
     gradient,
@@ -15,7 +21,10 @@ from mfgcon.grids import (
     laplacian,
 )
 
-from conftest import band_limited
+from mfgcon.linearized import Perturbation, apply_L
+from mfgcon.system import LambdaData, SolutionPair
+
+from conftest import band_limited, make_problem
 
 GRID = PeriodicGrid(1, 64)
 X = GRID.coordinates()[0]
@@ -189,3 +198,108 @@ def test_two_dimensional_operators():
     xf, yf = fine.grid.coordinates()
     target = np.sin(2 * np.pi * xf) * np.cos(4 * np.pi * yf)
     assert np.max(np.abs(fine.values - target.ravel())) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# half-spectrum kernels against a full complex-FFT reference
+# ---------------------------------------------------------------------------
+
+
+class ComplexReference:
+    """Gradient, divergence and Laplacian of (K, N**d) stacks through the full
+    complex fftn, with the Nyquist mode of every first derivative dropped."""
+
+    def __init__(self, grid):
+        n = grid.points_per_dim
+        w = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
+        d1 = w.copy()
+        d1[n // 2] = 0.0
+        if grid.dim == 1:
+            self.deriv, self.ksq = [d1], w**2
+        else:
+            self.deriv = [d1[:, None], d1[None, :]]
+            self.ksq = w[:, None] ** 2 + w[None, :] ** 2
+        self.grid = grid
+        self.axes = tuple(range(-grid.dim, 0))
+
+    def _spec(self, values):
+        return np.fft.fftn(values.reshape(values.shape[:-1] + self.grid.shape), axes=self.axes)
+
+    def _back(self, spec, shape):
+        return np.fft.ifftn(spec, axes=self.axes).real.reshape(shape)
+
+    def grad(self, values):
+        spec = self._spec(values)
+        return np.stack([self._back(1j * d * spec, values.shape) for d in self.deriv])
+
+    def div(self, comps):
+        acc = sum(1j * d * self._spec(c) for d, c in zip(self.deriv, comps))
+        return self._back(acc, comps.shape[1:])
+
+    def lap(self, values):
+        return self._back(-self.ksq * self._spec(values), values.shape)
+
+
+def rough_stack(grid, rng, k_slices):
+    """White noise plus an explicit Nyquist mode: nothing is band-limited."""
+    nyquist = np.cos(np.pi * grid.points_per_dim * sum(grid.coordinates())).ravel()
+    return rng.normal(size=(k_slices, grid.num_nodes)) + nyquist
+
+
+def rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)], ids=["d1", "d2"])
+def test_half_spectrum_stacks_match_complex_reference(dim, n):
+    grid = PeriodicGrid(dim, n)
+    ref = ComplexReference(grid)
+    rng = np.random.default_rng(17)
+    vals = rough_stack(grid, rng, 9)
+    comps = np.stack([rough_stack(grid, rng, 9) for _ in range(dim)])
+
+    assert rel_err(_grad_stack(vals, grid), ref.grad(vals)) <= 1e-12
+    assert rel_err(_div_stack(comps, grid), ref.div(comps)) <= 1e-12
+    assert rel_err(_lap_stack(vals, grid), ref.lap(vals)) <= 1e-12
+    grad_lap = _grad_lap_stack(vals, grid)
+    assert rel_err(grad_lap[:dim], ref.grad(vals)) <= 1e-12
+    assert rel_err(grad_lap[dim], ref.lap(vals)) <= 1e-12
+    stack = np.concatenate([comps, vals[None]])
+    assert rel_err(_div_lap_stack(stack, grid), ref.div(comps) + ref.lap(vals)) <= 1e-12
+    # a single field (no batch axis) takes the same path
+    assert rel_err(_grad_stack(vals[0], grid), ref.grad(vals[:1])[:, 0]) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, n", [(1, 32), (2, 16)], ids=["d1", "d2"])
+def test_apply_L_matches_complex_reference_composition(dim, n):
+    problem = make_problem(n=n, n_t=8, dim=dim)
+    grid, time, alpha = problem.grid, problem.time, problem.alpha
+    k, dt = time.num_slices, time.dt
+    lam = LambdaData.from_problem(problem, 0.3)
+    ref = ComplexReference(grid)
+    rng = np.random.default_rng(5)
+    u = 0.01 * rough_stack(grid, rng, k)
+    m = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=(k, grid.num_nodes))
+    v, f = rough_stack(grid, rng, k), rough_stack(grid, rng, k)
+    base = SolutionPair(SpaceTimeField(grid, time, u), SpaceTimeField(grid, time, m))
+    direction = Perturbation(SpaceTimeField(grid, time, v), SpaceTimeField(grid, time, f))
+    got = apply_L(problem, lam, base, direction)
+
+    # the linearization written out with the reference operators
+    ham, b = lam.hamiltonian, lam.b_values[:, None, :]
+    q = ref.grad(u) / m**alpha
+    dp_h, h = ham.grad(q), ham.value(q)
+    a_c, b_c = ham.hess_coeffs(q)
+    dv = ref.grad(v)
+    hess_dv = a_c * dv + b_c * np.sum(q * dv, axis=0) * q
+    hess_q = (a_c + b_c * np.sum(q * q, axis=0)) * q
+    flux = (dp_h - alpha * hess_q + b) * f + m ** (1.0 - alpha) * hess_dv
+    zero_u = alpha * m ** (alpha - 1.0) * (h - np.sum(q * dp_h, axis=0)) - lam.potential_dz(m)
+    fp = f.copy()
+    fp[1:] = (f[1:] - f[:-1]) / dt - ref.lap(f)[1:] - ref.div(flux)[1:]
+    hjb = v.copy()
+    spatial = -ref.lap(v) + zero_u * f + np.sum((dp_h + b) * dv, axis=0)
+    hjb[:-1] = (v[:-1] - v[1:]) / dt + spatial[:-1]
+
+    assert rel_err(got.fp.values, fp) <= 1e-12
+    assert rel_err(got.hjb.values, hjb) <= 1e-12
