@@ -58,10 +58,7 @@ from .system import (
     Potential,
     ResidualBundle,
     SolutionPair,
-    congestion_ratio,
-    residual_fp,
     residual_full,
-    residual_hjb,
 )
 
 __version__ = "0.1.0"

@@ -55,9 +55,23 @@ def _state_line(state) -> str:
     )
 
 
+def _galerkin_basis(problem, n_modes: int):
+    """Basis of the Galerkin spectrum dump, built before the solve so a bad
+    mode count fails as a config error instead of after the whole path."""
+    if n_modes == 0:
+        return None
+    from .galerkin import FourierBasis
+
+    try:
+        return FourierBasis.build(problem.grid, n_modes)
+    except ValueError as exc:
+        raise ConfigError(f"galerkin_modes = {n_modes}: {exc}") from exc
+
+
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
+    basis = _galerkin_basis(problem, cfg.out_formats.get("galerkin_modes", 0))
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "path.log")
     lines: list[str] = []
@@ -92,11 +106,9 @@ def _cmd_solve(args) -> int:
     if cfg.out_formats.get("plots"):
         write_plot_columns(os.path.join(args.out, "u.txt"), final.pair.u)
         write_plot_columns(os.path.join(args.out, "m.txt"), final.pair.m)
-    n_modes = cfg.out_formats.get("galerkin_modes", 0)
-    if n_modes > 0:
-        from .galerkin import FourierBasis, assemble_galerkin_system, shooting_matrix
+    if basis is not None:
+        from .galerkin import assemble_galerkin_system, shooting_matrix
 
-        basis = FourierBasis.build(problem.grid, n_modes)
         system = assemble_galerkin_system(
             problem, LambdaData.from_problem(problem, 0.0), final.pair, basis
         )
@@ -242,6 +254,8 @@ def main(argv=None) -> int:
         "legendre": _cmd_legendre,
     }
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         return handlers[args.command](args)
     except (ConfigError, FieldFileError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

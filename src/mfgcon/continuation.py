@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Field, SpaceTimeField, integrate
-from .linearized import LinearSolveError, Perturbation, ResidualBundle, solve_linearized
+from .grids import SpaceTimeField
+from .linearized import LinearSolveError, Perturbation, solve_linearized
 from .system import LambdaData, MFGProblem, SolutionPair, residual_full
 
 __all__ = [
@@ -58,10 +58,6 @@ class ContinuationState:
 
     def min_density(self) -> float:
         return self.pair.min_density()
-
-    def mass_deviation(self) -> float:
-        masses = [integrate(self.pair.m.slice(n)) for n in range(self.pair.m.time.num_slices)]
-        return float(np.max(np.abs(np.asarray(masses) - 1.0)))
 
 
 @dataclass
@@ -107,15 +103,6 @@ def trivial_solution(problem: MFGProblem) -> ContinuationState:
     return ContinuationState(lam=1.0, pair=pair, residual_norm=res, newton_iters=0, step=0.0)
 
 
-def _negate(bundle: ResidualBundle) -> ResidualBundle:
-    return ResidualBundle(
-        fp=SpaceTimeField(bundle.fp.grid, bundle.fp.time, -bundle.fp.values),
-        hjb=SpaceTimeField(bundle.hjb.grid, bundle.hjb.time, -bundle.hjb.values),
-        initial=Field(bundle.initial.grid, -bundle.initial.values),
-        terminal=Field(bundle.terminal.grid, -bundle.terminal.values),
-    )
-
-
 def newton_correct(
     problem: MFGProblem,
     lam_data: LambdaData,
@@ -124,6 +111,7 @@ def newton_correct(
 ) -> tuple[SolutionPair, NewtonDiagnostics]:
     """Damped Newton iteration on the full residual.
 
+    Each iteration solves L w = r at the current pair and steps along -w.
     Accepts once the sup-norm drops below ``newton_tol``.  Each step is
     halved until the residual decreases and the density keeps its positivity
     margin; running out of damping or iterations, or an inner linear solve
@@ -138,9 +126,7 @@ def newton_correct(
             diag.converged = True
             return current, diag
         try:
-            direction: Perturbation = solve_linearized(
-                problem, lam_data, current, _negate(bundle)
-            )
+            w: Perturbation = solve_linearized(problem, lam_data, current, bundle)
         except LinearSolveError as exc:
             raise NewtonFailure(f"inner linear solve failed: {exc}", diag) from exc
         step = 1.0
@@ -148,10 +134,10 @@ def newton_correct(
         for _ in range(40):
             cand = SolutionPair(
                 u=SpaceTimeField(
-                    problem.grid, problem.time, current.u.values + step * direction.v.values
+                    problem.grid, problem.time, current.u.values - step * w.v.values
                 ),
                 m=SpaceTimeField(
-                    problem.grid, problem.time, current.m.values + step * direction.f.values
+                    problem.grid, problem.time, current.m.values - step * w.f.values
                 ),
             )
             if cand.min_density() < config.m_positivity_margin:
@@ -214,11 +200,10 @@ def solve_path(
             if dl < config.dlambda_min:
                 raise HorizonError(states, lam_next)
             continue
-        res = residual_full(problem, lam_data, pair).sup_norm()
         state = ContinuationState(
             lam=lam_next,
             pair=pair,
-            residual_norm=res,
+            residual_norm=diag.residual_history[-1],
             newton_iters=diag.iterations,
             step=lam - lam_next,
         )

@@ -168,30 +168,39 @@ def load_config(path: str) -> RunConfig:
         b_terms.append(terms("b_y", "0"))
     v2_parts = prob.get("v2", "arctan").split()
     v2_kind = v2_parts[0]
-    v2_coef = float(v2_parts[1]) if len(v2_parts) > 1 else 1.0
-    v2_exponent = float(v2_parts[2]) if len(v2_parts) > 2 else 2.0
+    try:
+        v2_coef = float(v2_parts[1]) if len(v2_parts) > 1 else 1.0
+        v2_exponent = float(v2_parts[2]) if len(v2_parts) > 2 else 2.0
+    except ValueError as exc:
+        raise ConfigError(f"bad value for 'v2': {prob['v2']!r}") from exc
 
     solver_sec = parser["solver"] if "solver" in parser else {}
-    solver = SolverConfig(
-        newton_tol=_get(solver_sec, "newton_tol", float, default=1e-10, positive=True),
-        newton_max_iters=_get(solver_sec, "newton_max_iters", int, default=12, positive=True),
-        dlambda_init=_get(solver_sec, "dlambda_init", float, default=0.1, positive=True),
-        dlambda_min=_get(solver_sec, "dlambda_min", float, default=1e-4, positive=True),
-        dlambda_max=_get(solver_sec, "dlambda_max", float, default=0.25, positive=True),
-        m_positivity_margin=_get(
-            solver_sec, "m_positivity_margin", float, default=1e-6, positive=True
-        ),
-    )
     mc_sec = parser["mc"] if "mc" in parser else {}
-    mc = SDEConfig(
-        paths=_get(mc_sec, "paths", int, default=100_000, positive=True),
-        seed=_get(mc_sec, "seed", int, default=0),
-        substeps=_get(mc_sec, "substeps", int, default=1, positive=True),
-    )
+    try:
+        solver = SolverConfig(
+            newton_tol=_get(solver_sec, "newton_tol", float, default=1e-10, positive=True),
+            newton_max_iters=_get(solver_sec, "newton_max_iters", int, default=12, positive=True),
+            dlambda_init=_get(solver_sec, "dlambda_init", float, default=0.1, positive=True),
+            dlambda_min=_get(solver_sec, "dlambda_min", float, default=1e-4, positive=True),
+            dlambda_max=_get(solver_sec, "dlambda_max", float, default=0.25, positive=True),
+            m_positivity_margin=_get(
+                solver_sec, "m_positivity_margin", float, default=1e-6, positive=True
+            ),
+        )
+        mc = SDEConfig(
+            paths=_get(mc_sec, "paths", int, default=100_000, positive=True),
+            seed=_get(mc_sec, "seed", int, default=0),
+            substeps=_get(mc_sec, "substeps", int, default=1, positive=True),
+        )
+    except ValueError as exc:  # a range SolverConfig or SDEConfig rejects
+        raise ConfigError(str(exc)) from exc
     out_sec = parser["output"] if "output" in parser else {}
+    galerkin_modes = _get(out_sec, "galerkin_modes", int, default=0)
+    if galerkin_modes < 0:
+        raise ConfigError(f"'galerkin_modes' must be nonnegative, got {galerkin_modes}")
     out_formats = {
         "plots": str(out_sec.get("plots", "false")).lower() == "true",
-        "galerkin_modes": _get(out_sec, "galerkin_modes", int, default=0),
+        "galerkin_modes": galerkin_modes,
     }
 
     return RunConfig(

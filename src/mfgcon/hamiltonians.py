@@ -8,7 +8,8 @@ and its convex blend toward the unit-weight power Hamiltonian,
 
     H_lam(x, p) = (1 - lam) * H0(x, p) + lam * (1 + |p|^2)^(gamma/2),
 
-which is the homotopy family the continuation solver marches through.  A
+which is the homotopy family the continuation solver marches through.  The
+blend is the same power model with weight (1 - lam) c(x) + lam.  A
 brute-force convex-duality oracle for Lagrangians a(x) (1 + |v|^2)^(gamma'/2)
 is provided for testing duality and growth; the structural hypotheses behind
 existence and uniqueness are verified by sampling.
@@ -17,7 +18,6 @@ existence and uniqueness are verified by sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -38,10 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """Isotropic power Hamiltonian or its convex blend with the unit one.
-
-    kind == "iso_power":     H(x, p) = weight(x) * (1 + |p|^2)^(gamma/2)
-    kind == "lambda_blend":  H(x, p) = (1-lam) * base(x, p) + lam * (1+|p|^2)^(gamma/2)
+    """Isotropic power Hamiltonian H(x, p) = weight(x) * (1 + |p|^2)^(gamma/2).
 
     ``weight`` is either a scalar or an array of per-node samples; array
     weights broadcast against the trailing axis of momentum stacks.
@@ -49,9 +46,6 @@ class HamiltonianModel:
 
     gamma: float
     weight: object = 1.0
-    kind: str = "iso_power"
-    lam: float = 0.0
-    base: Optional["HamiltonianModel"] = None
 
     def __post_init__(self):
         if not 1.0 < self.gamma < 2.0:
@@ -60,15 +54,6 @@ class HamiltonianModel:
         if np.any(w <= 0.0):
             raise ValueError("weight must be strictly positive")
         object.__setattr__(self, "weight", w if w.ndim else float(w))
-        if self.kind == "lambda_blend":
-            if self.base is None:
-                raise ValueError("lambda_blend requires a base model")
-            if not 0.0 <= self.lam <= 1.0:
-                raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
-            if self.base.gamma != self.gamma:
-                raise ValueError("blend and base must share gamma")
-        elif self.kind != "iso_power":
-            raise ValueError(f"unknown kind {self.kind!r}")
 
     @classmethod
     def iso_power(cls, gamma: float, weight=1.0) -> "HamiltonianModel":
@@ -76,7 +61,10 @@ class HamiltonianModel:
 
     @classmethod
     def blend(cls, base: "HamiltonianModel", lam: float) -> "HamiltonianModel":
-        return cls(gamma=base.gamma, kind="lambda_blend", lam=lam, base=base)
+        """(1-lam) * base + lam * unit, the power model with weight (1-lam) c + lam."""
+        if lam == 0.0:
+            return base
+        return cls(base.gamma, (1.0 - lam) * base.weight + lam)
 
     @property
     def gamma_prime(self) -> float:
@@ -90,51 +78,28 @@ class HamiltonianModel:
         return self.weight if x_index is None else np.asarray(self.weight)[x_index]
 
     def weight_bounds(self) -> tuple[float, float]:
-        """Range of the effective zero-momentum value H(x, 0)."""
-        if self.kind == "iso_power":
-            w = np.asarray(self.weight)
-            return float(np.min(w)), float(np.max(w))
-        lo, hi = self.base.weight_bounds()
-        return (1.0 - self.lam) * lo + self.lam, (1.0 - self.lam) * hi + self.lam
-
-    def weight_nodes(self) -> int | None:
-        """Node count of any spatial weight in the model chain, None if uniform."""
-        if np.ndim(self.weight):
-            return int(np.asarray(self.weight).size)
-        if self.base is not None:
-            return self.base.weight_nodes()
-        return None
+        """Range of the zero-momentum value H(x, 0)."""
+        w = np.asarray(self.weight)
+        return float(np.min(w)), float(np.max(w))
 
     # -- evaluation (p has shape (d, ...); weight broadcasts on ...) -------
 
     def value(self, p: np.ndarray, x_index=None) -> np.ndarray:
         s = np.sum(np.square(p), axis=0)
-        if self.kind == "iso_power":
-            return self._w(x_index) * (1.0 + s) ** (0.5 * self.gamma)
-        iso = (1.0 + s) ** (0.5 * self.gamma)
-        return (1.0 - self.lam) * self.base.value(p, x_index) + self.lam * iso
+        return self._w(x_index) * (1.0 + s) ** (0.5 * self.gamma)
 
     def grad(self, p: np.ndarray, x_index=None) -> np.ndarray:
         s = np.sum(np.square(p), axis=0)
-        if self.kind == "iso_power":
-            coef = self._w(x_index) * self.gamma * (1.0 + s) ** (0.5 * self.gamma - 1.0)
-            return coef * p
-        iso = self.gamma * (1.0 + s) ** (0.5 * self.gamma - 1.0) * p
-        return (1.0 - self.lam) * self.base.grad(p, x_index) + self.lam * iso
+        coef = self._w(x_index) * self.gamma * (1.0 + s) ** (0.5 * self.gamma - 1.0)
+        return coef * p
 
     def hess_coeffs(self, p: np.ndarray, x_index=None) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients (a, b) of the Hessian a*I + b*(p otimes p)."""
         s = np.sum(np.square(p), axis=0)
-        if self.kind == "iso_power":
-            w = self._w(x_index)
-            a = w * self.gamma * (1.0 + s) ** (0.5 * self.gamma - 1.0)
-            b = w * self.gamma * (self.gamma - 2.0) * (1.0 + s) ** (0.5 * self.gamma - 2.0)
-            return a, b
-        g = self.gamma
-        a_iso = g * (1.0 + s) ** (0.5 * g - 1.0)
-        b_iso = g * (g - 2.0) * (1.0 + s) ** (0.5 * g - 2.0)
-        a0, b0 = self.base.hess_coeffs(p, x_index)
-        return (1.0 - self.lam) * a0 + self.lam * a_iso, (1.0 - self.lam) * b0 + self.lam * b_iso
+        w = self._w(x_index)
+        a = w * self.gamma * (1.0 + s) ** (0.5 * self.gamma - 1.0)
+        b = w * self.gamma * (self.gamma - 2.0) * (1.0 + s) ** (0.5 * self.gamma - 2.0)
+        return a, b
 
     def hess(self, p: np.ndarray, x_index=None) -> np.ndarray:
         """Full Hessian, shape (d, d, ...)."""
@@ -322,8 +287,7 @@ def _sample_momenta(model: HamiltonianModel, dim: int, spec: SampleSpec):
     # log-uniform radii cover both the small and the coercive regime
     radii = np.exp(rng.uniform(np.log(max(spec.p_floor, 1e-3)), np.log(spec.p_radius), n))
     p = direc * radii
-    nodes = model.weight_nodes()
-    idx = None if nodes is None else rng.integers(0, nodes, size=n)
+    idx = None if np.ndim(model.weight) == 0 else rng.integers(0, model.weight.size, size=n)
     return p, idx
 
 

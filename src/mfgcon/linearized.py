@@ -127,16 +127,13 @@ def apply_L(
 
     Rows mirror the residual layout: transport rows first (slice 0 is the
     initial-data row f(., 0)), then value rows (last slice is the terminal
-    row v(., T)), plus those two data rows repeated as plain fields.
+    row v(., T)).
     """
     coef = _base_coefficients(problem, lam_data, base, strict)
     fp, hjb = _apply_rows(problem, coef, direction.v.values, direction.f.values)
     grid, time = problem.grid, problem.time
     return ResidualBundle(
-        fp=SpaceTimeField(grid, time, fp),
-        hjb=SpaceTimeField(grid, time, hjb),
-        initial=Field(grid, fp[0].copy()),
-        terminal=Field(grid, hjb[-1].copy()),
+        fp=SpaceTimeField(grid, time, fp), hjb=SpaceTimeField(grid, time, hjb)
     )
 
 

@@ -43,6 +43,8 @@ class SDEConfig:
             raise ValueError("need at least one path")
         if self.substeps < 1:
             raise ValueError("substeps must divide the solver step at least once")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _sample_initial(m0_values: np.ndarray, grid, rng, n: int) -> np.ndarray:

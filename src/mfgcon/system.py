@@ -37,9 +37,6 @@ __all__ = [
     "LambdaData",
     "ResidualBundle",
     "NonpositiveDensityError",
-    "congestion_ratio",
-    "residual_hjb",
-    "residual_fp",
     "residual_full",
 ]
 
@@ -158,7 +155,8 @@ class LambdaData:
     """Blended data at homotopy parameter lam in [0, 1].
 
     b -> (1-lam) b,  psi -> (1-lam) psi,  m0 -> (1-lam) m0 + lam,
-    V -> (1-lam) V + lam arctan(z),  H -> the lambda blend of the model.
+    V -> (1-lam) V + lam arctan(z),  H -> the power model with weight
+    (1-lam) c + lam.
     At lam = 0 everything reduces to the original data.
     """
 
@@ -173,12 +171,9 @@ class LambdaData:
     def from_problem(cls, problem: MFGProblem, lam: float) -> "LambdaData":
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {lam}")
-        ham = problem.hamiltonian if lam == 0.0 else HamiltonianModel.blend(
-            problem.hamiltonian, lam
-        )
         return cls(
             lam=lam,
-            hamiltonian=ham,
+            hamiltonian=HamiltonianModel.blend(problem.hamiltonian, lam),
             b_values=(1.0 - lam) * problem.b.values,
             psi_values=(1.0 - lam) * problem.psi.values,
             m_init_values=(1.0 - lam) * problem.m0.values + lam,
@@ -194,29 +189,14 @@ class LambdaData:
 
 
 class ResidualBundle(NamedTuple):
-    """The four rows of the residual operator: transport, value, initial, terminal."""
+    """The residual rows: transport (slice 0 is the initial-data row), then
+    value (the last slice is the terminal-data row)."""
 
     fp: SpaceTimeField
     hjb: SpaceTimeField
-    initial: Field
-    terminal: Field
 
     def sup_norm(self) -> float:
-        return max(
-            self.fp.sup_norm(),
-            self.hjb.sup_norm(),
-            float(np.max(np.abs(self.initial.values))),
-            float(np.max(np.abs(self.terminal.values))),
-        )
-
-
-def congestion_ratio(
-    Du: VectorField, m, alpha: float, m_floor: float = 1e-10
-) -> VectorField:
-    """Rescaled momentum Q = Du / max(m, floor)^alpha entering every H evaluation."""
-    m_values = m.values if isinstance(m, Field) else np.asarray(m, dtype=float)
-    scale = np.maximum(m_values, m_floor) ** alpha
-    return VectorField(Du.grid, Du.values / scale)
+        return max(self.fp.sup_norm(), self.hjb.sup_norm())
 
 
 def _check_strict_density(m: np.ndarray, strict: bool) -> None:
@@ -227,6 +207,7 @@ def _check_strict_density(m: np.ndarray, strict: bool) -> None:
 
 
 def _congestion_stack(du, m, alpha, m_floor):
+    """Rescaled momentum Q = Du / max(m, floor)^alpha entering every H evaluation."""
     return du / np.maximum(m, m_floor) ** alpha
 
 
@@ -280,41 +261,21 @@ def _fp_rows(problem, lam_data, pair, terms: _SharedTerms) -> SpaceTimeField:
     return SpaceTimeField(grid, problem.time, out)
 
 
-def residual_hjb(
-    problem: MFGProblem, lam_data: LambdaData, pair: SolutionPair, strict: bool = True
-) -> SpaceTimeField:
-    """Backward-equation residual, slice by slice.
-
-    Interior slice n carries (u^n - u^(n+1))/dt with all spatial terms on
-    slice n; the last slice carries the terminal mismatch u(., T) - psi.
-    """
-    return _hjb_rows(problem, lam_data, pair, _shared_terms(problem, pair, strict))
-
-
-def residual_fp(
-    problem: MFGProblem, lam_data: LambdaData, pair: SolutionPair, strict: bool = True
-) -> SpaceTimeField:
-    """Forward transport residual in flux form.
-
-    Interior slice n carries (m^n - m^(n-1))/dt with the flux divergence on
-    slice n; slice 0 carries the initial mismatch m(., 0) - m_init.  The node
-    sum of the spatial part vanishes identically, so a zero residual implies
-    exact conservation of the initial mass.
-    """
-    return _fp_rows(problem, lam_data, pair, _shared_terms(problem, pair, strict))
-
-
 def residual_full(
     problem: MFGProblem, lam_data: LambdaData, pair: SolutionPair, strict: bool = True
 ) -> ResidualBundle:
-    """All four residual rows: transport first, then value, then the data rows.
+    """The residual rows, transport first, then value.
 
-    The density check, the gradient and Laplacian of u and the congestion
-    ratio are computed once and shared by both rows.
+    Transport slice n >= 1 carries (m^n - m^(n-1))/dt with the flux divergence
+    on slice n, and slice 0 the initial mismatch m(., 0) - m_init; the node
+    sum of the spatial part vanishes identically, so a zero residual conserves
+    the initial mass exactly.  Value slice n < N_t carries (u^n - u^(n+1))/dt
+    with all spatial terms on slice n, and the last slice the terminal
+    mismatch u(., T) - psi.  The density check, the gradient and Laplacian of
+    u and the congestion ratio are computed once and shared by both rows.
     """
     terms = _shared_terms(problem, pair, strict)
-    fp = _fp_rows(problem, lam_data, pair, terms)
-    hjb = _hjb_rows(problem, lam_data, pair, terms)
-    initial = Field(problem.grid, fp.values[0].copy())
-    terminal = Field(problem.grid, hjb.values[-1].copy())
-    return ResidualBundle(fp=fp, hjb=hjb, initial=initial, terminal=terminal)
+    return ResidualBundle(
+        fp=_fp_rows(problem, lam_data, pair, terms),
+        hjb=_hjb_rows(problem, lam_data, pair, terms),
+    )

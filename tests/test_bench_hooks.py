@@ -1,0 +1,83 @@
+"""The benchmark's span hooks must still find every mfgcon name they wrap.
+
+``perfbench/spans.py`` skips a hooked name that no longer exists, so a rename
+in ``src/`` would silently read as a zero counter.  This test loads the
+tracer without writing anything under ``perfbench/``, installs it on a fresh
+import of mfgcon and checks that every hook it asked for was installed.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+# Hooks of code that was deleted on purpose; their counters read zero.
+RETIRED = {"assemble_L"}
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    was, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = was
+    return module
+
+
+def _is_mfgcon(owner) -> bool:
+    name = getattr(owner, "__module__", None) or ""
+    if isinstance(owner, type(sys)):
+        name = owner.__name__
+    return name == "mfgcon" or name.startswith("mfgcon.")
+
+
+@pytest.fixture
+def fresh_mfgcon():
+    """mfgcon imported anew, with the modules other tests hold put back afterwards."""
+    saved = {k: v for k, v in sys.modules.items() if k == "mfgcon" or k.startswith("mfgcon.")}
+    for name in saved:
+        del sys.modules[name]
+    try:
+        yield importlib.import_module
+    finally:
+        for name in [k for k in sys.modules if k == "mfgcon" or k.startswith("mfgcon.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def test_every_mfgcon_hook_is_installed(fresh_mfgcon):
+    spans = _load_spans()
+    mods = {name: fresh_mfgcon(f"mfgcon.{name}") for name in spans.LAYERS}
+    tracer = spans.Tracer()
+    requested = []
+    patch = tracer.patch
+
+    def recording_patch(owner, attr, *args, **kwargs):
+        requested.append((owner, attr))
+        return patch(owner, attr, *args, **kwargs)
+
+    tracer.patch = recording_patch
+    try:
+        tracer.install(mods)
+        installed = {(id(owner), attr) for owner, attr, _ in tracer._installed}
+    finally:
+        tracer.remove()
+
+    hooked = [(owner, attr) for owner, attr in requested
+              if owner is None or _is_mfgcon(owner)]
+    assert len(hooked) > 10
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr in hooked
+        if attr not in RETIRED and (id(owner), attr) not in installed
+    ]
+    assert missing == []
+    # the solve hook reads apply_L for the achieved linear residual
+    assert callable(getattr(mods["linearized"], "apply_L", None))
+

@@ -101,6 +101,36 @@ def test_malformed_config_is_usage_error(tmp_path):
     assert code == 3
 
 
+REFERENCE_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "reference.cfg")
+
+
+@pytest.mark.parametrize(
+    "command, old, new, extra, keyword",
+    [
+        ("solve", "dlambda_init = 0.1", "dlambda_init = 0.5", [], "dlambda"),
+        ("solve", "v2 = arctan", "v2 = linear abc", [], "v2"),
+        ("solve", "plots = false", "plots = false\ngalerkin_modes = 200", [], "galerkin_modes"),
+        ("solve", "plots = false", "plots = false\ngalerkin_modes = -1", [], "galerkin_modes"),
+        ("solve", "seed = 7", "seed = -3", [], "seed"),
+        ("legendre", "", "", ["--seed", "-3"], "seed"),
+    ],
+    ids=["solver_range", "v2_coef", "galerkin_above_nyquist", "galerkin_negative",
+         "mc_seed", "cli_seed"],
+)
+def test_config_errors_are_usage_errors(tmp_path, capsys, command, old, new, extra, keyword):
+    text = open(REFERENCE_CFG).read()
+    assert old in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new, 1))
+    out = tmp_path / "o"
+    code = main([command, "--config", str(cfg), "--out", str(out)] + extra)
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"{command}: ") and keyword in err[0]
+    assert not (out / "path.log").exists()
+
+
 def test_mc_command(workdir):
     out = workdir["out"]
     code = main([

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfgcon import continuation
 from mfgcon.continuation import (
     HorizonError,
     NewtonFailure,
@@ -9,6 +10,7 @@ from mfgcon.continuation import (
     solve_path,
     trivial_solution,
 )
+from mfgcon.estimates import check_mass
 from mfgcon.grids import SpaceTimeField, integrate
 from mfgcon.system import LambdaData, SolutionPair, residual_full
 
@@ -93,11 +95,42 @@ def test_path_reaches_zero_with_certificates(small_problem):
     for state in states:
         assert state.residual_norm <= max(cfg.newton_tol, 1e-12)
         assert state.min_density() >= cfg.m_positivity_margin
-        assert state.mass_deviation() <= 1e-10
+        assert check_mass(state.pair).values["max_deviation"] <= 1e-10
         # the certificate is re-derivable from the state alone
         lam = LambdaData.from_problem(small_problem, state.lam)
         recomputed = residual_full(small_problem, lam, state.pair).sup_norm()
         assert recomputed == pytest.approx(state.residual_norm, rel=1e-6, abs=1e-13)
+
+
+def test_accepted_certificate_is_newtons_last_residual(small_problem, monkeypatch):
+    # the certificate of an accepted state is the residual Newton accepted on,
+    # so solve_path evaluates no residual between a Newton return and the next step
+    events = []
+    real_residual, real_newton = continuation.residual_full, continuation.newton_correct
+
+    def counting_residual(*args, **kwargs):
+        events.append("residual")
+        return real_residual(*args, **kwargs)
+
+    def tracked_newton(*args, **kwargs):
+        events.append("newton")
+        out = real_newton(*args, **kwargs)
+        events.append("newton_return")
+        return out
+
+    monkeypatch.setattr(continuation, "residual_full", counting_residual)
+    monkeypatch.setattr(continuation, "newton_correct", tracked_newton)
+    cfg = SolverConfig()
+    states = solve_path(small_problem, cfg)
+
+    assert events.count("newton_return") == len(states) - 1
+    for before, after in zip(events, events[1:]):
+        if before == "newton_return":
+            assert after == "newton"
+    for state in states:
+        lam = LambdaData.from_problem(small_problem, state.lam)
+        assert state.residual_norm == residual_full(small_problem, lam, state.pair).sup_norm()
+        assert state.residual_norm <= cfg.newton_tol
 
 
 def test_fixed_and_adaptive_schedules_agree(small_problem):
@@ -139,5 +172,5 @@ def test_two_dimensional_path():
     states = solve_path(problem, fixed_dlambda=0.25)
     assert states[-1].lam == 0.0
     assert states[-1].residual_norm <= 1e-10
-    assert states[-1].mass_deviation() <= 1e-10
+    assert check_mass(states[-1].pair).values["max_deviation"] <= 1e-10
     assert states[-1].min_density() > 0.5

@@ -152,8 +152,6 @@ def test_cross_validation_against_monolithic_solve():
         bundle = ResidualBundle(
             fp=SpaceTimeField(problem.grid, problem.time, fp_rows),
             hjb=SpaceTimeField(problem.grid, problem.time, hjb_rows),
-            initial=rhs.f0,
-            terminal=rhs.vT,
         )
         pert_mono = solve_linearized(problem, lam, state.pair, bundle)
         gap = max(

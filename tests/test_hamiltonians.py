@@ -25,8 +25,6 @@ def test_model_validation():
         HamiltonianModel.iso_power(2.5, 1.0)
     with pytest.raises(ValueError):
         HamiltonianModel.iso_power(1.5, -1.0)
-    with pytest.raises(ValueError):
-        HamiltonianModel(gamma=1.5, kind="lambda_blend", lam=0.5, base=None)
 
 
 def test_value_at_reference_points():
@@ -49,6 +47,32 @@ def test_blend_is_convex_combination():
     hi = np.maximum(base.value(p), unit.value(p))
     mid = blend.value(p)
     assert np.all(mid >= lo - 1e-12) and np.all(mid <= hi + 1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("per_node", [False, True])
+@pytest.mark.parametrize("lam", [0.3, 1.0])
+def test_blend_is_power_model_with_blended_weight(dim, per_node, lam):
+    rng = np.random.default_rng(17)
+    n = 200
+    weight = rng.uniform(0.5, 3.0, n) if per_node else 2.7
+    base = HamiltonianModel.iso_power(GAMMA, weight)
+    unit = unit_model()
+    blend = HamiltonianModel.blend(base, lam)
+    assert HamiltonianModel.blend(base, 0.0) is base
+
+    p = rng.normal(size=(dim, n)) * 3.0
+    checks = [
+        (blend.value(p), (1.0 - lam) * base.value(p) + lam * unit.value(p)),
+        (blend.grad(p), (1.0 - lam) * base.grad(p) + lam * unit.grad(p)),
+    ]
+    for got, b_part, u_part in zip(blend.hess_coeffs(p), base.hess_coeffs(p), unit.hess_coeffs(p)):
+        checks.append((got, (1.0 - lam) * b_part + lam * u_part))
+    for got, want in checks:
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    lo, hi = base.weight_bounds()
+    assert blend.weight_bounds() == ((1.0 - lam) * lo + lam, (1.0 - lam) * hi + lam)
 
 
 def test_gradient_zero_at_origin():

@@ -18,28 +18,22 @@ from mfgcon.system import (
     NonpositiveDensityError,
     Potential,
     SolutionPair,
-    congestion_ratio,
-    residual_fp,
+    _congestion_stack,
     residual_full,
-    residual_hjb,
 )
 
 from conftest import band_limited_spacetime, make_problem
 
 
 def test_congestion_ratio_values():
-    grid = PeriodicGrid(1, 16)
-    du = VectorField(grid, np.zeros((1, grid.num_nodes)))
-    q = congestion_ratio(du, Field.constant(grid, 0.7), alpha=0.5)
-    assert np.max(np.abs(q.values)) == 0.0
+    nodes = PeriodicGrid(1, 16).num_nodes
 
-    du = VectorField(grid, np.full((1, grid.num_nodes), 0.3))
-    q = congestion_ratio(du, Field.constant(grid, 1.0), alpha=0.8)
-    assert np.max(np.abs(q.values - 0.3)) < 1e-15
+    def ratio(du, m, alpha):
+        return _congestion_stack(np.full((1, nodes), du), np.full(nodes, m), alpha, 1e-10)
 
-    du = VectorField(grid, np.ones((1, grid.num_nodes)))
-    q = congestion_ratio(du, Field.constant(grid, 0.5), alpha=0.5)
-    assert np.max(np.abs(q.values - np.sqrt(2.0))) < 1e-14
+    assert np.max(np.abs(ratio(0.0, 0.7, 0.5))) == 0.0
+    assert np.max(np.abs(ratio(0.3, 1.0, 0.8) - 0.3)) < 1e-15
+    assert np.max(np.abs(ratio(1.0, 0.5, 0.5) - np.sqrt(2.0))) < 1e-14
 
 
 def test_lambda_data_identities(small_problem):
@@ -64,8 +58,7 @@ def test_lambda_data_identities(small_problem):
 def test_trivial_pair_residuals_vanish(small_problem):
     state = trivial_solution(small_problem)
     lam_data = LambdaData.from_problem(small_problem, 1.0)
-    r_u = residual_hjb(small_problem, lam_data, state.pair)
-    r_m = residual_fp(small_problem, lam_data, state.pair)
+    r_m, r_u = residual_full(small_problem, lam_data, state.pair)
     assert r_u.sup_norm() <= 1e-12
     assert r_m.sup_norm() <= 1e-12
 
@@ -75,7 +68,7 @@ def test_terminal_row_tracks_terminal_condition(small_problem):
     state = trivial_solution(small_problem)
     pair = state.pair.copy()
     pair.u.values[-1] = lam_data.psi_values
-    r_u = residual_hjb(small_problem, lam_data, pair)
+    r_u = residual_full(small_problem, lam_data, pair).hjb
     assert np.max(np.abs(r_u.values[-1])) == 0.0
 
 
@@ -88,8 +81,8 @@ def test_constant_shift_of_u_only_moves_terminal_row(small_problem, rng):
     shifted = SolutionPair(
         u=SpaceTimeField(grid, time, u.values + 0.37), m=m.copy()
     )
-    r_base = residual_hjb(small_problem, lam_data, pair)
-    r_shift = residual_hjb(small_problem, lam_data, shifted)
+    r_base = residual_full(small_problem, lam_data, pair).hjb
+    r_shift = residual_full(small_problem, lam_data, shifted).hjb
     diff = np.abs(r_shift.values - r_base.values)
     assert np.max(diff[:-1]) < 1e-12
     assert np.max(diff[-1]) == pytest.approx(0.37, rel=1e-12)
@@ -104,7 +97,7 @@ def test_fp_spatial_part_is_mean_free(small_problem, rng):
             grid, time, 1.0 + 0.2 * band_limited_spacetime(grid, time, rng, amp=0.5).values
         ),
     )
-    r_m = residual_fp(small_problem, lam_data, pair)
+    r_m = residual_full(small_problem, lam_data, pair).fp
     vol = grid.cell_volume
     dt = time.dt
     masses = vol * np.sum(pair.m.values, axis=1)
@@ -136,7 +129,7 @@ def test_fp_residual_consistent_with_heat_flow():
             rows.append(heat_step(problem.m0, time.times()[j]).values)
         m = SpaceTimeField(grid, time, np.stack(rows))
         u = SpaceTimeField.zeros(grid, time)
-        r = residual_fp(prob, LambdaData.from_problem(prob, 0.0), SolutionPair(u, m))
+        r = residual_full(prob, LambdaData.from_problem(prob, 0.0), SolutionPair(u, m)).fp
         return np.max(np.abs(r.values[1:]))
 
     coarse = residual_scale(16)
@@ -150,8 +143,7 @@ def test_residual_full_bundle_structure(small_problem, rng):
     bundle = residual_full(small_problem, lam_data, state.pair)
     assert bundle.sup_norm() <= 1e-12
     assert bundle.fp.values.shape == state.pair.m.values.shape
-    assert np.array_equal(bundle.initial.values, bundle.fp.values[0])
-    assert np.array_equal(bundle.terminal.values, bundle.hjb.values[-1])
+    assert bundle.hjb.values.shape == state.pair.u.values.shape
 
     noisy = SolutionPair(
         u=band_limited_spacetime(small_problem.grid, small_problem.time, rng, amp=0.2),
@@ -172,10 +164,10 @@ def test_strict_mode_flags_nonpositive_density(small_problem):
     pair.m.values[3, 7] = -0.2
     lam_data = LambdaData.from_problem(small_problem, 1.0)
     with pytest.raises(NonpositiveDensityError) as err:
-        residual_fp(small_problem, lam_data, pair)
+        residual_full(small_problem, lam_data, pair)
     assert err.value.slice_index == 3
     assert err.value.node_index == 7
-    out = residual_fp(small_problem, lam_data, pair, strict=False)
+    out = residual_full(small_problem, lam_data, pair, strict=False).fp
     assert np.isfinite(out.values).all()
 
 
