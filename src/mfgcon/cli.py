@@ -2,7 +2,9 @@
 
 Exit codes partition outcomes: 0 success, 1 a verification check failed,
 2 the continuation left the tractable horizon (step underflow), 3 usage or
-config errors.  The solve command emits one machine-parseable line per
+config errors, command-line errors included (a missing option, an unknown
+flag or subcommand, ``--seed`` on a command that draws no samples).
+``--help`` exits 0.  The solve command emits one machine-parseable line per
 accepted homotopy step and never reports success without a residual
 certificate in the log.
 """
@@ -230,10 +232,11 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_fields=False):
+    def common(p, with_fields=False, with_seed=False):
         p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the sampling seed")
+        if with_seed:
+            p.add_argument("--seed", type=int, default=None, help="override the sampling seed")
         p.add_argument("--verbose", action="store_true")
         if with_fields:
             p.add_argument("u_file", help="stored value-function field")
@@ -243,10 +246,16 @@ def main(argv=None) -> int:
     common(sub.add_parser("check", help="re-run the estimate suite on stored fields"),
            with_fields=True)
     common(sub.add_parser("mc", help="particle validation of a stored solution"),
-           with_fields=True)
-    common(sub.add_parser("legendre", help="duality and growth table for the running cost"))
+           with_fields=True, with_seed=True)
+    common(sub.add_parser("legendre", help="duality and growth table for the running cost"),
+           with_seed=True)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error
+        if exc.code == 0:  # --help
+            raise
+        return EXIT_USAGE
     handlers = {
         "solve": _cmd_solve,
         "check": _cmd_check,
@@ -254,8 +263,9 @@ def main(argv=None) -> int:
         "legendre": _cmd_legendre,
     }
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {seed}")
         return handlers[args.command](args)
     except (ConfigError, FieldFileError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -2,10 +2,14 @@
 
 At lam = 1 the blended system has the closed-form solution m == 1 and
 u(x, t) = (1 - pi/4)(t - T); the representative with u(., T) = 0 is used so
-the terminal row vanishes.  From there lam marches monotonically to 0 with
-a damped Newton corrector at every step, an adaptive step that halves on
-failure and grows on easy successes, and a residual certificate attached to
-every accepted state.
+the terminal row vanishes.  From there lam marches monotonically to 0 as a
+predictor-corrector method (Allgower & Georg, *Introduction to Numerical
+Continuation Methods*, SIAM 2003): a secant predictor extrapolates the last
+two accepted states to the next lam, and an inexact damped Newton corrector
+with Eisenstat-Walker forcing terms (SIAM J. Sci. Comput. 17, 1996) brings
+the guess to the certified tolerance.  The step halves on failure and grows
+when the first Newton iteration contracted the residual strongly.  Every
+accepted state carries the residual certificate Newton accepted it on.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import SpaceTimeField
-from .linearized import LinearSolveError, Perturbation, solve_linearized
+from .linearized import _KRYLOV_RTOL, LinearSolveError, Perturbation, solve_linearized
 from .system import LambdaData, MFGProblem, SolutionPair, residual_full
 
 __all__ = [
@@ -28,6 +32,14 @@ __all__ = [
     "newton_correct",
     "solve_path",
 ]
+
+# Eisenstat-Walker choice 2: eta = GAMMA (r_k / r_{k-1})^2, capped at ETA_MAX.
+_EW_GAMMA = 0.9
+_ETA_MAX = 0.1
+# The step grows by STEP_GROWTH when the first Newton iteration cut the
+# residual by at least 1 / EASY_CONTRACTION.
+_STEP_GROWTH = 1.5
+_EASY_CONTRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -103,16 +115,30 @@ def trivial_solution(problem: MFGProblem) -> ContinuationState:
     return ContinuationState(lam=1.0, pair=pair, residual_norm=res, newton_iters=0, step=0.0)
 
 
+def _forcing_term(res: float, res_prev: float | None, tol: float) -> float:
+    """Relative Krylov tolerance of the next Newton solve (Eisenstat-Walker choice 2).
+
+    The first solve of a correction uses ``_ETA_MAX``.  The floor keeps the
+    solve from aiming below a tenth of ``tol`` in absolute terms, and never
+    below ``_KRYLOV_RTOL``.  The usual safeguard max(eta, GAMMA eta_prev^2)
+    only acts when GAMMA eta_prev^2 > 0.1, which the cap at 0.1 rules out.
+    """
+    eta = _ETA_MAX if res_prev is None else min(_EW_GAMMA * (res / res_prev) ** 2, _ETA_MAX)
+    return max(eta, _KRYLOV_RTOL, 0.1 * tol / res)
+
+
 def newton_correct(
     problem: MFGProblem,
     lam_data: LambdaData,
     pair: SolutionPair,
     config: SolverConfig = SolverConfig(),
 ) -> tuple[SolutionPair, NewtonDiagnostics]:
-    """Damped Newton iteration on the full residual.
+    """Inexact damped Newton iteration on the full residual.
 
-    Each iteration solves L w = r at the current pair and steps along -w.
-    Accepts once the sup-norm drops below ``newton_tol``.  Each step is
+    Each iteration solves L w = r at the current pair to the relative
+    tolerance of :func:`_forcing_term` and steps along -w.  Accepts once the
+    sup-norm drops below ``newton_tol``, so the inexact inner solves change
+    how fast the residual falls but not the acceptance test.  Each step is
     halved until the residual decreases and the density keeps its positivity
     margin; running out of damping or iterations, or an inner linear solve
     that misses its tolerance, raises NewtonFailure.
@@ -121,12 +147,14 @@ def newton_correct(
     bundle = residual_full(problem, lam_data, current)
     res = bundle.sup_norm()
     diag = NewtonDiagnostics(iterations=0, residual_history=[res])
+    res_prev = None
     for it in range(config.newton_max_iters):
         if res <= config.newton_tol:
             diag.converged = True
             return current, diag
+        eta = _forcing_term(res, res_prev, config.newton_tol)
         try:
-            w: Perturbation = solve_linearized(problem, lam_data, current, bundle)
+            w: Perturbation = solve_linearized(problem, lam_data, current, bundle, rtol=eta)
         except LinearSolveError as exc:
             raise NewtonFailure(f"inner linear solve failed: {exc}", diag) from exc
         step = 1.0
@@ -154,6 +182,7 @@ def newton_correct(
                 "line search could not decrease the residual while keeping m positive",
                 diag,
             )
+        res_prev = res
         current, bundle, res = accepted
         diag.iterations = it + 1
         diag.residual_history.append(res)
@@ -166,17 +195,40 @@ def newton_correct(
     )
 
 
+def _secant_guess(states: list, lam_next: float, margin: float) -> SolutionPair:
+    """Start of the Newton correction at ``lam_next``.
+
+    With two accepted states the pair is extrapolated along their secant,
+    x_k + s (x_k - x_{k-1}) with s = (lam_next - lam_k) / (lam_k - lam_{k-1}).
+    The last accepted pair is used instead on the first step and when the
+    extrapolated density falls below ``margin``.
+    """
+    last = states[-1]
+    if len(states) < 2:
+        return last.pair
+    prev = states[-2]
+    s = (lam_next - last.lam) / (last.lam - prev.lam)
+    m = last.pair.m.values + s * (last.pair.m.values - prev.pair.m.values)
+    if np.min(m) < margin:
+        return last.pair
+    u = last.pair.u.values + s * (last.pair.u.values - prev.pair.u.values)
+    grid, time = last.pair.u.grid, last.pair.u.time
+    return SolutionPair(u=SpaceTimeField(grid, time, u), m=SpaceTimeField(grid, time, m))
+
+
 def solve_path(
     problem: MFGProblem,
     config: SolverConfig = SolverConfig(),
     fixed_dlambda: float | None = None,
     on_state=None,
 ) -> list[ContinuationState]:
-    """March lam from 1 to 0, Newton-correcting at every step.
+    """March lam from 1 to 0, predicting and Newton-correcting at every step.
 
     Returns the accepted states in order (lam = 1 first, lam = 0 last).
-    The step adapts unless ``fixed_dlambda`` pins it: it halves when Newton
-    fails and grows by 1.5x after a step that needed at most two iterations.
+    Newton starts from the secant extrapolation of the last two accepted
+    states (see :func:`_secant_guess`).  The step adapts unless
+    ``fixed_dlambda`` pins it: it halves when Newton fails and grows by 1.5x
+    when the first Newton iteration cut the residual at least a hundredfold.
     Underflow of the step below ``dlambda_min`` raises :class:`HorizonError`
     carrying the states accepted so far.
     """
@@ -191,8 +243,9 @@ def solve_path(
         if lam_next < 1e-9:
             lam_next = 0.0
         lam_data = LambdaData.from_problem(problem, lam_next)
+        guess = _secant_guess(states, lam_next, config.m_positivity_margin)
         try:
-            pair, diag = newton_correct(problem, lam_data, state.pair, config)
+            pair, diag = newton_correct(problem, lam_data, guess, config)
         except NewtonFailure:
             if fixed_dlambda is not None:
                 raise HorizonError(states, lam_next)
@@ -211,6 +264,7 @@ def solve_path(
         if on_state is not None:
             on_state(state)
         lam = lam_next
-        if fixed_dlambda is None and diag.iterations <= 2:
-            dl = min(dl * 1.5, config.dlambda_max)
+        hist = diag.residual_history
+        if fixed_dlambda is None and (len(hist) < 2 or hist[1] <= _EASY_CONTRACTION * hist[0]):
+            dl = min(dl * _STEP_GROWTH, config.dlambda_max)
     return states

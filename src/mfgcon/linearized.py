@@ -196,6 +196,7 @@ def bundle_to_vector(bundle: ResidualBundle) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Default tolerance of a linear solve and the floor of Newton's forcing term.
 # Reachable, not tighter: on the Galerkin cross-check's right-hand side lgmres
 # stalls at a relative residual of about 1.4e-12, so rtol = 1e-12 spends all 400
 # iterations and fails, while 1e-10 stops after 2 iterations near 2e-12.  Newton
@@ -236,13 +237,14 @@ def solve_linearized(
     lam_data: LambdaData,
     base: SolutionPair,
     rhs: ResidualBundle,
+    rtol: float = _KRYLOV_RTOL,
 ) -> Perturbation:
     """Solve the linearized system L w = rhs for the direction w = (v, f).
 
     ``rhs`` uses the residual row layout.  The operator is applied
-    matrix-free and inverted by lgmres, preconditioned by the batched
-    heat-chain inverse; a solve that misses its tolerance raises
-    :class:`LinearSolveError`.
+    matrix-free and inverted by lgmres to the relative tolerance ``rtol``,
+    preconditioned by the batched heat-chain inverse; a solve that misses
+    its tolerance raises :class:`LinearSolveError`.
     """
     k, mm = problem.time.num_slices, problem.grid.num_nodes
     n_dof = 2 * k * mm
@@ -261,7 +263,7 @@ def solve_linearized(
     if scale == 0.0:
         return vector_to_perturbation(np.zeros(n_dof), problem)
     x, info = spla.lgmres(
-        a_op, rhs_vec, M=precond, rtol=_KRYLOV_RTOL, atol=_KRYLOV_RTOL * scale, maxiter=400
+        a_op, rhs_vec, M=precond, rtol=rtol, atol=rtol * scale, maxiter=400
     )
     if info != 0:
         raise LinearSolveError(f"Krylov solve did not converge (info={info})")

@@ -131,6 +131,43 @@ def test_config_errors_are_usage_errors(tmp_path, capsys, command, old, new, ext
     assert not (out / "path.log").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["solve"],
+        ["solve", "--config", "{cfg}", "--out", "{out}", "--bogus"],
+        ["frobnicate", "--config", "{cfg}"],
+        ["solve", "--config", "{cfg}", "--out", "{out}", "--seed", "5"],
+        ["check", "--config", "{cfg}", "--out", "{out}", "--seed", "5", "u.field", "m.field"],
+    ],
+    ids=["no_command", "missing_config", "unknown_flag", "unknown_command",
+         "solve_seed", "check_seed"],
+)
+def test_command_line_errors_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    code = main([a.format(cfg=REFERENCE_CFG, out=out) for a in argv])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_top_level_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "command, reads_seed", [("solve", False), ("check", False), ("mc", True), ("legendre", True)]
+)
+def test_help_exits_zero_and_lists_seed_where_read(capsys, command, reads_seed):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert ("--seed" in capsys.readouterr().out) == reads_seed
+
+
 def test_mc_command(workdir):
     out = workdir["out"]
     code = main([
@@ -142,6 +179,20 @@ def test_mc_command(workdir):
     assert name == "empirical"
     vol = emp.grid.cell_volume
     assert np.max(np.abs(vol * np.sum(emp.values, axis=1) - 1.0)) < 1e-12
+
+
+def test_mc_seed_overrides_config_seed(workdir):
+    out = workdir["out"]
+    fields = [os.path.join(out, "u.field"), os.path.join(out, "m.field")]
+    empirical = {}
+    for seed in (None, "7", "8"):  # [mc] seed = 7 in the config
+        mc_out = workdir["root"] / f"mc_seed_{seed}"
+        extra = [] if seed is None else ["--seed", seed]
+        code = main(["mc", "--config", workdir["cfg"], "--out", str(mc_out)] + extra + fields)
+        assert code == 0
+        empirical[seed] = read_field(str(mc_out / "empirical.field"))[0].values
+    assert np.array_equal(empirical[None], empirical["7"])
+    assert not np.array_equal(empirical["7"], empirical["8"])
 
 
 def test_mc_on_nonpositive_density_is_usage_error(workdir, tmp_path, capsys):

@@ -1,8 +1,12 @@
+import os
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from mfgcon import continuation
+from mfgcon import continuation, linearized
 from mfgcon.continuation import (
+    ContinuationState,
     HorizonError,
     NewtonFailure,
     SolverConfig,
@@ -11,7 +15,9 @@ from mfgcon.continuation import (
     trivial_solution,
 )
 from mfgcon.estimates import check_mass
+from mfgcon.fileio import build_problem, load_config
 from mfgcon.grids import SpaceTimeField, integrate
+from mfgcon.linearized import _KRYLOV_RTOL
 from mfgcon.system import LambdaData, SolutionPair, residual_full
 
 from conftest import make_problem
@@ -174,3 +180,110 @@ def test_two_dimensional_path():
     assert states[-1].residual_norm <= 1e-10
     assert check_mass(states[-1].pair).values["max_deviation"] <= 1e-10
     assert states[-1].min_density() > 0.5
+
+
+REFERENCE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.cfg")
+
+
+def test_secant_guess_beats_the_last_accepted_pair(small_problem):
+    cfg = SolverConfig()
+    states = solve_path(small_problem, cfg)
+    assert len(states) >= 4
+    # the first step has one accepted state and starts from it
+    first = continuation._secant_guess(states[:1], states[1].lam, cfg.m_positivity_margin)
+    assert first is states[0].pair
+    for k in range(2, len(states) - 1):
+        lam_next = states[k + 1].lam
+        lam_data = LambdaData.from_problem(small_problem, lam_next)
+        guess = continuation._secant_guess(states[: k + 1], lam_next, cfg.m_positivity_margin)
+        assert guess is not states[k].pair
+        guess_res = residual_full(small_problem, lam_data, guess)
+        last_res = residual_full(small_problem, lam_data, states[k].pair)
+        assert guess_res.sup_norm() < last_res.sup_norm()
+        # the data blend is linear in lam, so the secant keeps the data rows
+        assert np.max(np.abs(guess_res.fp.values[0])) <= 10 * cfg.newton_tol
+        assert np.max(np.abs(guess_res.hjb.values[-1])) <= 10 * cfg.newton_tol
+
+
+def test_predictor_falls_back_when_extrapolated_density_dips(small_problem, monkeypatch):
+    # a skewed density at lam = 1 makes the secant to the first corrected state
+    # negative somewhere; Newton must start from the last accepted pair instead
+    real_trivial, real_newton = continuation.trivial_solution, continuation.newton_correct
+
+    def skewed_start(problem):
+        state = real_trivial(problem)
+        x = problem.grid.coordinates()[0].ravel()
+        bump = np.exp(1.5 * np.cos(2 * np.pi * x))
+        m = np.repeat((bump / np.mean(bump))[None, :], problem.time.num_slices, axis=0)
+        pair = SolutionPair(u=state.pair.u, m=SpaceTimeField(problem.grid, problem.time, m))
+        return ContinuationState(lam=1.0, pair=pair, residual_norm=state.residual_norm,
+                                 newton_iters=0, step=0.0)
+
+    starts = []
+
+    def recording_newton(problem, lam_data, pair, config):
+        starts.append(pair)
+        return real_newton(problem, lam_data, pair, config)
+
+    monkeypatch.setattr(continuation, "trivial_solution", skewed_start)
+    monkeypatch.setattr(continuation, "newton_correct", recording_newton)
+    states = solve_path(small_problem)
+    assert states[-1].lam == 0.0
+    lam0, lam1, lam2 = states[0].lam, states[1].lam, states[2].lam
+    s = (lam2 - lam1) / (lam1 - lam0)
+    extrapolated = states[1].pair.m.values + s * (states[1].pair.m.values - states[0].pair.m.values)
+    assert np.min(extrapolated) < 0.0
+    assert starts[1] is states[1].pair
+
+
+def _record_rtols(monkeypatch):
+    rtols = []
+    real = continuation.solve_linearized
+
+    def recording(*args, **kwargs):
+        rtols.append(kwargs["rtol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "solve_linearized", recording)
+    return rtols
+
+
+def test_forcing_terms_stay_in_range(small_problem, monkeypatch):
+    rtols = _record_rtols(monkeypatch)
+    states = solve_path(small_problem)
+    assert len(rtols) == sum(s.newton_iters for s in states)
+    assert all(_KRYLOV_RTOL <= r <= 0.1 for r in rtols)
+    assert max(rtols) == 0.1 and min(rtols) < 1e-3
+
+
+def test_first_solve_far_from_the_solution_is_loose(small_problem, monkeypatch):
+    rtols = _record_rtols(monkeypatch)
+    state = trivial_solution(small_problem)
+    lam = LambdaData.from_problem(small_problem, 0.5)
+    _, diag = newton_correct(small_problem, lam, state.pair)
+    assert diag.converged and diag.residual_history[0] > 1e3 * SolverConfig().newton_tol
+    assert rtols[0] == 0.1
+    assert len(rtols) == diag.iterations
+
+
+def test_reference_solve_work_stays_bounded(monkeypatch):
+    # the secant predictor and the forcing terms halve the work of the plain
+    # corrector (30 Newton iterations and 248 lgmres matvecs on this config)
+    counts = {"matvecs": 0}
+    real = spla.lgmres
+
+    def counting_lgmres(A, b, **kwargs):
+        op = spla.aslinearoperator(A)
+
+        def matvec(x):
+            counts["matvecs"] += 1
+            return op.matvec(x)
+
+        return real(spla.LinearOperator(op.shape, matvec=matvec, dtype=float), b, **kwargs)
+
+    monkeypatch.setattr(linearized.spla, "lgmres", counting_lgmres)
+    cfg = load_config(REFERENCE_CFG)
+    states = solve_path(build_problem(cfg), cfg.solver)
+    assert states[-1].lam == 0.0
+    assert sum(s.newton_iters for s in states) <= 14
+    assert counts["matvecs"] <= 78

@@ -1,9 +1,12 @@
 """Final-state fingerprints of two solves, held to a recorded reference.
 
 ``data/field_regression.json`` was written by :func:`record` with the
-complex-FFT spectral kernels, before they moved to the real half spectrum.
-A kernel change that alters the path (step sequence, Newton counts) or the
-final fields by more than roundoff fails here.
+secant-predictor continuation and its inexact Newton corrector.  The final
+fields match those of the earlier plain corrector, which took ten equal steps
+on the reference config, to within 1e-15.  A change that alters the path
+(step sequence, Newton counts) or the final fields by more than roundoff
+fails here; one that changes the path on purpose re-records the file and
+shows the fields did not move.
 """
 
 import json
