@@ -4,12 +4,17 @@ At lam = 1 the blended system has the closed-form solution m == 1 and
 u(x, t) = (1 - pi/4)(t - T); the representative with u(., T) = 0 is used so
 the terminal row vanishes.  From there lam marches monotonically to 0 as a
 predictor-corrector method (Allgower & Georg, *Introduction to Numerical
-Continuation Methods*, SIAM 2003): a secant predictor extrapolates the last
-two accepted states to the next lam, and an inexact damped Newton corrector
-with Eisenstat-Walker forcing terms (SIAM J. Sci. Comput. 17, 1996) brings
-the guess to the certified tolerance.  The step halves on failure and grows
-when the first Newton iteration contracted the residual strongly.  Every
-accepted state carries the residual certificate Newton accepted it on.
+Continuation Methods*, SIAM 2003, ch. 2 and 6).  The first step predicts
+along the Euler tangent at lam = 1: the residual is affine in lam,
+F(x, lam) = (1 - lam) F(x, 0) + lam F(x, 1), so dF/dlam costs two residual
+evaluations and the tangent one linear solve with the constant lam = 1
+coefficients.  Every later step extrapolates the secant of the last two
+accepted states.  An inexact damped Newton corrector with Eisenstat-Walker
+forcing terms (SIAM J. Sci. Comput. 17, 1996) brings the guess to the
+certified tolerance.  The step halves on failure, grows when the first Newton
+iteration contracted the residual strongly, and never leaves a last step
+shorter than half the current one.  Every accepted state carries the residual
+certificate Newton accepted it on.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .grids import SpaceTimeField
 from .linearized import _KRYLOV_RTOL, LinearSolveError, Perturbation, solve_linearized
-from .system import LambdaData, MFGProblem, SolutionPair, residual_full
+from .system import LambdaData, MFGProblem, ResidualBundle, SolutionPair, residual_full
 
 __all__ = [
     "SolverConfig",
@@ -195,25 +200,67 @@ def newton_correct(
     )
 
 
-def _secant_guess(states: list, lam_next: float, margin: float) -> SolutionPair:
-    """Start of the Newton correction at ``lam_next``.
-
-    With two accepted states the pair is extrapolated along their secant,
-    x_k + s (x_k - x_{k-1}) with s = (lam_next - lam_k) / (lam_k - lam_{k-1}).
-    The last accepted pair is used instead on the first step and when the
-    extrapolated density falls below ``margin``.
-    """
-    last = states[-1]
-    if len(states) < 2:
-        return last.pair
-    prev = states[-2]
-    s = (lam_next - last.lam) / (last.lam - prev.lam)
-    m = last.pair.m.values + s * (last.pair.m.values - prev.pair.m.values)
+def _shifted(pair: SolutionPair, s: float, dv: np.ndarray, df: np.ndarray, margin: float):
+    """``pair + s (dv, df)``, or ``pair`` itself when that density falls below ``margin``."""
+    m = pair.m.values + s * df
     if np.min(m) < margin:
-        return last.pair
-    u = last.pair.u.values + s * (last.pair.u.values - prev.pair.u.values)
-    grid, time = last.pair.u.grid, last.pair.u.time
+        return pair
+    u = pair.u.values + s * dv
+    grid, time = pair.u.grid, pair.u.time
     return SolutionPair(u=SpaceTimeField(grid, time, u), m=SpaceTimeField(grid, time, m))
+
+
+def _euler_tangent(problem: MFGProblem, pair: SolutionPair) -> Perturbation | None:
+    """Direction w with L w = dF/dlam at the lam = 1 pair, so that dx/dlam = -w.
+
+    The residual is affine in lam, hence dF/dlam = F(x, 1) - F(x, 0) exactly.
+    Returns None when the linear solve misses its tolerance; the first step
+    then starts from the pair itself.
+    """
+    lam_one = LambdaData.from_problem(problem, 1.0)
+    at_one = residual_full(problem, lam_one, pair)
+    at_zero = residual_full(problem, LambdaData.from_problem(problem, 0.0), pair)
+    grid, time = problem.grid, problem.time
+    dfdl = ResidualBundle(
+        fp=SpaceTimeField(grid, time, at_one.fp.values - at_zero.fp.values),
+        hjb=SpaceTimeField(grid, time, at_one.hjb.values - at_zero.hjb.values),
+    )
+    try:
+        return solve_linearized(problem, lam_one, pair, dfdl)
+    except LinearSolveError:
+        return None
+
+
+def _tangent_guess(
+    start: ContinuationState, tangent: Perturbation | None, lam_next: float, margin: float
+) -> SolutionPair:
+    """Start of the first Newton correction: x_1 + (1 - lam_next) w along the tangent.
+
+    The lam = 1 pair is used instead when the tangent solve failed or the
+    predicted density falls below ``margin``.
+    """
+    if tangent is None:
+        return start.pair
+    return _shifted(start.pair, start.lam - lam_next, tangent.v.values, tangent.f.values, margin)
+
+
+def _secant_guess(states: list, lam_next: float, margin: float) -> SolutionPair:
+    """Start of the Newton correction at ``lam_next`` from the second step on.
+
+    The last two accepted states are extrapolated along their secant,
+    x_k + s (x_k - x_{k-1}) with s = (lam_next - lam_k) / (lam_k - lam_{k-1}).
+    The last accepted pair is used instead when the extrapolated density
+    falls below ``margin``.
+    """
+    last, prev = states[-1], states[-2]
+    s = (lam_next - last.lam) / (last.lam - prev.lam)
+    return _shifted(
+        last.pair,
+        s,
+        last.pair.u.values - prev.pair.u.values,
+        last.pair.m.values - prev.pair.m.values,
+        margin,
+    )
 
 
 def solve_path(
@@ -225,10 +272,15 @@ def solve_path(
     """March lam from 1 to 0, predicting and Newton-correcting at every step.
 
     Returns the accepted states in order (lam = 1 first, lam = 0 last).
-    Newton starts from the secant extrapolation of the last two accepted
-    states (see :func:`_secant_guess`).  The step adapts unless
-    ``fixed_dlambda`` pins it: it halves when Newton fails and grows by 1.5x
-    when the first Newton iteration cut the residual at least a hundredfold.
+    Newton starts the first step from the Euler tangent at lam = 1 (see
+    :func:`_tangent_guess`; the tangent is solved once per path and reused
+    when that step is retried) and every later step from the secant of the
+    last two accepted states (see :func:`_secant_guess`).  The step adapts
+    unless ``fixed_dlambda`` pins it: it halves when Newton fails and grows
+    by 1.5x when the first Newton iteration cut the residual at least a
+    hundredfold.  An adaptive step that would leave less than half of itself
+    ends the path instead when the rest fits in ``dlambda_max``, and otherwise
+    takes half of what is left, so the path never ends on a sliver.
     Underflow of the step below ``dlambda_min`` raises :class:`HorizonError`
     carrying the states accepted so far.
     """
@@ -236,14 +288,20 @@ def solve_path(
     states = [state]
     if on_state is not None:
         on_state(state)
+    tangent = _euler_tangent(problem, state.pair)
     dl = fixed_dlambda if fixed_dlambda is not None else config.dlambda_init
     lam = 1.0
     while lam > 0.0:
-        lam_next = max(0.0, lam - dl)
-        if lam_next < 1e-9:
+        lam_next = lam - dl
+        if fixed_dlambda is None and lam_next < 0.5 * dl:
+            lam_next = 0.0 if lam <= config.dlambda_max else 0.5 * lam
+        elif lam_next < 1e-9:
             lam_next = 0.0
         lam_data = LambdaData.from_problem(problem, lam_next)
-        guess = _secant_guess(states, lam_next, config.m_positivity_margin)
+        if len(states) == 1:
+            guess = _tangent_guess(states[0], tangent, lam_next, config.m_positivity_margin)
+        else:
+            guess = _secant_guess(states, lam_next, config.m_positivity_margin)
         try:
             pair, diag = newton_correct(problem, lam_data, guess, config)
         except NewtonFailure:

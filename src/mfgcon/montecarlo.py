@@ -61,51 +61,69 @@ def _sample_initial(m0_values: np.ndarray, grid, rng, n: int) -> np.ndarray:
     return np.stack([x, y]) % 1.0
 
 
-def _interp_periodic(field_values: np.ndarray, grid, pos: np.ndarray) -> np.ndarray:
-    """Periodic linear interpolation of node values at positions (d, n)."""
-    n_pts = grid.points_per_dim
-    h = grid.spacing
-    if grid.dim == 1:
-        s = pos[0] / h
-        i0 = np.floor(s).astype(int) % n_pts
-        w = s - np.floor(s)
-        i1 = (i0 + 1) % n_pts
-        return (1.0 - w) * field_values[i0] + w * field_values[i1]
-    shaped = field_values.reshape(grid.shape)
-    sx, sy = pos[0] / h, pos[1] / h
-    ix0 = np.floor(sx).astype(int) % n_pts
-    iy0 = np.floor(sy).astype(int) % n_pts
-    wx, wy = sx - np.floor(sx), sy - np.floor(sy)
-    ix1, iy1 = (ix0 + 1) % n_pts, (iy0 + 1) % n_pts
-    return (
-        (1.0 - wx) * (1.0 - wy) * shaped[ix0, iy0]
-        + wx * (1.0 - wy) * shaped[ix1, iy0]
-        + (1.0 - wx) * wy * shaped[ix0, iy1]
-        + wx * wy * shaped[ix1, iy1]
-    )
+class _Stencil:
+    """Cloud-in-cell stencil of a batch of n particles on the periodic grid.
 
+    :meth:`locate` finds each particle's cell once per position: the flat node
+    indices of its 2^d corners (``idx``) and their multilinear weights
+    (``wts``), both (2^d, n).  The deposition at the end of a step and the
+    drift interpolation at the start of the next read the same stencil.  The
+    arrays are reused from step to step, so a step allocates almost nothing.
+    """
 
-def _deposit(grid, pos: np.ndarray, out: np.ndarray) -> None:
-    """Accumulate cloud-in-cell weights of positions (d, n) onto flat nodes."""
-    n_pts = grid.points_per_dim
-    h = grid.spacing
-    if grid.dim == 1:
-        s = pos[0] / h
-        i0 = np.floor(s).astype(int) % n_pts
-        w = s - np.floor(s)
-        np.add.at(out, i0, 1.0 - w)
-        np.add.at(out, (i0 + 1) % n_pts, w)
-        return
-    sx, sy = pos[0] / h, pos[1] / h
-    ix0 = np.floor(sx).astype(int) % n_pts
-    iy0 = np.floor(sy).astype(int) % n_pts
-    wx, wy = sx - np.floor(sx), sy - np.floor(sy)
-    ix1, iy1 = (ix0 + 1) % n_pts, (iy0 + 1) % n_pts
-    shaped_idx = np.ravel_multi_index
-    np.add.at(out, shaped_idx((ix0, iy0), grid.shape), (1.0 - wx) * (1.0 - wy))
-    np.add.at(out, shaped_idx((ix1, iy0), grid.shape), wx * (1.0 - wy))
-    np.add.at(out, shaped_idx((ix0, iy1), grid.shape), (1.0 - wx) * wy)
-    np.add.at(out, shaped_idx((ix1, iy1), grid.shape), wx * wy)
+    def __init__(self, grid, n: int):
+        corners = 2**grid.dim
+        self.grid = grid
+        self.idx = np.empty((corners, n), dtype=np.intp)
+        self.wts = np.empty((corners, n))
+        self._frac = np.empty((grid.dim, n))
+        # lower and upper node per axis; in 1d these are the two corners themselves
+        if grid.dim == 1:
+            self._axis = self.idx[:, None, :]
+        else:
+            self._axis = np.empty((2, grid.dim, n), dtype=np.intp)
+        self._term = np.empty((grid.dim, n))
+        self._values = np.empty((grid.dim, n))
+
+    def locate(self, pos: np.ndarray) -> None:
+        """Recompute the stencil at positions (d, n) in [0, 1]^d."""
+        n_pts = self.grid.points_per_dim
+        frac, (lo, hi) = self._frac, self._axis
+        np.divide(pos, self.grid.spacing, out=frac)
+        np.copyto(lo, frac, casting="unsafe")  # truncation is the floor: frac >= 0
+        frac -= lo
+        # positions lie in [0, 1], so each wrap is a single node: n_pts -> 0
+        lo[lo == n_pts] = 0
+        np.add(lo, 1, out=hi)
+        hi[hi == n_pts] = 0
+        if self.grid.dim == 1:
+            np.subtract(1.0, frac[0], out=self.wts[0])
+            self.wts[1] = frac[0]
+            return
+        (ix0, iy0), (ix1, iy1), (wx, wy) = lo, hi, frac
+        ix0 *= n_pts  # flat node ix * n + iy, as grid.shape ravels
+        ix1 *= n_pts
+        for c, (ix, iy) in enumerate(((ix0, iy0), (ix1, iy0), (ix0, iy1), (ix1, iy1))):
+            np.add(ix, iy, out=self.idx[c])
+        ox, oy = 1.0 - frac
+        for c, (a, b) in enumerate(((ox, oy), (wx, oy), (ox, wy), (wx, wy))):
+            np.multiply(a, b, out=self.wts[c])
+
+    def interpolate(self, field_stack: np.ndarray) -> np.ndarray:
+        """Linear interpolation of the d rows of (d, M) node values: a reused (d, n) array."""
+        # the indices are in range; mode "raise" would copy through a temporary
+        values, term = self._values, self._term
+        np.take(field_stack, self.idx[0], axis=1, out=values, mode="wrap")
+        values *= self.wts[0]
+        for idx, wts in zip(self.idx[1:], self.wts[1:]):
+            np.take(field_stack, idx, axis=1, out=term, mode="wrap")
+            term *= wts
+            values += term
+        return values
+
+    def deposit(self, out: np.ndarray) -> None:
+        """Accumulate the stencil weights onto the flat nodes of ``out``."""
+        np.add.at(out, self.idx.ravel(), self.wts.ravel())
 
 
 def simulate_density(
@@ -139,15 +157,23 @@ def simulate_density(
         done += n
         rng = np.random.default_rng(children[b])
         pos = _sample_initial(lam_data.m_init_values, grid, rng, n)
-        _deposit(grid, pos, deposits[0])
+        noise = np.empty_like(pos)
+        stencil = _Stencil(grid, n)
+        stencil.locate(pos)
+        stencil.deposit(deposits[0])
         for k in range(time.steps):
-            for _ in range(cfg.substeps):
-                vel = np.stack(
-                    [_interp_periodic(drift[a, k], grid, pos) for a in range(grid.dim)]
-                )
-                noise = rng.standard_normal(pos.shape)
-                pos = (pos + vel * dt_sub + np.sqrt(2.0 * dt_sub) * noise) % 1.0
-            _deposit(grid, pos, deposits[k + 1])
+            for sub in range(cfg.substeps):
+                if sub > 0:
+                    stencil.locate(pos)
+                vel = stencil.interpolate(drift[:, k])
+                rng.standard_normal(out=noise)
+                vel *= dt_sub
+                noise *= np.sqrt(2.0 * dt_sub)
+                pos += vel
+                pos += noise
+                pos -= np.floor(pos)  # the same bits as pos %= 1.0, without its cost
+            stencil.locate(pos)
+            stencil.deposit(deposits[k + 1])
 
     densities = deposits / (cfg.paths * grid.cell_volume)
     return SpaceTimeField(grid, time, densities)

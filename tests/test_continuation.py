@@ -189,9 +189,17 @@ def test_secant_guess_beats_the_last_accepted_pair(small_problem):
     cfg = SolverConfig()
     states = solve_path(small_problem, cfg)
     assert len(states) >= 4
-    # the first step has one accepted state and starts from it
-    first = continuation._secant_guess(states[:1], states[1].lam, cfg.m_positivity_margin)
-    assert first is states[0].pair
+    # the first step has one accepted state and starts along the Euler tangent
+    lam_data = LambdaData.from_problem(small_problem, states[1].lam)
+    tangent = continuation._euler_tangent(small_problem, states[0].pair)
+    first = continuation._tangent_guess(
+        states[0], tangent, states[1].lam, cfg.m_positivity_margin
+    )
+    first_res = residual_full(small_problem, lam_data, first)
+    start_res = residual_full(small_problem, lam_data, states[0].pair)
+    assert first_res.sup_norm() < start_res.sup_norm()
+    assert np.max(np.abs(first_res.fp.values[0])) <= 10 * cfg.newton_tol
+    assert np.max(np.abs(first_res.hjb.values[-1])) <= 10 * cfg.newton_tol
     for k in range(2, len(states) - 1):
         lam_next = states[k + 1].lam
         lam_data = LambdaData.from_problem(small_problem, lam_next)
@@ -208,7 +216,7 @@ def test_secant_guess_beats_the_last_accepted_pair(small_problem):
 def test_predictor_falls_back_when_extrapolated_density_dips(small_problem, monkeypatch):
     # a skewed density at lam = 1 makes the secant to the first corrected state
     # negative somewhere; Newton must start from the last accepted pair instead
-    real_trivial, real_newton = continuation.trivial_solution, continuation.newton_correct
+    real_trivial = continuation.trivial_solution
 
     def skewed_start(problem):
         state = real_trivial(problem)
@@ -219,14 +227,8 @@ def test_predictor_falls_back_when_extrapolated_density_dips(small_problem, monk
         return ContinuationState(lam=1.0, pair=pair, residual_norm=state.residual_norm,
                                  newton_iters=0, step=0.0)
 
-    starts = []
-
-    def recording_newton(problem, lam_data, pair, config):
-        starts.append(pair)
-        return real_newton(problem, lam_data, pair, config)
-
     monkeypatch.setattr(continuation, "trivial_solution", skewed_start)
-    monkeypatch.setattr(continuation, "newton_correct", recording_newton)
+    starts, _ = _record_newton_starts(monkeypatch)
     states = solve_path(small_problem)
     assert states[-1].lam == 0.0
     lam0, lam1, lam2 = states[0].lam, states[1].lam, states[2].lam
@@ -241,7 +243,7 @@ def _record_rtols(monkeypatch):
     real = continuation.solve_linearized
 
     def recording(*args, **kwargs):
-        rtols.append(kwargs["rtol"])
+        rtols.append(kwargs.get("rtol", _KRYLOV_RTOL))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(continuation, "solve_linearized", recording)
@@ -251,7 +253,9 @@ def _record_rtols(monkeypatch):
 def test_forcing_terms_stay_in_range(small_problem, monkeypatch):
     rtols = _record_rtols(monkeypatch)
     states = solve_path(small_problem)
-    assert len(rtols) == sum(s.newton_iters for s in states)
+    # the tangent solve at the default tolerance, then one solve per Newton iteration
+    assert len(rtols) == 1 + sum(s.newton_iters for s in states)
+    assert rtols[0] == _KRYLOV_RTOL
     assert all(_KRYLOV_RTOL <= r <= 0.1 for r in rtols)
     assert max(rtols) == 0.1 and min(rtols) < 1e-3
 
@@ -267,12 +271,14 @@ def test_first_solve_far_from_the_solution_is_loose(small_problem, monkeypatch):
 
 
 def test_reference_solve_work_stays_bounded(monkeypatch):
-    # the secant predictor and the forcing terms halve the work of the plain
-    # corrector (30 Newton iterations and 248 lgmres matvecs on this config)
-    counts = {"matvecs": 0}
+    # the tangent first step, the secant predictor and the forcing terms cut the
+    # plain corrector's work on this config (30 Newton iterations and 248 lgmres
+    # matvecs) to 12 iterations plus the tangent solve, 13 solves and 60 matvecs
+    counts = {"solves": 0, "matvecs": 0}
     real = spla.lgmres
 
     def counting_lgmres(A, b, **kwargs):
+        counts["solves"] += 1
         op = spla.aslinearoperator(A)
 
         def matvec(x):
@@ -285,5 +291,94 @@ def test_reference_solve_work_stays_bounded(monkeypatch):
     cfg = load_config(REFERENCE_CFG)
     states = solve_path(build_problem(cfg), cfg.solver)
     assert states[-1].lam == 0.0
-    assert sum(s.newton_iters for s in states) <= 14
-    assert counts["matvecs"] <= 78
+    assert sum(s.newton_iters for s in states) <= 12
+    assert counts["solves"] <= 13
+    assert counts["matvecs"] <= 60
+
+
+def _record_newton_starts(monkeypatch):
+    """Record the start pair of every Newton correction and count its failures."""
+    starts, failures = [], []
+    real = continuation.newton_correct
+
+    def recording(problem, lam_data, pair, config):
+        starts.append(pair)
+        try:
+            return real(problem, lam_data, pair, config)
+        except NewtonFailure:
+            failures.append(lam_data.lam)
+            raise
+
+    monkeypatch.setattr(continuation, "newton_correct", recording)
+    return starts, failures
+
+
+def _tangent_solve_replaced(monkeypatch, replacement):
+    # the first linear solve of a path is the tangent's; later ones are Newton's
+    real = continuation.solve_linearized
+    calls = []
+
+    def patched(problem, lam_data, base, rhs, **kwargs):
+        calls.append(lam_data.lam)
+        if len(calls) == 1:
+            return replacement(real(problem, lam_data, base, rhs, **kwargs))
+        return real(problem, lam_data, base, rhs, **kwargs)
+
+    monkeypatch.setattr(continuation, "solve_linearized", patched)
+    return calls
+
+
+def _assert_first_step_from_the_lambda_one_pair(small_problem, monkeypatch, replacement):
+    calls = _tangent_solve_replaced(monkeypatch, replacement)
+    starts, _ = _record_newton_starts(monkeypatch)
+    cfg = SolverConfig()
+    states = solve_path(small_problem, cfg)
+    assert calls[0] == 1.0
+    assert starts[0] is states[0].pair
+    assert states[-1].lam == 0.0
+    for state in states:
+        assert state.residual_norm <= cfg.newton_tol
+
+
+def test_first_step_falls_back_when_the_tangent_solve_fails(small_problem, monkeypatch):
+    def fail(w):
+        raise linearized.LinearSolveError("Krylov solve did not converge (info=1)")
+
+    _assert_first_step_from_the_lambda_one_pair(small_problem, monkeypatch, fail)
+
+
+def test_first_step_falls_back_when_the_tangent_density_dips(small_problem, monkeypatch):
+    # a density direction of -100 takes m = 1 to 1 - 100 (1 - lam_next) < 0
+    def steep(w):
+        f = SpaceTimeField(w.f.grid, w.f.time, np.full_like(w.f.values, -100.0))
+        return linearized.Perturbation(v=w.v, f=f)
+
+    _assert_first_step_from_the_lambda_one_pair(small_problem, monkeypatch, steep)
+
+
+def test_stiff_terminal_data_solves_without_a_rejected_step(monkeypatch):
+    # psi = 2 cos(2 pi x) on N = 32, n_t = 32: from the lam = 1 pair itself the
+    # first step was rejected and the path took 51 linear solves
+    problem = make_problem(n=32, n_t=32, horizon=0.05, psi_amp=2.0)
+    rtols = _record_rtols(monkeypatch)
+    _, failures = _record_newton_starts(monkeypatch)
+    states = solve_path(problem)
+    assert states[-1].lam == 0.0
+    assert failures == []
+    assert len(rtols) <= 22
+
+
+@pytest.mark.parametrize("stiff", [False, True])
+def test_adaptive_steps_stay_capped_and_end_evenly(small_problem, stiff):
+    # the small problem ends by splitting 0.275 in two, the stiff one by
+    # absorbing a remainder that fits in dlambda_max
+    problem = make_problem(n=32, n_t=32, horizon=0.05, psi_amp=2.0) if stiff else small_problem
+    cfg = SolverConfig()
+    steps = [s.step for s in solve_path(problem, cfg)[1:]]
+    assert max(steps) <= cfg.dlambda_max
+    assert steps[-1] >= 0.5 * steps[-2]
+
+
+def test_fixed_steps_stay_pinned(small_problem):
+    states = solve_path(small_problem, fixed_dlambda=0.3)
+    assert [s.lam for s in states] == pytest.approx([1.0, 0.7, 0.4, 0.1, 0.0], abs=1e-12)

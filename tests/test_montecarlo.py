@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfgcon.continuation import trivial_solution
+from mfgcon.continuation import solve_path, trivial_solution
 from mfgcon.grids import PeriodicGrid, SpaceTimeField
 from mfgcon.montecarlo import (
     SDEConfig,
@@ -99,10 +99,80 @@ def test_two_dimensional_uniform_smoke():
 def test_drifted_density_tracked_on_solved_pair(mc_problem):
     # exercised against the solved pair in the acceptance suite at scale;
     # here only the plumbing at lam = 0 with the initial pair of the path
-    from mfgcon.continuation import solve_path
-
     states = solve_path(mc_problem)
     lam = LambdaData.from_problem(mc_problem, 0.0)
     emp = simulate_density(mc_problem, lam, states[-1].pair, SDEConfig(paths=40_000, seed=2))
     dists = l1_distance(emp, states[-1].pair.m)
     assert np.max(dists) < 0.1
+
+
+def _two_pass_density(problem, lam, pair, cfg):
+    """The particle simulation with the cell index and weight computed twice per step.
+
+    Each step interpolates the drift with its own floor / wrap pass and
+    deposits with another, as the simulation did before it shared one
+    stencil between the two.  Same generators, same draws.
+    """
+    from mfgcon.grids import _grad_stack
+    from mfgcon.montecarlo import _sample_initial
+    from mfgcon.system import _congestion_stack
+
+    grid, time = problem.grid, problem.time
+    n_pts, h, dim = grid.points_per_dim, grid.spacing, grid.dim
+    du = _grad_stack(pair.u.values, grid)
+    q = _congestion_stack(du, pair.m.values, problem.alpha, problem.m_floor)
+    drift = -(lam.hamiltonian.grad(q) + lam.b_values[:, None, :])
+
+    def corners(pos):
+        s = pos / h
+        i0 = np.floor(s).astype(int) % n_pts
+        w = s - np.floor(s)
+        i1 = (i0 + 1) % n_pts
+        if dim == 1:
+            return [(i0[0], 1.0 - w[0]), (i1[0], w[0])]
+        shape = grid.shape
+        return [
+            (np.ravel_multi_index((i0[0], i0[1]), shape), (1.0 - w[0]) * (1.0 - w[1])),
+            (np.ravel_multi_index((i1[0], i0[1]), shape), w[0] * (1.0 - w[1])),
+            (np.ravel_multi_index((i0[0], i1[1]), shape), (1.0 - w[0]) * w[1]),
+            (np.ravel_multi_index((i1[0], i1[1]), shape), w[0] * w[1]),
+        ]
+
+    def deposit(pos, out):
+        for idx, wt in corners(pos):
+            np.add.at(out, idx, wt)
+
+    def interp(values, pos):
+        return sum(wt * values[idx] for idx, wt in corners(pos))
+
+    deposits = np.zeros((time.num_slices, grid.num_nodes))
+    dt_sub = time.dt / cfg.substeps
+    n_batches = (cfg.paths + cfg.batch_size - 1) // cfg.batch_size
+    children = np.random.SeedSequence(cfg.seed).spawn(n_batches)
+    done = 0
+    for b in range(n_batches):
+        n = min(cfg.batch_size, cfg.paths - done)
+        done += n
+        rng = np.random.default_rng(children[b])
+        pos = _sample_initial(lam.m_init_values, grid, rng, n)
+        deposit(pos, deposits[0])
+        for k in range(time.steps):
+            for _ in range(cfg.substeps):
+                vel = np.stack([interp(drift[a, k], pos) for a in range(dim)])
+                noise = rng.standard_normal(pos.shape)
+                pos = (pos + vel * dt_sub + np.sqrt(2.0 * dt_sub) * noise) % 1.0
+            deposit(pos, deposits[k + 1])
+    return deposits / (cfg.paths * grid.cell_volume)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_stencil_pass_matches_the_two_pass_reference(dim):
+    # a drifted solved pair, several batches and substeps, so that every branch
+    # of the shared stencil (deposit, first and later substeps) is exercised
+    problem = make_problem(n=16, n_t=4, horizon=0.02, dim=dim, psi_amp=0.5)
+    final = solve_path(problem)[-1]
+    lam = LambdaData.from_problem(problem, 0.0)
+    cfg = SDEConfig(paths=5_000, seed=9, substeps=2, batch_size=2_000)
+    got = simulate_density(problem, lam, final.pair, cfg).values
+    want = _two_pass_density(problem, lam, final.pair, cfg)
+    assert np.max(np.abs(got - want)) <= 1e-12
