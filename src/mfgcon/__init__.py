@@ -19,7 +19,6 @@ from .continuation import (
 from .estimates import DerivedExponents, EstimateReport, run_all_checks
 from .galerkin import (
     FourierBasis,
-    GalerkinTrajectory,
     assemble_galerkin_system,
     shooting_matrix,
     solve_linearized_galerkin,
@@ -32,8 +31,6 @@ from .grids import (
     VectorField,
     divergence,
     gradient,
-    heat_smoothing_norm,
-    heat_step,
     integrate,
     laplacian,
 )

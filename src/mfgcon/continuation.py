@@ -45,6 +45,9 @@ _ETA_MAX = 0.1
 # residual by at least 1 / EASY_CONTRACTION.
 _STEP_GROWTH = 1.5
 _EASY_CONTRACTION = 0.01
+# Roundoff allowance on lam: nine steps of 0.1 from 1 leave
+# 0.10000000000000014, which must still fit in a dlambda_max of 0.1.
+_LAMBDA_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,6 @@ class ContinuationState:
 class NewtonDiagnostics:
     iterations: int
     residual_history: list = field(default_factory=list)
-    converged: bool = False
 
 
 class NewtonFailure(RuntimeError):
@@ -102,8 +104,8 @@ class HorizonError(RuntimeError):
         )
 
 
-def trivial_solution(problem: MFGProblem) -> ContinuationState:
-    """The exact lam = 1 state: uniform density, spatially flat value function."""
+def _trivial_start(problem: MFGProblem) -> tuple[ContinuationState, ResidualBundle]:
+    """The exact lam = 1 state and its residual rows, which the tangent reuses."""
     times = problem.time.times()
     horizon = problem.time.horizon
     slope = 1.0 - np.pi / 4.0
@@ -115,9 +117,16 @@ def trivial_solution(problem: MFGProblem) -> ContinuationState:
         u=SpaceTimeField(problem.grid, problem.time, u_vals),
         m=SpaceTimeField(problem.grid, problem.time, m_vals),
     )
-    lam_data = LambdaData.from_problem(problem, 1.0)
-    res = residual_full(problem, lam_data, pair).sup_norm()
-    return ContinuationState(lam=1.0, pair=pair, residual_norm=res, newton_iters=0, step=0.0)
+    at_one = residual_full(problem, LambdaData.from_problem(problem, 1.0), pair)
+    state = ContinuationState(
+        lam=1.0, pair=pair, residual_norm=at_one.sup_norm(), newton_iters=0, step=0.0
+    )
+    return state, at_one
+
+
+def trivial_solution(problem: MFGProblem) -> ContinuationState:
+    """The exact lam = 1 state: uniform density, spatially flat value function."""
+    return _trivial_start(problem)[0]
 
 
 def _forcing_term(res: float, res_prev: float | None, tol: float) -> float:
@@ -155,7 +164,6 @@ def newton_correct(
     res_prev = None
     for it in range(config.newton_max_iters):
         if res <= config.newton_tol:
-            diag.converged = True
             return current, diag
         eta = _forcing_term(res, res_prev, config.newton_tol)
         try:
@@ -192,7 +200,6 @@ def newton_correct(
         diag.iterations = it + 1
         diag.residual_history.append(res)
     if res <= config.newton_tol:
-        diag.converged = True
         return current, diag
     raise NewtonFailure(
         f"no convergence in {config.newton_max_iters} iterations (residual {res:.3e})",
@@ -210,15 +217,17 @@ def _shifted(pair: SolutionPair, s: float, dv: np.ndarray, df: np.ndarray, margi
     return SolutionPair(u=SpaceTimeField(grid, time, u), m=SpaceTimeField(grid, time, m))
 
 
-def _euler_tangent(problem: MFGProblem, pair: SolutionPair) -> Perturbation | None:
+def _euler_tangent(
+    problem: MFGProblem, pair: SolutionPair, at_one: ResidualBundle
+) -> Perturbation | None:
     """Direction w with L w = dF/dlam at the lam = 1 pair, so that dx/dlam = -w.
 
-    The residual is affine in lam, hence dF/dlam = F(x, 1) - F(x, 0) exactly.
-    Returns None when the linear solve misses its tolerance; the first step
-    then starts from the pair itself.
+    The residual is affine in lam, hence dF/dlam = F(x, 1) - F(x, 0) exactly;
+    ``at_one`` is F(x, 1), the rows of the lam = 1 certificate.  Returns None
+    when the linear solve misses its tolerance; the first step then starts
+    from the pair itself.
     """
     lam_one = LambdaData.from_problem(problem, 1.0)
-    at_one = residual_full(problem, lam_one, pair)
     at_zero = residual_full(problem, LambdaData.from_problem(problem, 0.0), pair)
     grid, time = problem.grid, problem.time
     dfdl = ResidualBundle(
@@ -266,7 +275,6 @@ def _secant_guess(states: list, lam_next: float, margin: float) -> SolutionPair:
 def solve_path(
     problem: MFGProblem,
     config: SolverConfig = SolverConfig(),
-    fixed_dlambda: float | None = None,
     on_state=None,
 ) -> list[ContinuationState]:
     """March lam from 1 to 0, predicting and Newton-correcting at every step.
@@ -275,28 +283,26 @@ def solve_path(
     Newton starts the first step from the Euler tangent at lam = 1 (see
     :func:`_tangent_guess`; the tangent is solved once per path and reused
     when that step is retried) and every later step from the secant of the
-    last two accepted states (see :func:`_secant_guess`).  The step adapts
-    unless ``fixed_dlambda`` pins it: it halves when Newton fails and grows
-    by 1.5x when the first Newton iteration cut the residual at least a
-    hundredfold.  An adaptive step that would leave less than half of itself
-    ends the path instead when the rest fits in ``dlambda_max``, and otherwise
-    takes half of what is left, so the path never ends on a sliver.
-    Underflow of the step below ``dlambda_min`` raises :class:`HorizonError`
-    carrying the states accepted so far.
+    last two accepted states (see :func:`_secant_guess`).  The step starts at
+    ``dlambda_init``, halves when Newton fails and grows by 1.5x, up to
+    ``dlambda_max``, when the first Newton iteration cut the residual at least
+    a hundredfold; ``dlambda_init == dlambda_max`` pins it.  A step that would
+    leave less than half of itself ends the path instead when the rest fits in
+    ``dlambda_max``, and otherwise takes half of what is left, so the path
+    never ends on a sliver.  Underflow of the step below ``dlambda_min``
+    raises :class:`HorizonError` carrying the states accepted so far.
     """
-    state = trivial_solution(problem)
+    state, at_one = _trivial_start(problem)
     states = [state]
     if on_state is not None:
         on_state(state)
-    tangent = _euler_tangent(problem, state.pair)
-    dl = fixed_dlambda if fixed_dlambda is not None else config.dlambda_init
+    tangent = _euler_tangent(problem, state.pair, at_one)
+    dl = config.dlambda_init
     lam = 1.0
     while lam > 0.0:
         lam_next = lam - dl
-        if fixed_dlambda is None and lam_next < 0.5 * dl:
-            lam_next = 0.0 if lam <= config.dlambda_max else 0.5 * lam
-        elif lam_next < 1e-9:
-            lam_next = 0.0
+        if lam_next < 0.5 * dl:
+            lam_next = 0.0 if lam <= config.dlambda_max + _LAMBDA_ROUNDOFF else 0.5 * lam
         lam_data = LambdaData.from_problem(problem, lam_next)
         if len(states) == 1:
             guess = _tangent_guess(states[0], tangent, lam_next, config.m_positivity_margin)
@@ -305,8 +311,6 @@ def solve_path(
         try:
             pair, diag = newton_correct(problem, lam_data, guess, config)
         except NewtonFailure:
-            if fixed_dlambda is not None:
-                raise HorizonError(states, lam_next)
             dl *= 0.5
             if dl < config.dlambda_min:
                 raise HorizonError(states, lam_next)
@@ -323,6 +327,6 @@ def solve_path(
             on_state(state)
         lam = lam_next
         hist = diag.residual_history
-        if fixed_dlambda is None and (len(hist) < 2 or hist[1] <= _EASY_CONTRACTION * hist[0]):
+        if len(hist) < 2 or hist[1] <= _EASY_CONTRACTION * hist[0]:
             dl = min(dl * _STEP_GROWTH, config.dlambda_max)
     return states

@@ -110,7 +110,7 @@ class RunConfig:
     gamma: float
     alpha: float
     weight_terms: list
-    b_terms: list          # one term list per component
+    b_terms: list          # one term list per axis
     v1_terms: list
     v2_kind: str
     v2_coef: float
@@ -241,7 +241,7 @@ def build_problem(cfg: RunConfig) -> MFGProblem:
     m0 = Field(grid, m0.values / integrate(m0))
     v1 = realize_field(cfg.v1_terms, grid)
     try:
-        ham = HamiltonianModel.iso_power(cfg.gamma, weight.values)
+        ham = HamiltonianModel(cfg.gamma, weight.values)
         potential = Potential(
             v1=v1, v2_kind=cfg.v2_kind, coef=cfg.v2_coef, exponent=cfg.v2_exponent
         )

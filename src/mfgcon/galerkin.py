@@ -23,7 +23,6 @@ from .system import LambdaData, MFGProblem, SolutionPair
 __all__ = [
     "FourierBasis",
     "GalerkinSystem",
-    "GalerkinTrajectory",
     "ShootingSingularError",
     "assemble_galerkin_system",
     "shooting_matrix",
@@ -160,29 +159,6 @@ class GalerkinSystem:
         return m
 
 
-@dataclass
-class GalerkinTrajectory:
-    """Coefficient paths A, B of shape (n_modes, K+1) on the solver slices."""
-
-    basis: FourierBasis
-    times: np.ndarray
-    a_coeffs: np.ndarray
-    b_coeffs: np.ndarray
-
-    def as_perturbation(self, time_grid) -> Perturbation:
-        f_vals = self.basis.reconstruct(self.a_coeffs.T)
-        v_vals = self.basis.reconstruct(self.b_coeffs.T)
-        grid = self.basis.grid
-        return Perturbation(
-            v=SpaceTimeField(grid, time_grid, v_vals),
-            f=SpaceTimeField(grid, time_grid, f_vals),
-        )
-
-    def l2_norms(self) -> np.ndarray:
-        """Per-slice sqrt(|A|^2 + |B|^2); Parseval gives the L2 norm of (f, v)."""
-        return np.sqrt(np.sum(self.a_coeffs**2 + self.b_coeffs**2, axis=0))
-
-
 def assemble_galerkin_system(
     problem: MFGProblem,
     lam_data: LambdaData,
@@ -192,7 +168,7 @@ def assemble_galerkin_system(
     """Project the linearized equations at ``base`` onto the basis, slice by slice."""
     if basis.grid != problem.grid:
         raise ValueError("basis and problem grids mismatch")
-    coef = _base_coefficients(problem, lam_data, base, strict=True)
+    coef = _base_coefficients(problem, lam_data, base)
     vol = problem.grid.cell_volume
     e = basis.values
     de = basis.grads
@@ -286,8 +262,9 @@ def solve_linearized_galerkin(
 
     The particular solution starts from zero coefficients; the homogeneous
     correction fixes A(0) to the projected initial data and shoots for the
-    projected terminal data.  Returns (perturbation, trajectory, info) with
-    the smallest singular value of the shooting matrix in ``info``.
+    projected terminal data.  Returns (perturbation, info) with the smallest
+    singular value of the shooting matrix in ``info``; the coefficient paths
+    are ``basis.project`` of the perturbation's slices.
     """
     system = assemble_galerkin_system(problem, lam_data, base, basis)
     n = basis.n_modes
@@ -321,11 +298,9 @@ def solve_linearized_galerkin(
 
     y0 = np.concatenate([a_target, beta])
     traj = _rk4_propagate(system, y0, forcing)
-    trajectory = GalerkinTrajectory(
-        basis=basis,
-        times=ts,
-        a_coeffs=traj[:, :n].T,
-        b_coeffs=traj[:, n:].T,
+    grid, time = problem.grid, problem.time
+    pert = Perturbation(
+        v=SpaceTimeField(grid, time, basis.reconstruct(traj[:, n:])),
+        f=SpaceTimeField(grid, time, basis.reconstruct(traj[:, :n])),
     )
-    info = {"sigma_min": sigma_min}
-    return trajectory.as_perturbation(problem.time), trajectory, info
+    return pert, {"sigma_min": sigma_min}

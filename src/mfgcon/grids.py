@@ -1,10 +1,10 @@
 """Uniform periodic grids on the unit torus and spectral calculus over them.
 
-All spatial operators (gradient, divergence, Laplacian, heat propagator) act
-in Fourier space.  On band-limited data they are exact up to roundoff, which
-provides the discrete identities the rest of the package leans on: summation
-by parts between gradient and divergence, exact mass conservation of the heat
-flow, and Laplacian == divergence(gradient).
+All spatial operators (gradient, divergence, Laplacian) act in Fourier
+space.  On band-limited data they are exact up to roundoff, which provides
+the discrete identities the rest of the package leans on: summation by parts
+between gradient and divergence, mean-free divergences (so the transport
+rows conserve mass exactly), and Laplacian == divergence(gradient).
 
 Fields are real, so the spectral layer works on the half spectrum: rfftn
 keeps the N//2 + 1 nonnegative frequencies of the last axis, and every
@@ -35,8 +35,6 @@ __all__ = [
     "divergence",
     "laplacian",
     "integrate",
-    "heat_step",
-    "heat_smoothing_norm",
     "fourier_interpolate",
 ]
 
@@ -122,11 +120,6 @@ class Field:
     def constant(cls, grid: PeriodicGrid, value: float) -> "Field":
         return cls(grid, np.full(grid.num_nodes, float(value)))
 
-    @classmethod
-    def from_function(cls, grid: PeriodicGrid, fn) -> "Field":
-        """Sample ``fn(*coords)`` on the grid nodes."""
-        return cls(grid, np.asarray(fn(*grid.coordinates()), dtype=float).ravel())
-
     def shaped(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
 
@@ -150,18 +143,6 @@ class VectorField:
     def zero(cls, grid: PeriodicGrid) -> "VectorField":
         return cls(grid, np.zeros((grid.dim, grid.num_nodes)))
 
-    @classmethod
-    def from_components(cls, comps: list[Field]) -> "VectorField":
-        grid = comps[0].grid
-        if any(c.grid != grid for c in comps):
-            raise ValueError("component grids mismatch")
-        if len(comps) != grid.dim:
-            raise ValueError(f"expected {grid.dim} components, got {len(comps)}")
-        return cls(grid, np.stack([c.values for c in comps]))
-
-    def component(self, axis: int) -> Field:
-        return Field(self.grid, self.values[axis])
-
 
 @dataclass
 class SpaceTimeField:
@@ -179,13 +160,6 @@ class SpaceTimeField:
     @classmethod
     def zeros(cls, grid: PeriodicGrid, time: TimeGrid) -> "SpaceTimeField":
         return cls(grid, time, np.zeros((time.num_slices, grid.num_nodes)))
-
-    @classmethod
-    def from_slice_function(cls, grid, time, fn) -> "SpaceTimeField":
-        """Sample ``fn(t, *coords)`` at every slice time."""
-        coords = grid.coordinates()
-        rows = [np.asarray(fn(t, *coords), dtype=float).ravel() for t in time.times()]
-        return cls(grid, time, np.stack(rows))
 
     def slice(self, n: int) -> Field:
         return Field(self.grid, self.values[n])
@@ -240,7 +214,7 @@ def _irfft_stack(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 
 
 def _apply_symbols(symbols: tuple, spec: np.ndarray) -> np.ndarray:
-    """Stack of symbol * spec, one leading component per symbol."""
+    """Stack of symbol * spec along a new leading axis, one entry per symbol."""
     out = np.empty((len(symbols),) + spec.shape, dtype=complex)
     for a, sym in enumerate(symbols):
         np.multiply(sym, spec, out=out[a])
@@ -295,11 +269,6 @@ def _div_lap_stack(stack: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return _irfft_stack(acc, grid)
 
 
-def _heat_stack(values: np.ndarray, grid: PeriodicGrid, dt: float) -> np.ndarray:
-    _, ksq = _spectra(grid.dim, grid.points_per_dim)
-    return _irfft_stack(np.exp(-ksq * dt) * _rfft_stack(values, grid), grid)
-
-
 def _require_finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
         raise ValueError(f"non-finite values in {what}")
@@ -331,45 +300,6 @@ def laplacian(f: Field) -> Field:
 def integrate(f: Field) -> float:
     """Integral over the torus: h^d times the node sum (spectrally accurate)."""
     return float(np.sum(f.values) * f.grid.cell_volume)
-
-
-def heat_step(f: Field, dt: float) -> Field:
-    """Exact heat propagator over time dt: mode k decays by exp(-4 pi^2 |k|^2 dt).
-
-    Conserves the integral exactly (the constant mode is untouched) and
-    contracts every other mode.
-    """
-    if dt < 0.0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    _require_finite(f.values, "heat_step input")
-    return Field(f.grid, _heat_stack(f.values, f.grid, dt))
-
-
-def heat_smoothing_norm(
-    phi: Field, tau: float, horizon: float, q: float, n_time: int = 128
-) -> float:
-    """Mixed norm of the heat flow started from phi at time tau.
-
-    Computes int_tau^horizon (int rho^q dx)^(1/q) dt with rho the exact
-    spectral heat evolution of phi, using the trapezoid rule in time.  Used
-    as a finiteness and grid-stability check of the smoothing estimate for
-    unit-mass nonnegative data.
-    """
-    if q <= 1.0:
-        raise ValueError(f"q must exceed 1, got {q}")
-    if np.min(phi.values) < -1e-12:
-        raise ValueError("phi must be nonnegative")
-    if integrate(phi) > 1.0 + 1e-9:
-        raise ValueError("phi must carry at most unit mass")
-    if not tau <= horizon:
-        raise ValueError("need tau <= horizon")
-    vol = phi.grid.cell_volume
-    ts = np.linspace(tau, horizon, n_time + 1)
-    inner = np.empty(ts.size)
-    for j, t in enumerate(ts):
-        rho = _heat_stack(phi.values, phi.grid, t - tau)
-        inner[j] = (np.sum(np.clip(rho, 0.0, None) ** q) * vol) ** (1.0 / q)
-    return float(np.trapezoid(inner, ts))
 
 
 def _pad_spectrum_axis(spec: np.ndarray, axis: int, n_old: int, n_new: int) -> np.ndarray:

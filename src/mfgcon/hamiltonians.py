@@ -56,10 +56,6 @@ class HamiltonianModel:
         object.__setattr__(self, "weight", w if w.ndim else float(w))
 
     @classmethod
-    def iso_power(cls, gamma: float, weight=1.0) -> "HamiltonianModel":
-        return cls(gamma=gamma, weight=weight)
-
-    @classmethod
     def blend(cls, base: "HamiltonianModel", lam: float) -> "HamiltonianModel":
         """(1-lam) * base + lam * unit, the power model with weight (1-lam) c + lam."""
         if lam == 0.0:
@@ -101,13 +97,6 @@ class HamiltonianModel:
         b = w * self.gamma * (self.gamma - 2.0) * (1.0 + s) ** (0.5 * self.gamma - 2.0)
         return a, b
 
-    def hess(self, p: np.ndarray, x_index=None) -> np.ndarray:
-        """Full Hessian, shape (d, d, ...)."""
-        a, b = self.hess_coeffs(p, x_index)
-        d = p.shape[0]
-        eye = np.eye(d).reshape((d, d) + (1,) * (p.ndim - 1))
-        return a * eye + b * (p[:, None] * p[None, :])
-
     def hess_eig_bounds(self, p: np.ndarray, x_index=None) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise (min, max) eigenvalue of the Hessian.
 
@@ -118,17 +107,6 @@ class HamiltonianModel:
         s = np.sum(np.square(p), axis=0)
         radial = a + b * s
         return np.minimum(a, radial), np.maximum(a, radial)
-
-    # -- scalar helpers matching the per-node operation contracts ----------
-
-    def value_at(self, x_index: int, p) -> float:
-        return float(self.value(np.asarray(p, dtype=float).reshape(-1, 1), x_index)[0])
-
-    def grad_at(self, x_index: int, p) -> np.ndarray:
-        return self.grad(np.asarray(p, dtype=float).reshape(-1, 1), x_index)[:, 0]
-
-    def hess_at(self, x_index: int, p) -> np.ndarray:
-        return self.hess(np.asarray(p, dtype=float).reshape(-1, 1), x_index)[:, :, 0]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .system import (
     MFGProblem,
     ResidualBundle,
     SolutionPair,
-    _check_strict_density,
+    _check_positive_density,
     _congestion_stack,
 )
 
@@ -88,11 +88,11 @@ class _BaseCoefficients:
 
 
 def _base_coefficients(
-    problem: MFGProblem, lam_data: LambdaData, base: SolutionPair, strict: bool
+    problem: MFGProblem, lam_data: LambdaData, base: SolutionPair
 ) -> _BaseCoefficients:
     alpha = problem.alpha
     u, m = base.u.values, base.m.values
-    _check_strict_density(m, strict)
+    _check_positive_density(m)
     du = _grad_stack(u, problem.grid)
     m_safe = np.maximum(m, problem.m_floor)
     q = _congestion_stack(du, m, alpha, problem.m_floor)
@@ -121,7 +121,6 @@ def apply_L(
     lam_data: LambdaData,
     base: SolutionPair,
     direction: Perturbation,
-    strict: bool = True,
 ) -> ResidualBundle:
     """Directional derivative of the residual at ``base`` along ``direction``.
 
@@ -129,7 +128,7 @@ def apply_L(
     initial-data row f(., 0)), then value rows (last slice is the terminal
     row v(., T)).
     """
-    coef = _base_coefficients(problem, lam_data, base, strict)
+    coef = _base_coefficients(problem, lam_data, base)
     fp, hjb = _apply_rows(problem, coef, direction.v.values, direction.f.values)
     grid, time = problem.grid, problem.time
     return ResidualBundle(
@@ -249,7 +248,7 @@ def solve_linearized(
     k, mm = problem.time.num_slices, problem.grid.num_nodes
     n_dof = 2 * k * mm
     rhs_vec = bundle_to_vector(rhs)
-    coef = _base_coefficients(problem, lam_data, base, strict=True)
+    coef = _base_coefficients(problem, lam_data, base)
 
     def matvec(x: np.ndarray) -> np.ndarray:
         fp, hjb = _apply_rows(

@@ -19,7 +19,7 @@ from .system import (
     LambdaData,
     MFGProblem,
     SolutionPair,
-    _check_strict_density,
+    _check_positive_density,
     _congestion_stack,
 )
 
@@ -140,7 +140,7 @@ def simulate_density(
     nonpositive density sample raises NonpositiveDensityError.
     """
     grid, time = problem.grid, problem.time
-    _check_strict_density(pair.m.values, strict=True)
+    _check_positive_density(pair.m.values)
     du = _grad_stack(pair.u.values, grid)
     q = _congestion_stack(du, pair.m.values, problem.alpha, problem.m_floor)
     drift = -(lam_data.hamiltonian.grad(q) + lam_data.b_values[:, None, :])  # (d, K, M)

@@ -42,7 +42,7 @@ __all__ = [
 
 
 class NonpositiveDensityError(ValueError):
-    """A density sample was nonpositive where strict evaluation was requested."""
+    """A density sample was nonpositive; the residual and its linearization need m > 0."""
 
     def __init__(self, slice_index: int, node_index: int, value: float):
         self.slice_index = slice_index
@@ -199,8 +199,8 @@ class ResidualBundle(NamedTuple):
         return max(self.fp.sup_norm(), self.hjb.sup_norm())
 
 
-def _check_strict_density(m: np.ndarray, strict: bool) -> None:
-    if strict and np.min(m) <= 0.0:
+def _check_positive_density(m: np.ndarray) -> None:
+    if np.min(m) <= 0.0:
         k = int(np.argmin(m))
         n_slice, n_node = divmod(k, m.shape[1])
         raise NonpositiveDensityError(n_slice, n_node, float(m[n_slice, n_node]))
@@ -220,9 +220,9 @@ class _SharedTerms(NamedTuple):
     m_pow: np.ndarray   # (K, M) max(m, floor)^alpha
 
 
-def _shared_terms(problem: MFGProblem, pair: SolutionPair, strict: bool) -> _SharedTerms:
+def _shared_terms(problem: MFGProblem, pair: SolutionPair) -> _SharedTerms:
     m = pair.m.values
-    _check_strict_density(m, strict)
+    _check_positive_density(m)
     d = problem.grid.dim
     du_lap = _grad_lap_stack(pair.u.values, problem.grid)
     m_pow = np.maximum(m, problem.m_floor) ** problem.alpha
@@ -262,7 +262,7 @@ def _fp_rows(problem, lam_data, pair, terms: _SharedTerms) -> SpaceTimeField:
 
 
 def residual_full(
-    problem: MFGProblem, lam_data: LambdaData, pair: SolutionPair, strict: bool = True
+    problem: MFGProblem, lam_data: LambdaData, pair: SolutionPair
 ) -> ResidualBundle:
     """The residual rows, transport first, then value.
 
@@ -274,7 +274,7 @@ def residual_full(
     mismatch u(., T) - psi.  The density check, the gradient and Laplacian of
     u and the congestion ratio are computed once and shared by both rows.
     """
-    terms = _shared_terms(problem, pair, strict)
+    terms = _shared_terms(problem, pair)
     return ResidualBundle(
         fp=_fp_rows(problem, lam_data, pair, terms),
         hjb=_hjb_rows(problem, lam_data, pair, terms),

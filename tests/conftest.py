@@ -31,6 +31,13 @@ def band_limited_spacetime(grid, time, rng, k_max=3, amp=1.0):
     return SpaceTimeField(grid, time, np.stack(rows))
 
 
+def slice_l2_norms(pert):
+    """Per-slice L2 norm of (v, f); by Parseval, sqrt(|A|^2 + |B|^2) of its
+    Galerkin coefficients when the perturbation lies in the basis span."""
+    vol = pert.v.grid.cell_volume
+    return np.sqrt(vol * np.sum(pert.v.values**2 + pert.f.values**2, axis=1))
+
+
 def make_problem(
     n=32,
     n_t=16,
@@ -49,7 +56,7 @@ def make_problem(
     time = TimeGrid(horizon, n_t)
     coords = grid.coordinates()
     phase = 2 * np.pi * coords[0]
-    ham = HamiltonianModel.iso_power(gamma, weight)
+    ham = HamiltonianModel(gamma, weight)
     b_vals = np.zeros((dim, grid.num_nodes))
     b_vals[0] = b_amp * np.sin(phase).ravel()
     pot = Potential(v1=Field(grid, (v1_amp * np.cos(phase)).ravel()), v2_kind=v2_kind)

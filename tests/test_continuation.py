@@ -44,7 +44,7 @@ def test_newton_zero_iterations_at_solution(small_problem):
     lam = LambdaData.from_problem(small_problem, 1.0)
     pair, diag = newton_correct(small_problem, lam, state.pair)
     assert diag.iterations == 0
-    assert diag.converged
+    assert diag.residual_history == [state.residual_norm]
 
 
 def test_newton_recovers_from_cosine_perturbation(small_problem):
@@ -60,7 +60,7 @@ def test_newton_recovers_from_cosine_perturbation(small_problem):
         m=state.pair.m.copy(),
     )
     pair, diag = newton_correct(small_problem, lam, bumped)
-    assert diag.converged and diag.iterations <= 5
+    assert diag.iterations <= 5
     final = residual_full(small_problem, lam, pair).sup_norm()
     assert final <= 1e-10
     # contraction accelerates along the tail of the iteration
@@ -110,7 +110,9 @@ def test_path_reaches_zero_with_certificates(small_problem):
 
 def test_accepted_certificate_is_newtons_last_residual(small_problem, monkeypatch):
     # the certificate of an accepted state is the residual Newton accepted on,
-    # so solve_path evaluates no residual between a Newton return and the next step
+    # so solve_path evaluates no residual between a Newton return and the next
+    # step; before the first Newton call it evaluates F(x1, 1), which certifies
+    # the lam = 1 state and enters the tangent, and F(x1, 0)
     events = []
     real_residual, real_newton = continuation.residual_full, continuation.newton_correct
 
@@ -129,6 +131,7 @@ def test_accepted_certificate_is_newtons_last_residual(small_problem, monkeypatc
     cfg = SolverConfig()
     states = solve_path(small_problem, cfg)
 
+    assert events[:3] == ["residual", "residual", "newton"]
     assert events.count("newton_return") == len(states) - 1
     for before, after in zip(events, events[1:]):
         if before == "newton_return":
@@ -137,14 +140,6 @@ def test_accepted_certificate_is_newtons_last_residual(small_problem, monkeypatc
         lam = LambdaData.from_problem(small_problem, state.lam)
         assert state.residual_norm == residual_full(small_problem, lam, state.pair).sup_norm()
         assert state.residual_norm <= cfg.newton_tol
-
-
-def test_fixed_and_adaptive_schedules_agree(small_problem):
-    adaptive = solve_path(small_problem)
-    fixed = solve_path(small_problem, fixed_dlambda=0.1)
-    du = np.max(np.abs(adaptive[-1].pair.u.values - fixed[-1].pair.u.values))
-    dm = np.max(np.abs(adaptive[-1].pair.m.values - fixed[-1].pair.m.values))
-    assert max(du, dm) <= 1e-6
 
 
 def test_step_underflow_raises_structured_failure(small_problem):
@@ -173,15 +168,6 @@ def test_newton_failure_carries_diagnostics(small_problem):
     assert err.value.diagnostics.residual_history
 
 
-def test_two_dimensional_path():
-    problem = make_problem(n=8, n_t=6, horizon=0.02, dim=2)
-    states = solve_path(problem, fixed_dlambda=0.25)
-    assert states[-1].lam == 0.0
-    assert states[-1].residual_norm <= 1e-10
-    assert check_mass(states[-1].pair).values["max_deviation"] <= 1e-10
-    assert states[-1].min_density() > 0.5
-
-
 REFERENCE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.cfg")
 
 
@@ -191,7 +177,8 @@ def test_secant_guess_beats_the_last_accepted_pair(small_problem):
     assert len(states) >= 4
     # the first step has one accepted state and starts along the Euler tangent
     lam_data = LambdaData.from_problem(small_problem, states[1].lam)
-    tangent = continuation._euler_tangent(small_problem, states[0].pair)
+    start, at_one = continuation._trivial_start(small_problem)
+    tangent = continuation._euler_tangent(small_problem, start.pair, at_one)
     first = continuation._tangent_guess(
         states[0], tangent, states[1].lam, cfg.m_positivity_margin
     )
@@ -216,18 +203,20 @@ def test_secant_guess_beats_the_last_accepted_pair(small_problem):
 def test_predictor_falls_back_when_extrapolated_density_dips(small_problem, monkeypatch):
     # a skewed density at lam = 1 makes the secant to the first corrected state
     # negative somewhere; Newton must start from the last accepted pair instead
-    real_trivial = continuation.trivial_solution
+    real_start = continuation._trivial_start
 
     def skewed_start(problem):
-        state = real_trivial(problem)
+        state, _ = real_start(problem)
         x = problem.grid.coordinates()[0].ravel()
         bump = np.exp(1.5 * np.cos(2 * np.pi * x))
         m = np.repeat((bump / np.mean(bump))[None, :], problem.time.num_slices, axis=0)
         pair = SolutionPair(u=state.pair.u, m=SpaceTimeField(problem.grid, problem.time, m))
-        return ContinuationState(lam=1.0, pair=pair, residual_norm=state.residual_norm,
-                                 newton_iters=0, step=0.0)
+        at_one = residual_full(problem, LambdaData.from_problem(problem, 1.0), pair)
+        skewed = ContinuationState(lam=1.0, pair=pair, residual_norm=at_one.sup_norm(),
+                                   newton_iters=0, step=0.0)
+        return skewed, at_one
 
-    monkeypatch.setattr(continuation, "trivial_solution", skewed_start)
+    monkeypatch.setattr(continuation, "_trivial_start", skewed_start)
     starts, _ = _record_newton_starts(monkeypatch)
     states = solve_path(small_problem)
     assert states[-1].lam == 0.0
@@ -265,7 +254,8 @@ def test_first_solve_far_from_the_solution_is_loose(small_problem, monkeypatch):
     state = trivial_solution(small_problem)
     lam = LambdaData.from_problem(small_problem, 0.5)
     _, diag = newton_correct(small_problem, lam, state.pair)
-    assert diag.converged and diag.residual_history[0] > 1e3 * SolverConfig().newton_tol
+    assert diag.residual_history[0] > 1e3 * SolverConfig().newton_tol
+    assert diag.residual_history[-1] <= SolverConfig().newton_tol
     assert rtols[0] == 0.1
     assert len(rtols) == diag.iterations
 
@@ -380,5 +370,29 @@ def test_adaptive_steps_stay_capped_and_end_evenly(small_problem, stiff):
 
 
 def test_fixed_steps_stay_pinned(small_problem):
-    states = solve_path(small_problem, fixed_dlambda=0.3)
-    assert [s.lam for s in states] == pytest.approx([1.0, 0.7, 0.4, 0.1, 0.0], abs=1e-12)
+    # dlambda_init == dlambda_max pins the step; a third step would leave 0.1,
+    # less than half of it, and the 0.4 left exceeds dlambda_max, so it splits
+    states = solve_path(small_problem, SolverConfig(dlambda_init=0.3, dlambda_max=0.3))
+    assert [s.lam for s in states] == pytest.approx([1.0, 0.7, 0.4, 0.2, 0.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("dim, dl", [(1, 0.1), (1, 0.2), (2, 0.25)], ids=["0.1", "0.2", "2d-0.25"])
+def test_pinned_steps_end_on_a_full_step(small_problem, dim, dl):
+    # lam picks up roundoff on the way down (nine steps of 0.1 leave
+    # 0.10000000000000014), which must not cost an extra halving at the end
+    problem = small_problem if dim == 1 else make_problem(n=8, n_t=6, horizon=0.02, dim=2)
+    cfg = SolverConfig(dlambda_init=dl, dlambda_max=dl)
+    states = solve_path(problem, cfg)
+    n_steps = round(1.0 / dl)
+    expected = [1.0 - k * dl for k in range(n_steps + 1)]
+    assert [s.lam for s in states] == pytest.approx(expected, abs=1e-12)
+    final = states[-1]
+    assert final.lam == 0.0
+    assert final.residual_norm <= cfg.newton_tol
+    assert check_mass(final.pair).values["max_deviation"] <= 1e-10
+    assert final.min_density() > 0.5
+    # the pinned and the adaptive schedule certify the same lam = 0 solution
+    adaptive = solve_path(problem)[-1]
+    du = np.max(np.abs(adaptive.pair.u.values - final.pair.u.values))
+    dm = np.max(np.abs(adaptive.pair.m.values - final.pair.m.values))
+    assert max(du, dm) <= 1e-6

@@ -15,14 +15,12 @@ from mfgcon.grids import (
     divergence,
     fourier_interpolate,
     gradient,
-    heat_smoothing_norm,
-    heat_step,
     integrate,
     laplacian,
 )
 
 from mfgcon.linearized import Perturbation, apply_L
-from mfgcon.system import LambdaData, SolutionPair
+from mfgcon.system import LambdaData, MFGProblem, SolutionPair
 
 from conftest import band_limited, make_problem
 
@@ -80,10 +78,14 @@ def test_divergence_analytic_and_mean_free():
 
 
 def test_component_grid_mismatch_rejected():
-    other = PeriodicGrid(1, 32)
-    with pytest.raises(ValueError):
-        VectorField.from_components(
-            [Field.constant(GRID, 1.0), Field.constant(other, 1.0)]
+    # a drift whose components live on another grid is refused with the problem
+    problem = make_problem(n=32)
+    other = PeriodicGrid(1, 64)
+    with pytest.raises(ValueError, match="problem grid"):
+        MFGProblem(
+            grid=problem.grid, time=problem.time, alpha=problem.alpha,
+            hamiltonian=problem.hamiltonian, b=VectorField.zero(other),
+            potential=problem.potential, psi=problem.psi, m0=problem.m0,
         )
 
 
@@ -124,53 +126,6 @@ def test_integrate_exact_values():
     assert integrate(Field.constant(GRID, 1.0)) == pytest.approx(1.0, abs=1e-15)
     assert integrate(Field(GRID, np.sin(2 * np.pi * X))) == pytest.approx(0.0, abs=1e-15)
     assert integrate(Field(GRID, np.sin(2 * np.pi * X) ** 2)) == pytest.approx(0.5, abs=1e-14)
-
-
-def test_heat_step_steady_state_and_decay():
-    const = Field.constant(GRID, 1.0)
-    assert np.max(np.abs(heat_step(const, 0.1).values - 1.0)) < 1e-14
-    f = Field(GRID, np.cos(2 * np.pi * X))
-    out = heat_step(f, 0.1)
-    factor = np.exp(-4 * np.pi**2 * 0.1)
-    assert np.max(np.abs(out.values - factor * np.cos(2 * np.pi * X))) < 1e-14
-    with pytest.raises(ValueError):
-        heat_step(f, -0.01)
-
-
-def test_heat_step_conserves_mass_and_positivity():
-    rng = np.random.default_rng(11)
-    for dt in (1e-5, 1e-3, 0.1):
-        g = band_limited(GRID, rng, k_max=8, amp=0.5)
-        f = Field(GRID, g.values**2)  # nonnegative band-limited data
-        out = heat_step(f, dt)
-        assert integrate(out) == pytest.approx(integrate(f), abs=1e-13)
-        assert np.min(out.values) >= -1e-12
-
-
-def test_heat_smoothing_norm_uniform_and_monotone():
-    horizon = 0.3
-    const = Field.constant(GRID, 1.0)
-    val = heat_smoothing_norm(const, 0.0, horizon, q=1.2)
-    assert val == pytest.approx(horizon, rel=1e-12)
-
-    bump_fn = lambda x: np.exp(8.0 * np.cos(2 * np.pi * x))
-    bump = Field(GRID, bump_fn(X))
-    bump = Field(GRID, bump.values / integrate(bump))
-    v0 = heat_smoothing_norm(bump, 0.0, horizon, q=1.2)
-    v1 = heat_smoothing_norm(bump, 0.1, horizon, q=1.2)
-    assert np.isfinite(v0) and v0 > v1 > 0.0
-
-    fine = PeriodicGrid(1, 128)
-    xf = fine.coordinates()[0]
-    bump_f = Field(fine, bump_fn(xf))
-    bump_f = Field(fine, bump_f.values / integrate(bump_f))
-    vf = heat_smoothing_norm(bump_f, 0.0, horizon, q=1.2)
-    assert abs(vf - v0) < 1e-6
-
-    with pytest.raises(ValueError):
-        heat_smoothing_norm(const, 0.0, horizon, q=0.9)
-    with pytest.raises(ValueError):
-        heat_smoothing_norm(Field.constant(GRID, -1.0), 0.0, horizon, q=1.2)
 
 
 def test_fourier_interpolate_band_limited_exact():

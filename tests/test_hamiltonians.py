@@ -17,29 +17,28 @@ GAMMA = 1.5
 
 
 def unit_model():
-    return HamiltonianModel.iso_power(GAMMA, 1.0)
+    return HamiltonianModel(GAMMA, 1.0)
 
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        HamiltonianModel.iso_power(2.5, 1.0)
+        HamiltonianModel(2.5, 1.0)
     with pytest.raises(ValueError):
-        HamiltonianModel.iso_power(1.5, -1.0)
+        HamiltonianModel(1.5, -1.0)
 
 
 def test_value_at_reference_points():
     model = unit_model()
-    assert model.value_at(0, [0.0]) == pytest.approx(1.0, abs=1e-15)
-    assert model.value_at(0, [1.0]) == pytest.approx(2.0**0.75, rel=1e-14)
-    blend = HamiltonianModel.blend(
-        HamiltonianModel.iso_power(GAMMA, 3.7), lam=1.0
-    )
-    assert blend.value_at(0, [0.0]) == pytest.approx(1.0, abs=1e-15)
+    values = model.value(np.array([[0.0, 1.0]]))
+    assert values[0] == pytest.approx(1.0, abs=1e-15)
+    assert values[1] == pytest.approx(2.0**0.75, rel=1e-14)
+    blend = HamiltonianModel.blend(HamiltonianModel(GAMMA, 3.7), lam=1.0)
+    assert blend.value(np.zeros((1, 1)))[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_blend_is_convex_combination():
     rng = np.random.default_rng(5)
-    base = HamiltonianModel.iso_power(GAMMA, 2.0)
+    base = HamiltonianModel(GAMMA, 2.0)
     unit = unit_model()
     blend = HamiltonianModel.blend(base, lam=0.3)
     p = rng.normal(size=(2, 200)) * 3.0
@@ -56,7 +55,7 @@ def test_blend_is_power_model_with_blended_weight(dim, per_node, lam):
     rng = np.random.default_rng(17)
     n = 200
     weight = rng.uniform(0.5, 3.0, n) if per_node else 2.7
-    base = HamiltonianModel.iso_power(GAMMA, weight)
+    base = HamiltonianModel(GAMMA, weight)
     unit = unit_model()
     blend = HamiltonianModel.blend(base, lam)
     assert HamiltonianModel.blend(base, 0.0) is base
@@ -77,44 +76,51 @@ def test_blend_is_power_model_with_blended_weight(dim, per_node, lam):
 
 def test_gradient_zero_at_origin():
     model = unit_model()
-    assert np.max(np.abs(model.grad_at(0, [0.0, 0.0]))) == 0.0
+    assert np.max(np.abs(model.grad(np.zeros((2, 1))))) == 0.0
+
+
+def dense_hessian(model, p):
+    """a I + b p (x) p from ``hess_coeffs``, shape (d, d, n)."""
+    a, b = model.hess_coeffs(p)
+    return a * np.eye(p.shape[0])[:, :, None] + b * (p[:, None] * p[None, :])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_derivatives_match_finite_differences(dim):
-    model = HamiltonianModel.blend(HamiltonianModel.iso_power(GAMMA, 1.7), 0.4)
+    # the per-node weight makes each column of p its own point
     rng = np.random.default_rng(2)
-    p0 = rng.normal(size=dim) * 2.0
-    grad = model.grad_at(0, p0)
-    hess = model.hess_at(0, p0)
-    for eps_pair in [(1e-4, 5e-5)]:
-        errs_g, errs_h = [], []
-        for eps in eps_pair:
-            fd_g = np.zeros(dim)
-            fd_h = np.zeros((dim, dim))
-            for a in range(dim):
-                e = np.zeros(dim)
-                e[a] = eps
-                fd_g[a] = (model.value_at(0, p0 + e) - model.value_at(0, p0 - e)) / (2 * eps)
-                fd_h[:, a] = (model.grad_at(0, p0 + e) - model.grad_at(0, p0 - e)) / (2 * eps)
-            errs_g.append(np.max(np.abs(fd_g - grad)))
-            errs_h.append(np.max(np.abs(fd_h - hess)))
-        # second-order central differences: error drops by ~4x when eps halves
-        assert errs_g[0] / max(errs_g[1], 1e-16) > 3.0
-        assert errs_h[0] / max(errs_h[1], 1e-16) > 3.0
+    n = 6
+    model = HamiltonianModel.blend(HamiltonianModel(GAMMA, rng.uniform(0.5, 3.0, n)), 0.4)
+    p0 = rng.normal(size=(dim, n)) * 2.0
+    grad = model.grad(p0)
+    hessian = dense_hessian(model, p0)
+    errs_g, errs_h = [], []
+    for eps in (1e-4, 5e-5):
+        fd_g = np.zeros((dim, n))
+        fd_h = np.zeros((dim, dim, n))
+        for a in range(dim):
+            e = np.zeros((dim, 1))
+            e[a] = eps
+            fd_g[a] = (model.value(p0 + e) - model.value(p0 - e)) / (2 * eps)
+            fd_h[:, a] = (model.grad(p0 + e) - model.grad(p0 - e)) / (2 * eps)
+        errs_g.append(np.max(np.abs(fd_g - grad)))
+        errs_h.append(np.max(np.abs(fd_h - hessian)))
+    # second-order central differences: error drops by ~4x when eps halves
+    assert errs_g[0] / max(errs_g[1], 1e-16) > 3.0
+    assert errs_h[0] / max(errs_h[1], 1e-16) > 3.0
 
 
 def test_hessian_positive_definite_on_sample():
-    model = HamiltonianModel.iso_power(GAMMA, 0.8)
+    model = HamiltonianModel(GAMMA, 0.8)
     rng = np.random.default_rng(9)
     p = rng.normal(size=(2, 1000))
     p = p / np.linalg.norm(p, axis=0) * rng.uniform(0, 10.0, 1000)
     eig_min, _ = model.hess_eig_bounds(p)
     assert np.min(eig_min) > 0.0
     # closed-form eigenvalues against a dense eigensolve at a few points
+    full = dense_hessian(model, p[:, :5])
     for j in range(5):
-        full = model.hess_at(0, p[:, j])
-        w = np.linalg.eigvalsh(full)
+        w = np.linalg.eigvalsh(full[:, :, j])
         assert w[0] == pytest.approx(eig_min[j], rel=1e-12)
 
 
@@ -207,7 +213,7 @@ def test_check_assumptions_flags_large_alpha():
 def test_check_assumptions_blend_identity_at_lambda_one():
     grid = PeriodicGrid(1, 16)
     x = grid.coordinates()[0]
-    weighted = HamiltonianModel.iso_power(GAMMA, 1.0 + 0.5 * np.cos(2 * np.pi * x))
+    weighted = HamiltonianModel(GAMMA, 1.0 + 0.5 * np.cos(2 * np.pi * x))
     blend = HamiltonianModel.blend(weighted, lam=1.0)
     rep_blend = check_assumptions(blend, alpha=0.5, dim=1, spec=SampleSpec(seed=8))
     rep_unit = check_assumptions(unit_model(), alpha=0.5, dim=1, spec=SampleSpec(seed=8))

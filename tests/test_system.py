@@ -8,10 +8,10 @@ from mfgcon.grids import (
     SpaceTimeField,
     TimeGrid,
     VectorField,
-    heat_step,
     integrate,
 )
 from mfgcon.hamiltonians import HamiltonianModel
+from mfgcon.linearized import Perturbation, apply_L
 from mfgcon.system import (
     LambdaData,
     MFGProblem,
@@ -107,8 +107,10 @@ def test_fp_spatial_part_is_mean_free(small_problem, rng):
 
 
 def test_fp_residual_consistent_with_heat_flow():
-    # with zero drift data the transport equation reduces to the heat equation
+    # with zero drift data the transport equation reduces to the heat equation,
+    # whose flow from m0 = 1 + 0.2 cos(2 pi x) is 1 + 0.2 exp(-4 pi^2 t) cos(2 pi x)
     problem = make_problem(n=64, n_t=16, horizon=0.04, b_amp=0.0)
+    x = problem.grid.coordinates()[0]
     lam_data = LambdaData.from_problem(problem, 0.0)
     grid = problem.grid
 
@@ -124,10 +126,8 @@ def test_fp_residual_consistent_with_heat_flow():
             psi=problem.psi,
             m0=problem.m0,
         )
-        rows = [problem.m0.values]
-        for j in range(1, time.num_slices):
-            rows.append(heat_step(problem.m0, time.times()[j]).values)
-        m = SpaceTimeField(grid, time, np.stack(rows))
+        decay = np.exp(-4 * np.pi**2 * time.times())[:, None]
+        m = SpaceTimeField(grid, time, 1.0 + 0.2 * decay * np.cos(2 * np.pi * x)[None, :])
         u = SpaceTimeField.zeros(grid, time)
         r = residual_full(prob, LambdaData.from_problem(prob, 0.0), SolutionPair(u, m)).fp
         return np.max(np.abs(r.values[1:]))
@@ -167,15 +167,15 @@ def test_strict_mode_flags_nonpositive_density(small_problem):
         residual_full(small_problem, lam_data, pair)
     assert err.value.slice_index == 3
     assert err.value.node_index == 7
-    out = residual_full(small_problem, lam_data, pair, strict=False).fp
-    assert np.isfinite(out.values).all()
+    with pytest.raises(NonpositiveDensityError):
+        apply_L(small_problem, lam_data, pair, Perturbation(v=pair.u, f=pair.m))
 
 
 def test_problem_validation():
     grid = PeriodicGrid(1, 16)
     time = TimeGrid(0.05, 8)
     x = grid.coordinates()[0]
-    ham = HamiltonianModel.iso_power(1.5, 1.0)
+    ham = HamiltonianModel(1.5, 1.0)
     b = VectorField.zero(grid)
     pot = Potential(v2_kind="arctan")
     psi = Field.constant(grid, 0.0)
