@@ -43,7 +43,6 @@ from .hamiltonians import (
     legendre_transform,
 )
 from .linearized import (
-    LinearizedRHS,
     Perturbation,
     apply_L,
     solve_linearized,

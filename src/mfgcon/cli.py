@@ -129,11 +129,11 @@ def _cmd_solve(args) -> int:
 def _load_pair(args, problem):
     u_stf, _ = read_field(args.u_file)
     m_stf, _ = read_field(args.m_file)
-    same = (
-        u_stf.grid == problem.grid
-        and m_stf.grid == problem.grid
-        and u_stf.time.steps == problem.time.steps
-        and abs(u_stf.time.horizon - problem.time.horizon) < 1e-12
+    same = all(
+        stf.grid == problem.grid
+        and stf.time.steps == problem.time.steps
+        and abs(stf.time.horizon - problem.time.horizon) < 1e-12
+        for stf in (u_stf, m_stf)
     )
     if not same:
         raise ConfigError("stored fields do not match the config grids")

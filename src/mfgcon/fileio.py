@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 import re
 import struct
@@ -134,6 +135,8 @@ def _get(section, key, cast, default=None, positive=False, name=""):
         val = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {name or key!r}: {raw!r}") from exc
+    if not math.isfinite(val):
+        raise ConfigError(f"{name or key!r} must be finite, got {raw!r}")
     if positive and val <= 0:
         raise ConfigError(f"{name or key!r} must be positive, got {val}")
     return val
@@ -171,6 +174,8 @@ def load_config(path: str) -> RunConfig:
     try:
         v2_coef = float(v2_parts[1]) if len(v2_parts) > 1 else 1.0
         v2_exponent = float(v2_parts[2]) if len(v2_parts) > 2 else 2.0
+        if not (math.isfinite(v2_coef) and math.isfinite(v2_exponent)):
+            raise ValueError("non-finite v2 number")
     except ValueError as exc:
         raise ConfigError(f"bad value for 'v2': {prob['v2']!r}") from exc
 
@@ -319,14 +324,18 @@ def read_field(path: str):
     (checksum,) = struct.unpack_from("<I", blob, _HEADER.size)
     if checksum != zlib.crc32(header):
         raise FieldFileError("header checksum mismatch")
-    grid = PeriodicGrid(dim, n)
-    time = TimeGrid(horizon, n_t)
+    try:
+        grid = PeriodicGrid(dim, n)
+        time = TimeGrid(horizon, n_t)
+    except ValueError as exc:
+        raise FieldFileError(f"bad grid in the header: {exc}") from exc
     expected = (n_t + 1) * grid.num_nodes
-    payload = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size + 4)
-    if payload.size != expected:
+    payload_bytes = len(blob) - _HEADER.size - 4
+    if payload_bytes != 8 * expected:
         raise FieldFileError(
-            f"payload holds {payload.size} values, header promises {expected}"
+            f"payload holds {payload_bytes} bytes, header promises {8 * expected}"
         )
+    payload = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size + 4)
     name = raw_name.rstrip(b"\0").decode()
     return SpaceTimeField(grid, time, payload.reshape(n_t + 1, grid.num_nodes).copy()), name
 

@@ -1,13 +1,16 @@
 """Fourier-Galerkin reduction of the linearized system and its shooting solve.
 
-Projecting the linearized equations onto finitely many Fourier modes yields a
-linear ODE system in the coefficient vectors A (density direction) and B
-(value direction).  Half the boundary data is initial (A at t = 0), half
-terminal (B at t = T), so the solve is completed by the shooting map that
-sends initial coefficients to (A(0), B(T)): its invertibility is exactly the
-injectivity argument behind uniqueness, and its smallest singular value is
-monitored.  This path cross-validates the monolithic linear solve at small
-mode counts; it is not the production solver.
+Projecting the residual rows of the linearization onto finitely many Fourier
+modes gives a recurrence in the coefficient vectors A (density direction) and
+B (value direction) with the solver's own time scheme: the value rows step B
+forward explicitly and the transport rows are implicit in A.  Half the
+boundary data is initial (A at t = 0), half terminal (B at t = T), so the
+solve is completed by the shooting map that sends initial coefficients to
+(A(0), B(T)): its invertibility is exactly the injectivity argument behind
+uniqueness, and its smallest singular value is monitored.  The blocks are
+projected from the frozen coefficient fields, never from the operator apply,
+so this path cross-validates the monolithic linear solve at small mode
+counts; it is not the production solver.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import PeriodicGrid, SpaceTimeField
-from .linearized import LinearizedRHS, Perturbation, _base_coefficients
-from .system import LambdaData, MFGProblem, SolutionPair
+from .linearized import Perturbation, _base_coefficients
+from .system import LambdaData, MFGProblem, ResidualBundle, SolutionPair
 
 __all__ = [
     "FourierBasis",
@@ -28,6 +31,11 @@ __all__ = [
     "shooting_matrix",
     "solve_linearized_galerkin",
 ]
+
+
+# Smallest singular value of the shooting map below which the split data
+# counts as unsolvable.
+_SIGMA_TOL = 1e-12
 
 
 class ShootingSingularError(RuntimeError):
@@ -123,40 +131,22 @@ def _frequency_order(dim: int):
 class GalerkinSystem:
     """Per-slice coupling matrices of the projected linearized equations.
 
-    With K the stiffness matrix and the slice-dependent blocks P, S, R, G,
-    the coefficient ODE reads
+    With K the stiffness matrix, the slice-dependent blocks P, S, R, G and
+    (r_fp, r_hjb) the residual rows projected onto the basis, the rows read
 
-        A' = h_k - (K + P(t)) A - S(t) B
-        B' = g_k + (K + R(t)) B + G(t) A.
+        (A^n - A^(n-1))/dt + (K + P_n) A^n + S_n B^n = r_fp^n     (n >= 1)
+        (B^n - B^(n+1))/dt + (K + R_n) B^n + G_n A^n = r_hjb^n    (n < N_t)
+
+    with the data rows A^0 = r_fp^0 and B^(N_t) = r_hjb^(N_t).
     """
 
     basis: FourierBasis
-    times: np.ndarray
+    dt: float
     stiffness: np.ndarray   # (n, n)
     p_blocks: np.ndarray    # (K+1, n, n) transport against De_k in the density rows
     s_blocks: np.ndarray    # (K+1, n, n) value-gradient coupling in the density rows
     r_blocks: np.ndarray    # (K+1, n, n) transport in the value rows
     g_blocks: np.ndarray    # (K+1, n, n) density coupling in the value rows
-
-    def _interp(self, blocks: np.ndarray, t: float) -> np.ndarray:
-        ts = self.times
-        if t <= ts[0]:
-            return blocks[0]
-        if t >= ts[-1]:
-            return blocks[-1]
-        j = int(np.searchsorted(ts, t) - 1)
-        w = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return (1.0 - w) * blocks[j] + w * blocks[j + 1]
-
-    def rhs_matrix(self, t: float) -> np.ndarray:
-        """Coefficient matrix of the stacked homogeneous system y' = M(t) y."""
-        n = self.basis.n_modes
-        m = np.zeros((2 * n, 2 * n))
-        m[:n, :n] = -(self.stiffness + self._interp(self.p_blocks, t))
-        m[:n, n:] = -self._interp(self.s_blocks, t)
-        m[n:, n:] = self.stiffness + self._interp(self.r_blocks, t)
-        m[n:, :n] = self._interp(self.g_blocks, t)
-        return m
 
 
 def assemble_galerkin_system(
@@ -194,7 +184,7 @@ def assemble_galerkin_system(
 
     return GalerkinSystem(
         basis=basis,
-        times=problem.time.times(),
+        dt=problem.time.dt,
         stiffness=stiffness,
         p_blocks=p_blocks,
         s_blocks=s_blocks,
@@ -203,50 +193,48 @@ def assemble_galerkin_system(
     )
 
 
-def _rk4_propagate(system: GalerkinSystem, y0: np.ndarray, forcing=None) -> np.ndarray:
-    """Classical fixed-step RK4 over the solver slices; records y at every slice.
+def _march(system: GalerkinSystem, a0, b0, r_fp, r_hjb):
+    """Coefficient paths of the system's rows, marched forward from (A^0, B^0).
 
-    ``y0`` may be a vector or a matrix of stacked columns.  ``forcing`` is an
-    optional callable t -> vector added to the right-hand side.
+    Step n solves the value row of slice n-1 for B^n, then the transport row
+    of slice n for A^n.  ``a0`` and ``b0`` are (n, c) stacks of columns and
+    the projected rows ``r_fp``, ``r_hjb`` are (K+1, n, c) or (K+1, n, 1).
+    Returns the (K+1, n, c) paths of A and B.
     """
-    ts = system.times
-    y = np.array(y0, dtype=float)
-    out = np.empty((len(ts),) + y.shape)
-    out[0] = y
-
-    def rhs(t, state):
-        val = system.rhs_matrix(t) @ state
-        if forcing is not None:
-            add = forcing(t)
-            val = val + (add if state.ndim == 1 else add[:, None])
-        return val
-
-    for j in range(len(ts) - 1):
-        t, dt = ts[j], ts[j + 1] - ts[j]
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise FloatingPointError(f"integrator produced non-finite values at t={ts[j+1]}")
-        out[j + 1] = y
-    return out
+    dt, k_mat = system.dt, system.stiffness
+    implicit = np.eye(len(k_mat)) / dt + k_mat
+    a = np.empty((len(system.p_blocks),) + np.shape(a0))
+    b = np.empty_like(a)
+    a[0], b[0] = a0, b0
+    for n in range(1, len(a)):
+        b[n] = b[n - 1] + dt * (
+            (k_mat + system.r_blocks[n - 1]) @ b[n - 1]
+            + system.g_blocks[n - 1] @ a[n - 1]
+            - r_hjb[n - 1]
+        )
+        a[n] = np.linalg.solve(
+            implicit + system.p_blocks[n],
+            a[n - 1] / dt + r_fp[n] - system.s_blocks[n] @ b[n],
+        )
+    if not np.all(np.isfinite(b[-1])):
+        raise FloatingPointError("the shooting march overflowed")
+    return a, b
 
 
 def shooting_matrix(system: GalerkinSystem) -> np.ndarray:
-    """The linear map (A(0), B(0)) -> (A(0), B(T)) of the homogeneous system.
+    """The linear map (A^0, B^0) -> (A^0, B^(N_t)) of the homogeneous rows.
 
-    Columns come from propagating the unit initial vectors; the first block
-    row is the identity on A(0) by construction.  Surjectivity of this map is
+    Columns come from marching the unit initial vectors; the first block
+    row is the identity on A^0 by construction.  Surjectivity of this map is
     what makes the split initial/terminal data solvable, and it is equivalent
     to injectivity.
     """
     n = system.basis.n_modes
-    traj = _rk4_propagate(system, np.eye(2 * n))
-    phi = np.empty((2 * n, 2 * n))
-    phi[:n] = np.eye(2 * n)[:n]
-    phi[n:] = traj[-1][n:]
+    eye = np.eye(2 * n)
+    zero = np.zeros((len(system.p_blocks), n, 1))
+    _, b = _march(system, eye[:n], eye[n:], zero, zero)
+    phi = eye
+    phi[n:] = b[-1]
     return phi
 
 
@@ -255,52 +243,34 @@ def solve_linearized_galerkin(
     lam_data: LambdaData,
     base: SolutionPair,
     basis: FourierBasis,
-    rhs: LinearizedRHS,
-    sigma_tol: float = 1e-12,
+    rhs: ResidualBundle,
 ):
-    """Shooting solve of the projected linearized system with split data.
+    """Shooting solve of the projected linearized rows L w = ``rhs``.
 
-    The particular solution starts from zero coefficients; the homogeneous
-    correction fixes A(0) to the projected initial data and shoots for the
-    projected terminal data.  Returns (perturbation, info) with the smallest
-    singular value of the shooting matrix in ``info``; the coefficient paths
-    are ``basis.project`` of the perturbation's slices.
+    ``rhs`` uses the residual row layout, as in ``solve_linearized``.  The
+    particular path starts from zero coefficients; the homogeneous correction
+    fixes A^0 to the projected initial row and shoots for the projected
+    terminal row.  Returns (perturbation, info) with the smallest singular
+    value of the shooting matrix in ``info``; the coefficient paths are
+    ``basis.project`` of the perturbation's slices.
     """
     system = assemble_galerkin_system(problem, lam_data, base, basis)
     n = basis.n_modes
-    hv = basis.project(rhs.h.values)   # (K+1, n)
-    gv = basis.project(rhs.g.values)
-    ts = system.times
+    r_fp = basis.project(rhs.fp.values)[..., None]   # (K+1, n, 1)
+    r_hjb = basis.project(rhs.hjb.values)[..., None]
 
-    def forcing(t: float) -> np.ndarray:
-        if t <= ts[0]:
-            comp_h, comp_g = hv[0], gv[0]
-        elif t >= ts[-1]:
-            comp_h, comp_g = hv[-1], gv[-1]
-        else:
-            j = int(np.searchsorted(ts, t) - 1)
-            w = (t - ts[j]) / (ts[j + 1] - ts[j])
-            comp_h = (1.0 - w) * hv[j] + w * hv[j + 1]
-            comp_g = (1.0 - w) * gv[j] + w * gv[j + 1]
-        return np.concatenate([comp_h, comp_g])
-
-    a_target = basis.project(rhs.f0.values)
-    b_target = basis.project(rhs.vT.values)
-
-    particular = _rk4_propagate(system, np.zeros(2 * n), forcing)
     phi = shooting_matrix(system)
     sigma_min = float(np.linalg.svd(phi, compute_uv=False)[-1])
-    if sigma_min <= sigma_tol:
+    if sigma_min <= _SIGMA_TOL:
         raise ShootingSingularError(sigma_min)
-    phi_ba = phi[n:, :n]
-    phi_bb = phi[n:, n:]
-    beta = np.linalg.solve(phi_bb, b_target - particular[-1][n:] - phi_ba @ a_target)
+    zero = np.zeros((n, 1))
+    _, b_part = _march(system, zero, zero, r_fp, r_hjb)
+    beta = np.linalg.solve(phi[n:, n:], r_hjb[-1] - b_part[-1] - phi[n:, :n] @ r_fp[0])
 
-    y0 = np.concatenate([a_target, beta])
-    traj = _rk4_propagate(system, y0, forcing)
+    a, b = _march(system, r_fp[0], beta, r_fp, r_hjb)
     grid, time = problem.grid, problem.time
     pert = Perturbation(
-        v=SpaceTimeField(grid, time, basis.reconstruct(traj[:, n:])),
-        f=SpaceTimeField(grid, time, basis.reconstruct(traj[:, :n])),
+        v=SpaceTimeField(grid, time, basis.reconstruct(b[..., 0])),
+        f=SpaceTimeField(grid, time, basis.reconstruct(a[..., 0])),
     )
     return pert, {"sigma_min": sigma_min}

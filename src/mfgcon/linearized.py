@@ -22,11 +22,9 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .grids import (
-    Field,
     SpaceTimeField,
     _div_lap_stack,
     _grad_lap_stack,
-    _grad_stack,
     _irfft_stack,
     _rfft_stack,
     _spectra,
@@ -36,13 +34,11 @@ from .system import (
     MFGProblem,
     ResidualBundle,
     SolutionPair,
-    _check_positive_density,
-    _congestion_stack,
+    _shared_terms,
 )
 
 __all__ = [
     "Perturbation",
-    "LinearizedRHS",
     "LinearSolveError",
     "apply_L",
     "solve_linearized",
@@ -59,16 +55,6 @@ class Perturbation(NamedTuple):
 
     def sup_norm(self) -> float:
         return max(self.v.sup_norm(), self.f.sup_norm())
-
-
-class LinearizedRHS(NamedTuple):
-    """Right-hand side (h, g, f0, vT): sources for the two equations plus
-    the initial density and terminal value data rows."""
-
-    h: SpaceTimeField
-    g: SpaceTimeField
-    f0: Field
-    vT: Field
 
 
 class LinearSolveError(RuntimeError):
@@ -91,11 +77,9 @@ def _base_coefficients(
     problem: MFGProblem, lam_data: LambdaData, base: SolutionPair
 ) -> _BaseCoefficients:
     alpha = problem.alpha
-    u, m = base.u.values, base.m.values
-    _check_positive_density(m)
-    du = _grad_stack(u, problem.grid)
+    m = base.m.values
+    q = _shared_terms(problem, base).q
     m_safe = np.maximum(m, problem.m_floor)
-    q = _congestion_stack(du, m, alpha, problem.m_floor)
     ham = lam_data.hamiltonian
     h_val = ham.value(q)
     dp_h = ham.grad(q)

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SpaceTimeField, _grad_stack
-from .system import (
-    LambdaData,
-    MFGProblem,
-    SolutionPair,
-    _check_positive_density,
-    _congestion_stack,
-)
+from .grids import SpaceTimeField
+from .system import LambdaData, MFGProblem, SolutionPair, _shared_terms
 
 __all__ = [
     "SDEConfig",
@@ -140,9 +134,7 @@ def simulate_density(
     nonpositive density sample raises NonpositiveDensityError.
     """
     grid, time = problem.grid, problem.time
-    _check_positive_density(pair.m.values)
-    du = _grad_stack(pair.u.values, grid)
-    q = _congestion_stack(du, pair.m.values, problem.alpha, problem.m_floor)
+    q = _shared_terms(problem, pair).q
     drift = -(lam_data.hamiltonian.grad(q) + lam_data.b_values[:, None, :])  # (d, K, M)
 
     deposits = np.zeros((time.num_slices, grid.num_nodes))

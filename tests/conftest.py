@@ -3,7 +3,7 @@ import pytest
 
 from mfgcon.grids import Field, PeriodicGrid, SpaceTimeField, TimeGrid, VectorField
 from mfgcon.hamiltonians import HamiltonianModel
-from mfgcon.system import MFGProblem, Potential
+from mfgcon.system import MFGProblem, Potential, ResidualBundle
 
 
 def band_limited(grid, rng, k_max=3, amp=1.0):
@@ -29,6 +29,46 @@ def band_limited_spacetime(grid, time, rng, k_max=3, amp=1.0):
     for j in range(time.num_slices):
         rows.append(profile[j] * base.values + (1 - profile[j]) * second.values)
     return SpaceTimeField(grid, time, np.stack(rows))
+
+
+def random_bundle(problem, rng, amp=1.0):
+    """Band-limited residual rows: sources on the equation rows, half the
+    amplitude on the initial transport row and the terminal value row."""
+    grid, time = problem.grid, problem.time
+    fp = band_limited_spacetime(grid, time, rng, amp=amp).values
+    hjb = band_limited_spacetime(grid, time, rng, amp=amp).values
+    fp[0] = band_limited_spacetime(grid, time, rng, amp=0.5 * amp).values[0]
+    hjb[-1] = band_limited_spacetime(grid, time, rng, amp=0.5 * amp).values[-1]
+    return ResidualBundle(
+        fp=SpaceTimeField(grid, time, fp), hjb=SpaceTimeField(grid, time, hjb)
+    )
+
+
+def data_norm(bundle):
+    """L2 norms in time and space of the source rows (transport slices 1..N_t,
+    value slices 0..N_t-1), plus the L2 norms of the two data rows."""
+    vol, dt = bundle.fp.grid.cell_volume, bundle.fp.time.dt
+    fp, hjb = bundle.fp.values, bundle.hjb.values
+
+    def norm(rows, weight):
+        return float(np.sqrt(weight * vol * np.sum(rows**2)))
+
+    return norm(fp[1:], dt) + norm(hjb[:-1], dt) + norm(fp[0], 1.0) + norm(hjb[-1], 1.0)
+
+
+def sup_gap(a, b):
+    return max(
+        float(np.max(np.abs(a.v.values - b.v.values))),
+        float(np.max(np.abs(a.f.values - b.f.values))),
+    )
+
+
+def span_tail(basis, pert):
+    """Sup norm of the part of (v, f) outside the span of the basis."""
+    return max(
+        float(np.max(np.abs(x - basis.reconstruct(basis.project(x)))))
+        for x in (pert.v.values, pert.f.values)
+    )
 
 
 def slice_l2_norms(pert):

@@ -24,17 +24,18 @@ from mfgcon.fileio import build_problem, load_config
 from mfgcon.galerkin import FourierBasis, solve_linearized_galerkin
 from mfgcon.grids import Field, SpaceTimeField, fourier_interpolate
 from mfgcon.hamiltonians import LagrangianModel, conjugate_radial, growth_constants, legendre_transform
-from mfgcon.linearized import (
-    LinearizedRHS,
-    Perturbation,
-    apply_L,
-    bundle_to_vector,
-    solve_linearized,
-)
+from mfgcon.linearized import Perturbation, apply_L, bundle_to_vector, solve_linearized
 from mfgcon.montecarlo import SDEConfig, l1_distance, sampling_l1_error, simulate_density
 from mfgcon.system import LambdaData, ResidualBundle, SolutionPair, residual_full
 
-from conftest import band_limited_spacetime, slice_l2_norms
+from conftest import (
+    band_limited_spacetime,
+    data_norm,
+    random_bundle,
+    slice_l2_norms,
+    span_tail,
+    sup_gap,
+)
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs", "reference.cfg")
 
@@ -146,71 +147,39 @@ def test_criterion_4_linearization_consistency(reference):
 
 def test_criterion_5_galerkin_cross_validation(reference):
     problem = reference["problem"]
-    lam = LambdaData.from_problem(problem, 1.0)
+    rhs = random_bundle(problem, np.random.default_rng(31))
+
+    # the trivial base's linearization is diagonal in Fourier, and both paths
+    # use the same time scheme, so they agree to the Krylov tolerance
+    lam1 = LambdaData.from_problem(problem, 1.0)
     state = trivial_solution(problem)
     basis = FourierBasis.build(problem.grid, 8)
-    rng = np.random.default_rng(31)
-    rhs = LinearizedRHS(
-        h=band_limited_spacetime(problem.grid, problem.time, rng),
-        g=band_limited_spacetime(problem.grid, problem.time, rng),
-        f0=Field(problem.grid, band_limited_spacetime(problem.grid, problem.time, rng, amp=0.5).values[0]),
-        vT=Field(problem.grid, band_limited_spacetime(problem.grid, problem.time, rng, amp=0.5).values[-1]),
-    )
-    pert_gal, _ = solve_linearized_galerkin(problem, lam, state.pair, basis, rhs)
-    fp_rows = rhs.h.values.copy()
-    fp_rows[0] = rhs.f0.values
-    hjb_rows = -rhs.g.values
-    hjb_rows[-1] = rhs.vT.values
-    bundle = ResidualBundle(
-        fp=SpaceTimeField(problem.grid, problem.time, fp_rows),
-        hjb=SpaceTimeField(problem.grid, problem.time, hjb_rows),
-    )
-    pert_mono = solve_linearized(problem, lam, state.pair, bundle)
-    gap = max(
-        float(np.max(np.abs(pert_gal.v.values - pert_mono.v.values))),
-        float(np.max(np.abs(pert_gal.f.values - pert_mono.f.values))),
-    )
+    pert_gal, _ = solve_linearized_galerkin(problem, lam1, state.pair, basis, rhs)
+    gap1 = sup_gap(pert_gal, solve_linearized(problem, lam1, state.pair, rhs))
 
-    # discretization-error yardstick: the same monolithic solve at twice the
-    # time resolution, compared on the shared slices
-    from mfgcon.grids import TimeGrid
-    from mfgcon.system import MFGProblem
-
-    fine_time = TimeGrid(problem.time.horizon, 2 * problem.time.steps)
-    fine_problem = MFGProblem(
-        grid=problem.grid, time=fine_time, alpha=problem.alpha,
-        hamiltonian=problem.hamiltonian, b=problem.b,
-        potential=problem.potential, psi=problem.psi, m0=problem.m0,
-    )
-    fine_state = trivial_solution(fine_problem)
-    fine_lam = LambdaData.from_problem(fine_problem, 1.0)
-    fp_fine = np.repeat(rhs.h.values, 2, axis=0)[: fine_time.num_slices]
-    fp_fine[0] = rhs.f0.values
-    hjb_fine = np.repeat(-rhs.g.values, 2, axis=0)[: fine_time.num_slices]
-    hjb_fine[-1] = rhs.vT.values
-    fine_bundle = ResidualBundle(
-        fp=SpaceTimeField(problem.grid, fine_time, fp_fine),
-        hjb=SpaceTimeField(problem.grid, fine_time, hjb_fine),
-    )
-    pert_fine = solve_linearized(fine_problem, fine_lam, fine_state.pair, fine_bundle)
-    self_err = max(
-        float(np.max(np.abs(pert_mono.v.values - pert_fine.v.values[::2]))),
-        float(np.max(np.abs(pert_mono.f.values - pert_fine.f.values[::2]))),
-    )
+    # at the solved state the modes couple: the gap may only be the
+    # monolithic solution's part outside the span
+    final = reference["states"][-1]
+    lam0 = LambdaData.from_problem(problem, 0.0)
+    basis10 = FourierBasis.build(problem.grid, 10)
+    pert_gal0, _ = solve_linearized_galerkin(problem, lam0, final.pair, basis10, rhs)
+    pert_mono0 = solve_linearized(problem, lam0, final.pair, rhs)
+    gap0 = sup_gap(pert_gal0, pert_mono0)
+    tail0 = span_tail(basis10, pert_mono0)
 
     zeros = SpaceTimeField.zeros(problem.grid, problem.time)
-    pert0, _ = solve_linearized_galerkin(
-        problem, lam, state.pair, basis,
-        LinearizedRHS(h=zeros, g=zeros,
-                      f0=Field.constant(problem.grid, 0.0),
-                      vT=Field.constant(problem.grid, 0.0)),
+    pert_zero, _ = solve_linearized_galerkin(
+        problem, lam1, state.pair, basis, ResidualBundle(fp=zeros, hjb=zeros)
     )
-    homog = max(pert0.v.sup_norm(), pert0.f.sup_norm())
-    ok = gap <= 10.0 * self_err and homog <= 1e-10
+    homog = pert_zero.sup_norm()
+    ok = gap1 <= 1e-8 and gap0 <= 1.1 * tail0 and homog == 0.0
     report(5, "shooting solve against the monolithic solve", ok,
-           f"gap={gap:.3e} 10x_disc_err={10*self_err:.3e} homogeneous={homog:.1e}")
-    assert homog <= 1e-10
-    assert gap <= 10.0 * self_err
+           f"gap(lambda=1)={gap1:.2e} (tol 1e-8) gap(lambda=0)={gap0:.3e} "
+           f"span tail={tail0:.3e} ratio={gap0 / tail0:.4f} (tol 1.1) "
+           f"homogeneous={homog:.1e}")
+    assert homog == 0.0
+    assert gap1 <= 1e-8
+    assert gap0 <= 1.1 * tail0
 
 
 def test_criterion_6_energy_constant(reference):
@@ -219,25 +188,11 @@ def test_criterion_6_energy_constant(reference):
     state = trivial_solution(problem)
     basis = FourierBasis.build(problem.grid, 8)
     rng = np.random.default_rng(606)
-    vol, dt = problem.grid.cell_volume, problem.time.dt
-
-    def l2_time(stf):
-        return float(np.sqrt(np.trapezoid(vol * np.sum(stf.values**2, axis=1), dx=dt)))
-
-    def l2_space(field):
-        return float(np.sqrt(vol * np.sum(field.values**2)))
-
     ratios = []
     for _ in range(20):
-        rhs = LinearizedRHS(
-            h=band_limited_spacetime(problem.grid, problem.time, rng),
-            g=band_limited_spacetime(problem.grid, problem.time, rng),
-            f0=Field(problem.grid, band_limited_spacetime(problem.grid, problem.time, rng, amp=0.5).values[0]),
-            vT=Field(problem.grid, band_limited_spacetime(problem.grid, problem.time, rng, amp=0.5).values[-1]),
-        )
+        rhs = random_bundle(problem, rng)
         pert, _ = solve_linearized_galerkin(problem, lam, state.pair, basis, rhs)
-        data = l2_time(rhs.h) + l2_time(rhs.g) + l2_space(rhs.f0) + l2_space(rhs.vT)
-        ratios.append(float(np.max(slice_l2_norms(pert))) / data)
+        ratios.append(float(np.max(slice_l2_norms(pert))) / data_norm(rhs))
     achieved = max(ratios)
     ok = np.isfinite(achieved) and achieved < 10.0
     report(6, "energy bound with one constant over 20 sources", ok,

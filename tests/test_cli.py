@@ -1,11 +1,22 @@
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from mfgcon.cli import main
 from mfgcon.continuation import HorizonError, solve_path
-from mfgcon.fileio import build_problem, load_config, read_field, write_field
+from mfgcon.fileio import (
+    _HEADER,
+    _MAGIC,
+    _VERSION,
+    build_problem,
+    load_config,
+    read_field,
+    write_field,
+)
+from mfgcon.grids import SpaceTimeField, TimeGrid
 
 TINY = """
 [problem]
@@ -113,9 +124,13 @@ REFERENCE_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "refere
         ("solve", "plots = false", "plots = false\ngalerkin_modes = -1", [], "galerkin_modes"),
         ("solve", "seed = 7", "seed = -3", [], "seed"),
         ("legendre", "", "", ["--seed", "-3"], "seed"),
+        ("solve", "t = 0.05", "t = nan", [], "problem T"),
+        ("solve", "t = 0.05", "t = inf", [], "problem T"),
+        ("solve", "alpha = 0.5", "alpha = nan", [], "alpha"),
+        ("solve", "v2 = arctan", "v2 = linear nan", [], "v2"),
     ],
     ids=["solver_range", "v2_coef", "galerkin_above_nyquist", "galerkin_negative",
-         "mc_seed", "cli_seed"],
+         "mc_seed", "cli_seed", "horizon_nan", "horizon_inf", "alpha_nan", "v2_nan"],
 )
 def test_config_errors_are_usage_errors(tmp_path, capsys, command, old, new, extra, keyword):
     text = open(REFERENCE_CFG).read()
@@ -210,6 +225,35 @@ def test_mc_on_nonpositive_density_is_usage_error(workdir, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("mc: ") and "slice 3, node 5" in err[0]
+
+
+def _field_with_bad_grid(path):
+    """A field file whose header has a valid checksum but describes a 3d grid."""
+    header = _HEADER.pack(_MAGIC, _VERSION, b"<", 3, 32, 16, 0.02, b"m".ljust(32, b"\0"))
+    blob = header + struct.pack("<I", zlib.crc32(header)) + bytes(8 * 17 * 32**3)
+    open(path, "wb").write(blob)
+
+
+@pytest.mark.parametrize("command", ["check", "mc"])
+@pytest.mark.parametrize("case", ["truncated", "three_dimensional", "density_time_grid"])
+def test_bad_field_files_are_usage_errors(workdir, tmp_path, capsys, command, case):
+    u_path = os.path.join(workdir["out"], "u.field")
+    m_path = os.path.join(workdir["out"], "m.field")
+    bad = str(tmp_path / "m.field")
+    if case == "truncated":
+        open(bad, "wb").write(open(m_path, "rb").read()[:-3])
+    elif case == "three_dimensional":
+        _field_with_bad_grid(bad)
+    else:  # a uniform density on 8 time steps; the config has n_t = 16
+        m, _ = read_field(m_path)
+        time = TimeGrid(m.time.horizon, 8)
+        write_field(bad, SpaceTimeField(m.grid, time, np.ones((9, m.grid.num_nodes))), "m")
+    capsys.readouterr()
+    code = main([command, "--config", workdir["cfg"], "--out", str(tmp_path / "o"),
+                 u_path, bad])
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{command}: ")
 
 
 def test_legendre_command(workdir):
