@@ -29,10 +29,7 @@ from .grids import (
     SpaceTimeField,
     TimeGrid,
     VectorField,
-    divergence,
-    gradient,
     integrate,
-    laplacian,
 )
 from .hamiltonians import (
     AssumptionReport,
@@ -40,6 +37,7 @@ from .hamiltonians import (
     LagrangianModel,
     SampleSpec,
     check_assumptions,
+    duality_table,
     legendre_transform,
 )
 from .linearized import (

@@ -3,7 +3,8 @@
 Exit codes partition outcomes: 0 success, 1 a verification check failed,
 2 the continuation left the tractable horizon (step underflow), 3 usage or
 config errors, command-line errors included (a missing option, an unknown
-flag or subcommand, ``--seed`` on a command that draws no samples).
+flag or subcommand, an option on a command that does not read it, such as
+``--seed`` on a command that draws no samples).
 ``--help`` exits 0.  The solve command emits one machine-parseable line per
 accepted homotopy step and never reports success without a residual
 certificate in the log.
@@ -12,6 +13,7 @@ certificate in the log.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -32,13 +34,8 @@ from .fileio import (
     write_report,
 )
 from .grids import PeriodicGrid
-from .hamiltonians import (
-    LegendreBoundaryError,
-    conjugate_radial,
-    growth_constants,
-    legendre_transform,
-)
-from .montecarlo import SDEConfig, l1_distance, sampling_l1_error, simulate_density
+from .hamiltonians import LegendreBoundaryError, duality_table
+from .montecarlo import l1_distance, sampling_l1_error, simulate_density
 from .system import LambdaData, NonpositiveDensityError, SolutionPair
 
 __all__ = ["main", "console_main"]
@@ -155,9 +152,7 @@ def _cmd_mc(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
     pair = _load_pair(args, problem)
-    mc_cfg = cfg.mc if args.seed is None else SDEConfig(
-        paths=cfg.mc.paths, seed=args.seed, substeps=cfg.mc.substeps
-    )
+    mc_cfg = cfg.mc if args.seed is None else dataclasses.replace(cfg.mc, seed=args.seed)
     lam_data = LambdaData.from_problem(problem, 0.0)
     try:
         empirical = simulate_density(problem, lam_data, pair, mc_cfg)
@@ -176,53 +171,17 @@ def _cmd_mc(args) -> int:
 
 def _cmd_legendre(args) -> int:
     cfg = load_config(args.config)
-    grid = PeriodicGrid(cfg.dim, cfg.points_per_dim)
-    lagr = lagrangian_from_config(cfg, grid)
-    rng = np.random.default_rng(0 if args.seed is None else args.seed)
-    n_samples = 100
-    idx = rng.integers(0, grid.num_nodes, n_samples)
-    v_mag = rng.uniform(0.0, 3.0, n_samples)
-    consts = growth_constants(lagr)
-    gamma = consts["gamma"]
-
-    worst_dev = 0.0
-    gp = lagr.gamma_prime
     try:
-        for i in range(n_samples):
-            x = int(idx[i])
-            profile = lagr.radial(x)
-            v = float(v_mag[i])
-            w = lagr.weight_at(x)
-            # the maximizing momentum for speed v has size w gp v (1+v^2)^(gp/2-1)
-            p_star = w * gp * v * (1.0 + v * v) ** (0.5 * gp - 1.0)
-            p_radius = 3.0 * p_star + 10.0
-
-            def dual(r, _w=w):
-                v_star = (r / (_w * gp)) ** (1.0 / (gp - 1.0)) if r > 0 else 0.0
-                return conjugate_radial(profile, r, 3.0 * v_star + 5.0, samples=129)
-
-            back = conjugate_radial(dual, v, p_radius, samples=129)
-            worst_dev = max(worst_dev, abs(back - profile(v)))
-
-        ratios = []
-        for p_mag in np.linspace(10.0, 100.0, 16):
-            x = int(rng.integers(0, grid.num_nodes))
-            v_star = (p_mag / (lagr.gamma_prime * lagr.weight_at(x))) ** (
-                1.0 / (lagr.gamma_prime - 1.0)
-            )
-            h_val = legendre_transform(lagr, x, [p_mag], v_radius=4.0 * v_star + 2.0)
-            ratios.append(h_val / (p_mag**gamma / gamma))
+        lagr = lagrangian_from_config(cfg, PeriodicGrid(cfg.dim, cfg.points_per_dim))
+    except ValueError as exc:  # a grid size or a weight the models reject
+        raise ConfigError(str(exc)) from exc
+    try:
+        table = duality_table(lagr, 0 if args.seed is None else args.seed)
     except LegendreBoundaryError as exc:
         print(f"legendre: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-
-    lo = 0.5 * consts["dual_lower_coef"]
-    hi = 2.0 * consts["dual_upper_coef"]
-    print(f"double_transform_max_deviation={worst_dev:.3e} (tol 1e-6)")
-    print(f"growth_ratio_range=[{min(ratios):.6f}, {max(ratios):.6f}] "
-          f"window=[{lo:.6f}, {hi:.6f}]")
-    ok = worst_dev <= 1e-6 and lo <= min(ratios) and max(ratios) <= hi
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    print("\n".join(table.lines()))
+    return EXIT_OK if table.passed else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:
@@ -232,23 +191,27 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_fields=False, with_seed=False):
+    # each command registers only the options it reads
+    def common(p, with_out=True, with_fields=False, with_seed=False, with_verbose=False):
         p.add_argument("--config", required=True, help="path to the run config")
-        p.add_argument("--out", default="out", help="output directory")
+        if with_out:
+            p.add_argument("--out", default="out", help="output directory")
         if with_seed:
             p.add_argument("--seed", type=int, default=None, help="override the sampling seed")
-        p.add_argument("--verbose", action="store_true")
+        if with_verbose:
+            p.add_argument("--verbose", action="store_true")
         if with_fields:
             p.add_argument("u_file", help="stored value-function field")
             p.add_argument("m_file", help="stored density field")
 
-    common(sub.add_parser("solve", help="run the homotopy solve and the estimate suite"))
+    common(sub.add_parser("solve", help="run the homotopy solve and the estimate suite"),
+           with_verbose=True)
     common(sub.add_parser("check", help="re-run the estimate suite on stored fields"),
            with_fields=True)
     common(sub.add_parser("mc", help="particle validation of a stored solution"),
            with_fields=True, with_seed=True)
     common(sub.add_parser("legendre", help="duality and growth table for the running cost"),
-           with_seed=True)
+           with_out=False, with_seed=True)
 
     try:
         args = parser.parse_args(argv)

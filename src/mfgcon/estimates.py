@@ -13,13 +13,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grids import (
-    Field,
-    SpaceTimeField,
-    _grad_stack,
-    fourier_interpolate,
-    integrate,
-)
+from .grids import _grad_stack, fourier_interpolate
+from .hamiltonians import uniqueness_terms
 from .system import LambdaData, MFGProblem, SolutionPair, _congestion_stack
 
 __all__ = [
@@ -111,18 +106,10 @@ class DerivedExponents:
 
 def _refined_pair(pair: SolutionPair) -> SolutionPair:
     """Resample both unknowns on a grid with twice the resolution."""
-    grid = pair.u.grid
-    n_fine = 2 * grid.points_per_dim
-    time = pair.u.time
-
-    def refine(stf: SpaceTimeField) -> SpaceTimeField:
-        fields = [
-            fourier_interpolate(Field(grid, stf.values[j]), n_fine)
-            for j in range(time.num_slices)
-        ]
-        return SpaceTimeField(fields[0].grid, time, np.stack([f.values for f in fields]))
-
-    return SolutionPair(u=refine(pair.u), m=refine(pair.m))
+    n_fine = 2 * pair.u.grid.points_per_dim
+    return SolutionPair(
+        u=fourier_interpolate(pair.u, n_fine), m=fourier_interpolate(pair.m, n_fine)
+    )
 
 
 def _stable(coarse: float, fine: float, tiny: float = 1e-13) -> bool:
@@ -135,9 +122,7 @@ def _stable(coarse: float, fine: float, tiny: float = 1e-13) -> bool:
 
 def check_mass(pair: SolutionPair) -> CheckRecord:
     """Unit mass of every density slice, to 1e-10."""
-    masses = np.array(
-        [integrate(pair.m.slice(n)) for n in range(pair.m.time.num_slices)]
-    )
+    masses = np.sum(pair.m.values, axis=1) * pair.m.grid.cell_volume
     dev = np.abs(masses - 1.0)
     worst = int(np.argmax(dev))
     return CheckRecord(
@@ -276,39 +261,30 @@ def check_uniqueness_integrand(
     (ii)  smallest eigenvalue of D2H at (x, Q) positive,
     (iii) dV/dz along the candidate densities positive.
     The power family has H(x, 0) > 0, so (i) is centered at the
-    zero-momentum value; the raw minimum is reported alongside.
+    zero-momentum value; the raw minimum is reported alongside.  Q is formed
+    with the floored density, so a nonpositive sample is reported by
+    :func:`check_inverse_m` rather than raised here.
     """
-    grid = pair.u.grid
     alpha = problem.alpha
     ham = lam_data.hamiltonian
-    du = _grad_stack(pair.u.values, grid)
+    du = _grad_stack(pair.u.values, pair.u.grid)
     m = pair.m.values
     q = _congestion_stack(du, m, alpha, problem.m_floor)
     qn = np.sqrt(np.sum(q * q, axis=0))
-    h = ham.value(q)
-    h0 = ham.value(np.zeros_like(q))
-    q_dot_dp = np.sum(q * ham.grad(q), axis=0)
-    a_c, b_c = ham.hess_coeffs(q)
-    q_hess_q = (a_c + b_c * qn**2) * qn**2
-    centered = q_dot_dp - h + h0 - 0.25 * alpha * q_hess_q
-    raw = q_dot_dp - h - 0.25 * alpha * q_hess_q
+    terms = uniqueness_terms(ham, q, alpha)
     mask = qn > 1e-7
     if np.any(mask):
-        min_centered = float(np.min(centered[mask]))
-        raw_min = float(np.min(raw[mask]))
-        k = int(np.argmin(np.where(mask, centered, np.inf)))
+        min_centered = float(np.min(terms.centered[mask]))
+        raw_min = float(np.min(terms.raw[mask]))
+        k = int(np.argmin(np.where(mask, terms.centered, np.inf)))
         ns, nn = divmod(k, m.shape[1])
         location = {"slice": int(ns), "node": int(nn), "|Q|": float(qn[ns, nn])}
     else:
         min_centered, raw_min, location = float("inf"), float("inf"), None
-    eig_min, _ = ham.hess_eig_bounds(q)
+    eig_min = float(np.min(terms.eig_min))
     dv = lam_data.potential_dz(m)
     gamma = ham.gamma
-    ok = (
-        min_centered >= -1e-12
-        and float(np.min(eig_min)) > 0.0
-        and float(np.min(dv)) > 0.0
-    )
+    ok = min_centered >= -1e-12 and eig_min > 0.0 and float(np.min(dv)) > 0.0
     return CheckRecord(
         name="uniqueness_integrand",
         criterion="three uniqueness summands nonnegative at every node and slice",
@@ -316,7 +292,7 @@ def check_uniqueness_integrand(
         values={
             "centered_min": min_centered,
             "raw_min": raw_min,
-            "hessian_eig_min": float(np.min(eig_min)),
+            "hessian_eig_min": eig_min,
             "coupling_dz_min": float(np.min(dv)),
             "alpha_bound_margin": 4.0 / gamma - alpha,
         },

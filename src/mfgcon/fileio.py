@@ -142,6 +142,28 @@ def _get(section, key, cast, default=None, positive=False, name=""):
     return val
 
 
+# Keys of [solver] and [mc] with their type and whether they must be
+# positive.  An absent key keeps the SolverConfig or SDEConfig default.
+_SOLVER_KEYS = {
+    "newton_tol": (float, True),
+    "newton_max_iters": (int, True),
+    "dlambda_init": (float, True),
+    "dlambda_min": (float, True),
+    "dlambda_max": (float, True),
+    "m_positivity_margin": (float, True),
+}
+_MC_KEYS = {"paths": (int, True), "seed": (int, False), "substeps": (int, True)}
+
+
+def _present(section, keys: dict) -> dict:
+    """The keys ``section`` sets, cast and checked."""
+    return {
+        key: _get(section, key, cast, positive=positive)
+        for key, (cast, positive) in keys.items()
+        if key in section
+    }
+
+
 def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -182,21 +204,8 @@ def load_config(path: str) -> RunConfig:
     solver_sec = parser["solver"] if "solver" in parser else {}
     mc_sec = parser["mc"] if "mc" in parser else {}
     try:
-        solver = SolverConfig(
-            newton_tol=_get(solver_sec, "newton_tol", float, default=1e-10, positive=True),
-            newton_max_iters=_get(solver_sec, "newton_max_iters", int, default=12, positive=True),
-            dlambda_init=_get(solver_sec, "dlambda_init", float, default=0.1, positive=True),
-            dlambda_min=_get(solver_sec, "dlambda_min", float, default=1e-4, positive=True),
-            dlambda_max=_get(solver_sec, "dlambda_max", float, default=0.25, positive=True),
-            m_positivity_margin=_get(
-                solver_sec, "m_positivity_margin", float, default=1e-6, positive=True
-            ),
-        )
-        mc = SDEConfig(
-            paths=_get(mc_sec, "paths", int, default=100_000, positive=True),
-            seed=_get(mc_sec, "seed", int, default=0),
-            substeps=_get(mc_sec, "substeps", int, default=1, positive=True),
-        )
+        solver = SolverConfig(**_present(solver_sec, _SOLVER_KEYS))
+        mc = SDEConfig(**_present(mc_sec, _MC_KEYS))
     except ValueError as exc:  # a range SolverConfig or SDEConfig rejects
         raise ConfigError(str(exc)) from exc
     out_sec = parser["output"] if "output" in parser else {}

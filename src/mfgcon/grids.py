@@ -20,7 +20,7 @@ row-major node order; shaped views are taken internally for the FFTs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -31,9 +31,6 @@ __all__ = [
     "Field",
     "VectorField",
     "SpaceTimeField",
-    "gradient",
-    "divergence",
-    "laplacian",
     "integrate",
     "fourier_interpolate",
 ]
@@ -236,16 +233,6 @@ def _grad_stack(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return _irfft_stack(_apply_symbols(ideriv, _rfft_stack(values, grid)), grid)
 
 
-def _div_stack(comps: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Divergence of a (d, ..., N**d) stack, returned as (..., N**d)."""
-    return _irfft_stack(_div_spectrum(_rfft_stack(comps, grid), grid), grid)
-
-
-def _lap_stack(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    _, ksq = _spectra(grid.dim, grid.points_per_dim)
-    return _irfft_stack(-ksq * _rfft_stack(values, grid), grid)
-
-
 def _grad_lap_stack(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Gradient and Laplacian of a (..., N**d) stack from one forward transform.
 
@@ -269,32 +256,9 @@ def _div_lap_stack(stack: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return _irfft_stack(acc, grid)
 
 
-def _require_finite(values: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"non-finite values in {what}")
-
-
 # ---------------------------------------------------------------------------
 # public operators
 # ---------------------------------------------------------------------------
-
-
-def gradient(f: Field) -> VectorField:
-    """Spectral gradient; exact on band-limited fields."""
-    _require_finite(f.values, "gradient input")
-    return VectorField(f.grid, _grad_stack(f.values, f.grid))
-
-
-def divergence(F: VectorField) -> Field:
-    """Spectral divergence, the negative adjoint of :func:`gradient`."""
-    _require_finite(F.values, "divergence input")
-    return Field(F.grid, _div_stack(F.values, F.grid))
-
-
-def laplacian(f: Field) -> Field:
-    """Spectral Laplacian; equals divergence(gradient(f)) on resolved modes."""
-    _require_finite(f.values, "laplacian input")
-    return Field(f.grid, _lap_stack(f.values, f.grid))
 
 
 def integrate(f: Field) -> float:
@@ -302,41 +266,32 @@ def integrate(f: Field) -> float:
     return float(np.sum(f.values) * f.grid.cell_volume)
 
 
-def _pad_spectrum_axis(spec: np.ndarray, axis: int, n_old: int, n_new: int) -> np.ndarray:
-    """Zero-pad one FFT axis from n_old to n_new, splitting the Nyquist bin."""
-    shape = list(spec.shape)
-    shape[axis] = n_new
-    out = np.zeros(shape, dtype=complex)
-    half = n_old // 2
+def fourier_interpolate(f, points_per_dim: int):
+    """Resample a field, or a stack of them, onto a finer grid by zero-padding.
 
-    def sl(a, b):
-        idx = [slice(None)] * spec.ndim
-        idx[axis] = slice(a, b)
-        return tuple(idx)
-
-    def at(i):
-        idx = [slice(None)] * spec.ndim
-        idx[axis] = i
-        return tuple(idx)
-
-    out[sl(0, half)] = spec[sl(0, half)]
-    out[sl(n_new - half + 1, n_new)] = spec[sl(half + 1, n_old)]
-    out[at(half)] = 0.5 * spec[at(half)]
-    out[at(n_new - half)] = 0.5 * spec[at(half)]
-    return out
-
-
-def fourier_interpolate(f: Field, points_per_dim: int) -> Field:
-    """Resample onto a finer grid by zero-padding the spectrum."""
-    n_old = f.grid.points_per_dim
-    if points_per_dim < n_old:
+    ``f`` is a :class:`Field` or a :class:`SpaceTimeField`; the result has
+    the same type on the grid with ``points_per_dim`` nodes per axis.  The
+    whole stack goes through one rfftn and one irfftn.  Each axis's Nyquist
+    coefficient is split evenly between the frequencies +N/2 and -N/2 of the
+    finer grid; on the half-spectrum axis the -N/2 twin is the implicit
+    conjugate.
+    """
+    grid = f.grid
+    n = grid.points_per_dim
+    if points_per_dim < n:
         raise ValueError("target grid must be at least as fine")
-    if points_per_dim == n_old:
+    if points_per_dim == n:
         return f.copy()
-    fine = PeriodicGrid(f.grid.dim, points_per_dim)
-    spec = np.fft.fftn(f.shaped())
-    for axis in range(f.grid.dim):
-        spec = _pad_spectrum_axis(spec, axis, n_old, points_per_dim)
-    scale = fine.num_nodes / f.grid.num_nodes
-    out = np.fft.ifftn(spec).real * scale
-    return Field(fine, out.ravel())
+    fine = PeriodicGrid(grid.dim, points_per_dim)
+    half = n // 2
+    spec = _rfft_stack(f.values, grid)
+    if grid.dim == 2:  # the full axis keeps both signs of frequency
+        nyquist = 0.5 * spec[..., half : half + 1, :]
+        gap = np.zeros(spec.shape[:-2] + (points_per_dim - n - 1, spec.shape[-1]), complex)
+        spec = np.concatenate(
+            [spec[..., :half, :], nyquist, gap, nyquist, spec[..., half + 1 :, :]], axis=-2
+        )
+    spec = np.pad(spec, [(0, 0)] * (spec.ndim - 1) + [(0, points_per_dim // 2 - half)])
+    spec[..., half] *= 0.5
+    scale = fine.num_nodes / grid.num_nodes
+    return replace(f, grid=fine, values=_irfft_stack(spec, fine) * scale)

@@ -11,8 +11,10 @@ and its convex blend toward the unit-weight power Hamiltonian,
 which is the homotopy family the continuation solver marches through.  The
 blend is the same power model with weight (1 - lam) c(x) + lam.  A
 brute-force convex-duality oracle for Lagrangians a(x) (1 + |v|^2)^(gamma'/2)
-is provided for testing duality and growth; the structural hypotheses behind
-existence and uniqueness are verified by sampling.
+(:func:`duality_table`) checks duality and growth; the structural hypotheses
+behind existence and uniqueness are verified by sampling, and the uniqueness
+inequality has one evaluator (:func:`uniqueness_terms`) shared with the
+estimate suite.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ __all__ = [
     "legendre_transform",
     "conjugate_radial",
     "growth_constants",
+    "DualityTable",
+    "duality_table",
+    "UniquenessTerms",
+    "uniqueness_terms",
     "SampleSpec",
     "AssumptionRecord",
     "AssumptionReport",
@@ -66,13 +72,6 @@ class HamiltonianModel:
     def gamma_prime(self) -> float:
         return self.gamma / (self.gamma - 1.0)
 
-    # -- weight handling ---------------------------------------------------
-
-    def _w(self, x_index):
-        if np.ndim(self.weight) == 0:
-            return self.weight
-        return self.weight if x_index is None else np.asarray(self.weight)[x_index]
-
     def weight_bounds(self) -> tuple[float, float]:
         """Range of the zero-momentum value H(x, 0)."""
         w = np.asarray(self.weight)
@@ -80,33 +79,22 @@ class HamiltonianModel:
 
     # -- evaluation (p has shape (d, ...); weight broadcasts on ...) -------
 
-    def value(self, p: np.ndarray, x_index=None) -> np.ndarray:
+    def value(self, p: np.ndarray) -> np.ndarray:
         s = np.sum(np.square(p), axis=0)
-        return self._w(x_index) * (1.0 + s) ** (0.5 * self.gamma)
+        return self.weight * (1.0 + s) ** (0.5 * self.gamma)
 
-    def grad(self, p: np.ndarray, x_index=None) -> np.ndarray:
+    def grad(self, p: np.ndarray) -> np.ndarray:
         s = np.sum(np.square(p), axis=0)
-        coef = self._w(x_index) * self.gamma * (1.0 + s) ** (0.5 * self.gamma - 1.0)
+        coef = self.weight * self.gamma * (1.0 + s) ** (0.5 * self.gamma - 1.0)
         return coef * p
 
-    def hess_coeffs(self, p: np.ndarray, x_index=None) -> tuple[np.ndarray, np.ndarray]:
+    def hess_coeffs(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients (a, b) of the Hessian a*I + b*(p otimes p)."""
         s = np.sum(np.square(p), axis=0)
-        w = self._w(x_index)
+        w = self.weight
         a = w * self.gamma * (1.0 + s) ** (0.5 * self.gamma - 1.0)
         b = w * self.gamma * (self.gamma - 2.0) * (1.0 + s) ** (0.5 * self.gamma - 2.0)
         return a, b
-
-    def hess_eig_bounds(self, p: np.ndarray, x_index=None) -> tuple[np.ndarray, np.ndarray]:
-        """Pointwise (min, max) eigenvalue of the Hessian.
-
-        Eigenvalues are a (tangential, multiplicity d-1) and a + b|p|^2
-        (radial); b <= 0 for subquadratic growth so the radial one is least.
-        """
-        a, b = self.hess_coeffs(p, x_index)
-        s = np.sum(np.square(p), axis=0)
-        radial = a + b * s
-        return np.minimum(a, radial), np.maximum(a, radial)
 
 
 @dataclass(frozen=True)
@@ -133,14 +121,13 @@ class LagrangianModel:
             return float(self.weight)
         return float(np.asarray(self.weight)[x_index])
 
-    def value(self, v: np.ndarray, x_index=None) -> np.ndarray:
+    def value(self, v: np.ndarray) -> np.ndarray:
         s = np.sum(np.square(np.asarray(v, dtype=float)), axis=0)
-        w = self.weight if x_index is None else self.weight_at(x_index)
-        return w * (1.0 + s) ** (0.5 * self.gamma_prime)
+        return self.weight * (1.0 + s) ** (0.5 * self.gamma_prime)
 
     def radial(self, x_index):
         """Scalar profile t -> L(x, t e) along any direction (isotropy)."""
-        w = self.weight_at(x_index) if np.ndim(self.weight) else float(self.weight)
+        w = self.weight_at(x_index)
         s = self.gamma_prime
         return lambda t: w * (1.0 + t * t) ** (0.5 * s)
 
@@ -219,6 +206,107 @@ def growth_constants(lagrangian: LagrangianModel) -> dict[str, float]:
     }
 
 
+@dataclass(frozen=True)
+class DualityTable:
+    """What :func:`duality_table` measured, with its pass rule and its text."""
+
+    max_deviation: float                # worst |L** - L| over the sampled speeds
+    ratio_range: tuple[float, float]    # H0 / (|p|^gamma / gamma) over the momenta
+    window: tuple[float, float]         # envelope the ratios must stay in
+
+    @property
+    def passed(self) -> bool:
+        lo, hi = self.ratio_range
+        return self.max_deviation <= 1e-6 and self.window[0] <= lo and hi <= self.window[1]
+
+    def lines(self) -> list[str]:
+        return [
+            f"double_transform_max_deviation={self.max_deviation:.3e} (tol 1e-6)",
+            f"growth_ratio_range=[{self.ratio_range[0]:.6f}, {self.ratio_range[1]:.6f}] "
+            f"window=[{self.window[0]:.6f}, {self.window[1]:.6f}]",
+        ]
+
+
+def duality_table(lagrangian: LagrangianModel, seed: int) -> DualityTable:
+    """Brute-force convex-duality oracle for the running cost.
+
+    Draws 100 (node, speed) pairs with ``seed`` and transforms L twice,
+    L -> H0 -> L**, which must give L back.  Then it compares H0 at 16
+    momenta in [10, 100], each at a drawn node, with |p|^gamma / gamma; the
+    ratios must lie in [C1 / 2, 2 C2] for the envelope constants of
+    :func:`growth_constants`.  Raises :class:`LegendreBoundaryError` when a
+    search radius was too small.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = np.size(lagrangian.weight)
+    idx = rng.integers(0, nodes, 100)
+    speeds = rng.uniform(0.0, 3.0, 100)
+    gp = lagrangian.gamma_prime
+    worst = 0.0
+    for x, v in zip(idx, speeds):
+        profile = lagrangian.radial(int(x))
+        w = lagrangian.weight_at(int(x))
+        v = float(v)
+        # the maximizing momentum for speed v has size w gp v (1+v^2)^(gp/2-1)
+        p_star = w * gp * v * (1.0 + v * v) ** (0.5 * gp - 1.0)
+
+        def dual(r):
+            v_star = (r / (w * gp)) ** (1.0 / (gp - 1.0)) if r > 0 else 0.0
+            return conjugate_radial(profile, r, 3.0 * v_star + 5.0, samples=129)
+
+        back = conjugate_radial(dual, v, 3.0 * p_star + 10.0, samples=129)
+        worst = max(worst, abs(back - profile(v)))
+
+    consts = growth_constants(lagrangian)
+    g = consts["gamma"]
+    ratios = []
+    for p_mag in np.linspace(10.0, 100.0, 16):
+        x = int(rng.integers(0, nodes))
+        v_star = (p_mag / (gp * lagrangian.weight_at(x))) ** (1.0 / (gp - 1.0))
+        h_val = legendre_transform(lagrangian, x, [p_mag], v_radius=4.0 * v_star + 2.0)
+        ratios.append(h_val / (p_mag**g / g))
+    return DualityTable(
+        max_deviation=worst,
+        ratio_range=(float(min(ratios)), float(max(ratios))),
+        window=(0.5 * consts["dual_lower_coef"], 2.0 * consts["dual_upper_coef"]),
+    )
+
+
+@dataclass(frozen=True)
+class UniquenessTerms:
+    """The uniqueness inequality at a stack of momenta, entry by entry."""
+
+    support: np.ndarray     # p.DpH - H + H(x,0), >= 0 by convexity
+    coercive: np.ndarray    # p.DpH - H
+    centered: np.ndarray    # support - (alpha/4) p.D2H.p
+    raw: np.ndarray         # coercive - (alpha/4) p.D2H.p
+    eig_min: np.ndarray     # smallest eigenvalue of D2H
+
+
+def uniqueness_terms(model: HamiltonianModel, p: np.ndarray, alpha: float) -> UniquenessTerms:
+    """Both forms of p.DpH - H (+ H(x,0)) > (alpha/4) p.D2H.p at momenta p.
+
+    The power family has H(x, 0) > 0, so the raw form is negative near
+    p = 0 for any alpha; centering at the zero-momentum value isolates the
+    coercive structure whose sign matches the alpha < 4/gamma certificate.
+    The Hessian a I + b p (x) p has the eigenvalues a (tangential) and
+    a + b |p|^2 (radial); b <= 0 for subquadratic growth.
+    """
+    s = np.sum(np.square(p), axis=0)
+    coercive = np.sum(p * model.grad(p), axis=0) - model.value(p)
+    support = coercive + model.value(np.zeros_like(p))
+    a, b = model.hess_coeffs(p)
+    radial = a + b * s
+    curvature = 0.25 * alpha * (radial * s)
+    return UniquenessTerms(
+        support=support,
+        coercive=coercive,
+        centered=support - curvature,
+        raw=coercive - curvature,
+        eig_min=np.minimum(a, radial),
+    )
+
+
 # ---------------------------------------------------------------------------
 # sampled verification of the structural hypotheses
 # ---------------------------------------------------------------------------
@@ -258,6 +346,7 @@ class AssumptionReport:
 
 
 def _sample_momenta(model: HamiltonianModel, dim: int, spec: SampleSpec):
+    """Momenta in the ball, and the model with the weight of each sample's node."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n_momenta
     direc = rng.normal(size=(dim, n))
@@ -265,8 +354,10 @@ def _sample_momenta(model: HamiltonianModel, dim: int, spec: SampleSpec):
     # log-uniform radii cover both the small and the coercive regime
     radii = np.exp(rng.uniform(np.log(max(spec.p_floor, 1e-3)), np.log(spec.p_radius), n))
     p = direc * radii
-    idx = None if np.ndim(model.weight) == 0 else rng.integers(0, model.weight.size, size=n)
-    return p, idx
+    if np.ndim(model.weight) == 0:
+        return p, None, model
+    idx = rng.integers(0, model.weight.size, size=n)
+    return p, idx, HamiltonianModel(model.gamma, model.weight[idx])
 
 
 def check_assumptions(
@@ -285,15 +376,9 @@ def check_assumptions(
     """
     if spec.n_momenta < 1:
         raise ValueError("empty sample set")
-    p, idx = _sample_momenta(model, dim, spec)
+    p, idx, sampled = _sample_momenta(model, dim, spec)
     pn = np.linalg.norm(p, axis=0)
-    h = model.value(p, idx)
-    h0 = model.value(np.zeros_like(p), idx)
-    dp = model.grad(p, idx)
-    p_dot_dp = np.sum(p * dp, axis=0)
-    eig_min, _ = model.hess_eig_bounds(p, idx)
-    a_c, b_c = model.hess_coeffs(p, idx)
-    p_hess_p = (a_c + b_c * pn**2) * pn**2
+    terms = uniqueness_terms(sampled, p, alpha)
     w_min, w_max = model.weight_bounds()
     g = model.gamma
     tol = 1e-10
@@ -304,7 +389,7 @@ def check_assumptions(
 
     records: dict[str, AssumptionRecord] = {}
 
-    vals = h0 - (h - p_dot_dp)
+    vals = terms.support
     records["zero_momentum_support"] = AssumptionRecord(
         name="zero_momentum_support",
         criterion="H(x,p) - p.DpH(x,p) <= H(x,0) (convexity support inequality)",
@@ -315,7 +400,7 @@ def check_assumptions(
 
     c_coer = w_min * (g - 1.0) * 2.0 ** (0.5 * g - 1.0)
     big_c = c_coer + w_max
-    vals = p_dot_dp - h - (c_coer * pn**g - big_c)
+    vals = terms.coercive - (c_coer * pn**g - big_c)
     records["coercivity"] = AssumptionRecord(
         name="coercivity",
         criterion="p.DpH - H >= c |p|^gamma - C",
@@ -326,7 +411,7 @@ def check_assumptions(
     )
 
     c_grow = w_max * g
-    vals = c_grow * (pn ** (g - 1.0) + 1.0) - np.linalg.norm(dp, axis=0)
+    vals = c_grow * (pn ** (g - 1.0) + 1.0) - np.linalg.norm(sampled.grad(p), axis=0)
     records["gradient_growth"] = AssumptionRecord(
         name="gradient_growth",
         criterion="|DpH| <= C |p|^(gamma-1) + C",
@@ -365,18 +450,14 @@ def check_assumptions(
     records["strict_convexity"] = AssumptionRecord(
         name="strict_convexity",
         criterion="smallest eigenvalue of D^2_pp H positive on the sample",
-        passed=bool(np.min(eig_min) > 0.0),
-        margin=float(np.min(eig_min)),
-        worst=worst_at(eig_min),
+        passed=bool(np.min(terms.eig_min) > 0.0),
+        margin=float(np.min(terms.eig_min)),
+        worst=worst_at(terms.eig_min),
     )
 
-    # Uniqueness inequality, centered at the zero-momentum value: the power
-    # family has H(x,0) > 0, so the raw form is negative near p = 0 for any
-    # alpha; centering isolates the coercive structure whose sign matches
-    # the alpha < 4/gamma certificate.  The raw minimum is reported too.
+    # the centered form decides; the raw minimum is reported too
     mask = pn >= spec.p_floor
-    centered = (p_dot_dp - h + h0 - 0.25 * alpha * p_hess_p)[mask]
-    raw = (p_dot_dp - h - 0.25 * alpha * p_hess_p)[mask]
+    centered, raw = terms.centered[mask], terms.raw[mask]
     jmask = np.argmin(centered)
     records["uniqueness_inequality"] = AssumptionRecord(
         name="uniqueness_inequality",
@@ -412,14 +493,12 @@ def check_assumptions(
 def _lagrangian_records(lagrangian: LagrangianModel, dim: int, spec: SampleSpec):
     rng = np.random.default_rng(spec.seed + 1)
     v = rng.normal(size=(dim, spec.n_momenta)) * rng.uniform(0.0, spec.p_radius, spec.n_momenta)
-    if np.ndim(lagrangian.weight) == 0:
-        idx = None
-    else:
-        idx = rng.integers(0, np.asarray(lagrangian.weight).size, size=spec.n_momenta)
-    lvals = lagrangian.value(v, idx)
+    w = lagrangian.weight
+    if np.ndim(w):
+        w = w[rng.integers(0, w.size, size=spec.n_momenta)]
+    lvals = LagrangianModel(lagrangian.gamma_prime, w).value(v)
     s = np.sum(v * v, axis=0)
     gp = lagrangian.gamma_prime
-    w = lagrangian.weight if idx is None else np.asarray(lagrangian.weight)[idx]
 
     # Hessian of w (1+s)^(gp/2): radial eigenvalue is the smallest one only
     # if gp < 2, so for superquadratic growth the tangential one is minimal.

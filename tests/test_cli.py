@@ -39,6 +39,27 @@ l1_tol = 0.08
 """
 
 
+FLAT2D = """
+[problem]
+d = 2
+n = 8
+n_t = 6
+t = 0.02
+gamma = 1.5
+alpha = 0.5
+b_x = 0.1*sin(1)
+b_y = 0.05*sin(0,1)
+v1 = 0.05*cos(1,1)
+v2 = arctan
+psi = 0.05*cos(1)
+m0 = 1 + 0.2*cos(1) + 0.1*cos(0,1)
+
+[solver]
+dlambda_init = 0.25
+dlambda_max = 0.25
+"""
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -128,9 +149,12 @@ REFERENCE_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "refere
         ("solve", "t = 0.05", "t = inf", [], "problem T"),
         ("solve", "alpha = 0.5", "alpha = nan", [], "alpha"),
         ("solve", "v2 = arctan", "v2 = linear nan", [], "v2"),
+        ("legendre", "n = 64", "n = 48", [], "power of two"),
+        ("legendre", "weight = 1", "weight = 1 + -2.0*cos(1)", [], "weight"),
     ],
     ids=["solver_range", "v2_coef", "galerkin_above_nyquist", "galerkin_negative",
-         "mc_seed", "cli_seed", "horizon_nan", "horizon_inf", "alpha_nan", "v2_nan"],
+         "mc_seed", "cli_seed", "horizon_nan", "horizon_inf", "alpha_nan", "v2_nan",
+         "legendre_grid", "legendre_weight"],
 )
 def test_config_errors_are_usage_errors(tmp_path, capsys, command, old, new, extra, keyword):
     text = open(REFERENCE_CFG).read()
@@ -138,7 +162,8 @@ def test_config_errors_are_usage_errors(tmp_path, capsys, command, old, new, ext
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text.replace(old, new, 1))
     out = tmp_path / "o"
-    code = main([command, "--config", str(cfg), "--out", str(out)] + extra)
+    out_arg = [] if command == "legendre" else ["--out", str(out)]
+    code = main([command, "--config", str(cfg)] + out_arg + extra)
     assert code == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
@@ -155,9 +180,11 @@ def test_config_errors_are_usage_errors(tmp_path, capsys, command, old, new, ext
         ["frobnicate", "--config", "{cfg}"],
         ["solve", "--config", "{cfg}", "--out", "{out}", "--seed", "5"],
         ["check", "--config", "{cfg}", "--out", "{out}", "--seed", "5", "u.field", "m.field"],
+        ["check", "--config", "{cfg}", "--out", "{out}", "--verbose", "u.field", "m.field"],
+        ["legendre", "--config", "{cfg}", "--out", "{out}"],
     ],
     ids=["no_command", "missing_config", "unknown_flag", "unknown_command",
-         "solve_seed", "check_seed"],
+         "solve_seed", "check_seed", "check_verbose", "legendre_out"],
 )
 def test_command_line_errors_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -177,10 +204,14 @@ def test_top_level_help_exits_zero(capsys):
     "command, reads_seed", [("solve", False), ("check", False), ("mc", True), ("legendre", True)]
 )
 def test_help_exits_zero_and_lists_seed_where_read(capsys, command, reads_seed):
+    # each command lists exactly the options it reads
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
-    assert ("--seed" in capsys.readouterr().out) == reads_seed
+    listed = capsys.readouterr().out
+    assert ("--seed" in listed) == reads_seed
+    assert ("--out" in listed) == (command != "legendre")  # legendre writes nothing
+    assert ("--verbose" in listed) == (command == "solve")
 
 
 def test_mc_command(workdir):
@@ -256,9 +287,46 @@ def test_bad_field_files_are_usage_errors(workdir, tmp_path, capsys, command, ca
     assert len(err) == 1 and err[0].startswith(f"{command}: ")
 
 
-def test_legendre_command(workdir):
+def test_legendre_command(workdir, capsys):
     code = main(["legendre", "--config", workdir["cfg"]])
     assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("double_transform_max_deviation=")
+    assert lines[1].startswith("growth_ratio_range=")
+
+
+def test_check_reports_nonpositive_density_as_a_failed_check(workdir, tmp_path, capsys):
+    out = workdir["out"]
+    m, _ = read_field(os.path.join(out, "m.field"))
+    m.values[3, 5] = -0.1
+    bad = str(tmp_path / "m.field")
+    write_field(bad, m, "m")
+    capsys.readouterr()
+    code = main([
+        "check", "--config", workdir["cfg"], "--out", str(tmp_path / "chk"),
+        os.path.join(out, "u.field"), bad,
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "inverse_density: FAIL" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("text", [TINY, FLAT2D], ids=["d1", "d2"])
+def test_solve_and_check_make_no_complex_fft(tmp_path, monkeypatch, text):
+    # every spectral step works on the real half spectrum
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex FFT called")
+
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    fields = [str(out / "u.field"), str(out / "m.field")]
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "chk")] + fields) == 0
 
 
 def test_galerkin_spectrum_dump(tmp_path):
@@ -274,29 +342,7 @@ def test_galerkin_spectrum_dump(tmp_path):
 
 def test_two_dimensional_config_solve(tmp_path):
     cfg = tmp_path / "flat2d.cfg"
-    cfg.write_text(
-        "\n".join(
-            [
-                "[problem]",
-                "d = 2",
-                "n = 8",
-                "n_t = 6",
-                "t = 0.02",
-                "gamma = 1.5",
-                "alpha = 0.5",
-                "b_x = 0.1*sin(1)",
-                "b_y = 0.05*sin(0,1)",
-                "v1 = 0.05*cos(1,1)",
-                "v2 = arctan",
-                "psi = 0.05*cos(1)",
-                "m0 = 1 + 0.2*cos(1) + 0.1*cos(0,1)",
-                "",
-                "[solver]",
-                "dlambda_init = 0.25",
-                "dlambda_max = 0.25",
-            ]
-        )
-    )
+    cfg.write_text(FLAT2D)
     out = tmp_path / "o2d"
     code = main(["solve", "--config", str(cfg), "--out", str(out)])
     assert code == 0

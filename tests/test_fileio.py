@@ -14,7 +14,9 @@ from mfgcon.fileio import (
     write_plot_columns,
     write_report,
 )
+from mfgcon.continuation import SolverConfig
 from mfgcon.estimates import CheckRecord, EstimateReport
+from mfgcon.montecarlo import SDEConfig
 from mfgcon.grids import PeriodicGrid, SpaceTimeField, TimeGrid, integrate
 
 REFERENCE = """
@@ -84,6 +86,21 @@ def test_config_errors(tmp_path):
     bad_m0 = REFERENCE.replace("m0 = 1 + 0.2*cos(1)", "m0 = 0.1 + 2.0*cos(1)")
     with pytest.raises(ConfigError, match="m0"):
         build_problem(load_config(write_cfg(tmp_path, bad_m0, "c.cfg")))
+
+
+def test_empty_solver_and_mc_sections_keep_the_defaults(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, REFERENCE + "\n[solver]\n\n[mc]\n"))
+    assert cfg.solver == SolverConfig()
+    assert cfg.mc == SDEConfig()
+    cfg = load_config(write_cfg(tmp_path, REFERENCE + "\n[solver]\nnewton_max_iters = 7\n", "k.cfg"))
+    assert cfg.solver == SolverConfig(newton_max_iters=7)
+    # a key that is present is still checked
+    for section, line in [("solver", "newton_max_iters = 0"), ("solver", "newton_tol = inf"),
+                          ("mc", "paths = -5"), ("mc", "substeps = 1.5")]:
+        key = line.split()[0]
+        text = REFERENCE + f"\n[{section}]\n{line}\n"
+        with pytest.raises(ConfigError, match=key):
+            load_config(write_cfg(tmp_path, text, f"{key}.cfg"))
 
 
 def test_field_file_round_trip(tmp_path):

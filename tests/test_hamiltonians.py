@@ -9,8 +9,10 @@ from mfgcon.hamiltonians import (
     SampleSpec,
     check_assumptions,
     conjugate_radial,
+    duality_table,
     growth_constants,
     legendre_transform,
+    uniqueness_terms,
 )
 
 GAMMA = 1.5
@@ -115,7 +117,7 @@ def test_hessian_positive_definite_on_sample():
     rng = np.random.default_rng(9)
     p = rng.normal(size=(2, 1000))
     p = p / np.linalg.norm(p, axis=0) * rng.uniform(0, 10.0, 1000)
-    eig_min, _ = model.hess_eig_bounds(p)
+    eig_min = uniqueness_terms(model, p, alpha=0.5).eig_min
     assert np.min(eig_min) > 0.0
     # closed-form eigenvalues against a dense eigensolve at a few points
     full = dense_hessian(model, p[:, :5])
@@ -132,40 +134,31 @@ def test_legendre_at_zero_momentum_and_boundary_error():
         legendre_transform(lagr, 0, [50.0], v_radius=0.5)
 
 
-def test_legendre_double_transform_recovers_lagrangian():
-    grid = PeriodicGrid(1, 32)
-    x = grid.coordinates()[0]
+@pytest.fixture(scope="module")
+def per_node_table():
+    """The duality oracle on a running cost with one weight per node."""
+    x = PeriodicGrid(1, 32).coordinates()[0]
     lagr = LagrangianModel(gamma_prime=3.0, weight=1.0 + 0.3 * np.cos(2 * np.pi * x))
-    rng = np.random.default_rng(4)
-    gp = lagr.gamma_prime
-    worst = 0.0
-    for _ in range(100):
-        ix = int(rng.integers(0, grid.num_nodes))
-        v = float(rng.uniform(0.0, 3.0))
-        w = lagr.weight_at(ix)
-        profile = lagr.radial(ix)
-        p_star = w * gp * v * (1.0 + v * v) ** (0.5 * gp - 1.0)
-
-        def dual(r):
-            v_star = (r / (w * gp)) ** (1.0 / (gp - 1.0)) if r > 0 else 0.0
-            return conjugate_radial(profile, r, 3.0 * v_star + 5.0, samples=129)
-
-        back = conjugate_radial(dual, v, 3.0 * p_star + 10.0, samples=129)
-        worst = max(worst, abs(back - profile(v)))
-    assert worst < 1e-6
+    return lagr, duality_table(lagr, seed=4)
 
 
-def test_legendre_growth_matches_dual_envelope():
-    lagr = LagrangianModel(gamma_prime=3.0, weight=1.0)
+def test_legendre_double_transform_recovers_lagrangian(per_node_table):
+    _, table = per_node_table
+    assert table.max_deviation < 1e-6
+    assert table.passed
+
+
+def test_legendre_growth_matches_dual_envelope(per_node_table):
+    lagr, table = per_node_table
     consts = growth_constants(lagr)
-    g = consts["gamma"]
-    ratios = []
-    for p_mag in np.linspace(10.0, 100.0, 10):
-        v_star = (p_mag / 3.0) ** 0.5
-        h_val = legendre_transform(lagr, 0, [p_mag], v_radius=4.0 * v_star + 2.0)
-        ratios.append(h_val / (p_mag**g / g))
-    assert min(ratios) >= 0.5 * consts["dual_lower_coef"]
-    assert max(ratios) <= 2.0 * consts["dual_upper_coef"]
+    assert table.window == (0.5 * consts["dual_lower_coef"], 2.0 * consts["dual_upper_coef"])
+    lo, hi = table.ratio_range
+    assert table.window[0] <= lo <= hi <= table.window[1]
+    # the weight varies by 1.3 / 0.7 across nodes, and so do the sampled ratios
+    assert hi / lo > 1.2
+    lines = table.lines()
+    assert lines[0].startswith("double_transform_max_deviation=")
+    assert lines[1].startswith(f"growth_ratio_range=[{lo:.6f}, {hi:.6f}] window=")
 
 
 def test_dual_uniqueness_inequality_sharp_in_alpha():
@@ -239,3 +232,8 @@ def test_check_assumptions_lagrangian_and_potential_records():
     assert report["lagrangian_positivity"].passed
     assert report["lagrangian_growth"].passed
     assert report["potential_monotonicity"].passed
+    # a running cost with one weight per node is sampled node by node
+    x = PeriodicGrid(1, 16).coordinates()[0]
+    per_node = LagrangianModel(gamma_prime=3.0, weight=1.0 + 0.3 * np.cos(2 * np.pi * x))
+    report = check_assumptions(unit_model(), 0.5, 2, SampleSpec(seed=1), lagrangian=per_node)
+    assert report.all_pass

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfgcon.continuation import trivial_solution
-from mfgcon.grids import SpaceTimeField, _grad_stack, _lap_stack
+from mfgcon.grids import SpaceTimeField, _grad_lap_stack, _grad_stack
 from mfgcon.linearized import (
     Perturbation,
     _heat_chain_preconditioner,
@@ -173,9 +173,9 @@ def test_heat_chain_preconditioner_inverts_decoupled_chains(dim, n):
     # implicit heat rows of the value chain (backward, terminal row last) and
     # the density chain (forward, initial row first)
     rows_v = v.copy()
-    rows_v[:-1] = (v[:-1] - v[1:]) / dt - _lap_stack(v[:-1], grid)
+    rows_v[:-1] = (v[:-1] - v[1:]) / dt - _grad_lap_stack(v[:-1], grid)[dim]
     rows_f = f.copy()
-    rows_f[1:] = (f[1:] - f[:-1]) / dt - _lap_stack(f[1:], grid)
+    rows_f[1:] = (f[1:] - f[:-1]) / dt - _grad_lap_stack(f[1:], grid)[dim]
     precond = _heat_chain_preconditioner(problem)
     back = precond.matvec(np.concatenate([rows_v.ravel(), rows_f.ravel()]))
     assert np.max(np.abs(back - np.concatenate([v.ravel(), f.ravel()]))) < 1e-12
