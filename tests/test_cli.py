@@ -370,7 +370,7 @@ def test_failed_linear_solve_ends_in_horizon_failure(tmp_path, monkeypatch):
     # Newton failure that halves the step, until the step underflows
     import scipy.sparse.linalg as spla
 
-    monkeypatch.setattr(spla, "lgmres", lambda A, b, **kw: (np.zeros_like(b), 1))
+    monkeypatch.setattr(spla, "gmres", lambda A, b, **kw: (np.zeros_like(b), 1))
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY)
     with pytest.raises(HorizonError) as err:

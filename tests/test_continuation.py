@@ -263,27 +263,28 @@ def test_first_solve_far_from_the_solution_is_loose(small_problem, monkeypatch):
 def test_reference_solve_work_stays_bounded(monkeypatch):
     # the tangent first step, the secant predictor and the forcing terms cut the
     # plain corrector's work on this config (30 Newton iterations and 248 lgmres
-    # matvecs) to 12 iterations plus the tangent solve, 13 solves and 60 matvecs
-    counts = {"solves": 0, "matvecs": 0}
-    real = spla.lgmres
+    # matvecs) to 12 iterations plus the tangent solve; right-preconditioned
+    # gmres then takes 13 solves and 45 operator applies
+    counts = {"solves": 0, "applies": 0}
+    real = spla.gmres
 
-    def counting_lgmres(A, b, **kwargs):
+    def counting_gmres(A, b, **kwargs):
         counts["solves"] += 1
         op = spla.aslinearoperator(A)
 
         def matvec(x):
-            counts["matvecs"] += 1
+            counts["applies"] += 1
             return op.matvec(x)
 
         return real(spla.LinearOperator(op.shape, matvec=matvec, dtype=float), b, **kwargs)
 
-    monkeypatch.setattr(linearized.spla, "lgmres", counting_lgmres)
+    monkeypatch.setattr(linearized.spla, "gmres", counting_gmres)
     cfg = load_config(REFERENCE_CFG)
     states = solve_path(build_problem(cfg), cfg.solver)
     assert states[-1].lam == 0.0
     assert sum(s.newton_iters for s in states) <= 12
-    assert counts["solves"] <= 13
-    assert counts["matvecs"] <= 60
+    assert 0 < counts["solves"] <= 13
+    assert 0 < counts["applies"] <= 45
 
 
 def _record_newton_starts(monkeypatch):

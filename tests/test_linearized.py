@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from mfgcon.continuation import trivial_solution
-from mfgcon.grids import SpaceTimeField, _grad_lap_stack, _grad_stack
+from mfgcon.grids import SpaceTimeField, _grad_lap_stack, _grad_stack, _irfft_stack
 from mfgcon.linearized import (
     Perturbation,
+    _base_coefficients,
     _heat_chain_preconditioner,
+    _right_preconditioned_apply,
     apply_L,
     bundle_to_vector,
     solve_linearized,
@@ -176,9 +178,29 @@ def test_heat_chain_preconditioner_inverts_decoupled_chains(dim, n):
     rows_v[:-1] = (v[:-1] - v[1:]) / dt - _grad_lap_stack(v[:-1], grid)[dim]
     rows_f = f.copy()
     rows_f[1:] = (f[1:] - f[:-1]) / dt - _grad_lap_stack(f[1:], grid)[dim]
-    precond = _heat_chain_preconditioner(problem)
-    back = precond.matvec(np.concatenate([rows_v.ravel(), rows_f.ravel()]))
+    chains = _heat_chain_preconditioner(problem)
+    back = _irfft_stack(chains(np.concatenate([rows_v.ravel(), rows_f.ravel()])), grid).ravel()
     assert np.max(np.abs(back - np.concatenate([v.ravel(), f.ravel()]))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "dim, lam_value",
+    [(1, 0.0), (1, 0.6), (2, 0.6)],
+    ids=["d1-lam0.0", "d1-lam0.6", "d2-lam0.6"],
+)
+def test_right_preconditioned_apply_is_L_after_the_chain_inverse(small_problem, dim, lam_value):
+    # the fused apply is I + N H^-1; it must equal L applied to H^-1 y
+    problem = small_problem if dim == 1 else make_problem(n=16, n_t=12, dim=2)
+    grid = problem.grid
+    rng = np.random.default_rng(8)
+    base = perturbed_base(problem, rng)
+    lam = LambdaData.from_problem(problem, lam_value)
+    y = rng.normal(size=2 * problem.time.num_slices * grid.num_nodes)
+    chains = _heat_chain_preconditioner(problem)
+    fused = _right_preconditioned_apply(problem, _base_coefficients(problem, lam, base), chains)(y)
+    w = vector_to_perturbation(_irfft_stack(chains(y), grid).ravel(), problem)
+    expect = bundle_to_vector(apply_L(problem, lam, base, w))
+    assert np.max(np.abs(fused - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 def energy_identity_sides(problem, lam, base, direction):
