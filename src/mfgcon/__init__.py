@@ -32,11 +32,8 @@ from .grids import (
     integrate,
 )
 from .hamiltonians import (
-    AssumptionReport,
     HamiltonianModel,
     LagrangianModel,
-    SampleSpec,
-    check_assumptions,
     duality_table,
     legendre_transform,
 )

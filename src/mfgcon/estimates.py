@@ -3,8 +3,11 @@
 Bounds whose constants are not explicit become finiteness plus
 refinement-stability criteria: the quantity is recomputed after resampling
 the candidate on a once-refined grid and the two values must agree within a
-factor of two.  Every record stores the computed values, never a bare flag,
-and is recomputable from the candidate and problem data alone.
+factor of two.  The hypotheses of the theorem the run reproduces are part of
+the same report: the exponent conditions (:func:`check_exponents`) and the
+structural hypotheses of the run's Hamiltonian, sampled over momenta
+(:func:`check_hypotheses`).  Every record stores the computed values, never
+a bare flag, and is recomputable from the candidate and problem data alone.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grids import _grad_stack, fourier_interpolate
-from .hamiltonians import uniqueness_terms
+from .hamiltonians import HamiltonianModel, uniqueness_terms
 from .system import LambdaData, MFGProblem, SolutionPair, _congestion_stack
 
 __all__ = [
@@ -27,6 +30,8 @@ __all__ = [
     "check_inverse_m",
     "check_uniqueness_integrand",
     "check_gradient_bound",
+    "check_exponents",
+    "check_hypotheses",
     "run_all_checks",
 ]
 
@@ -196,15 +201,18 @@ def _integral_quantities(pair: SolutionPair, problem: MFGProblem) -> dict:
     }
 
 
-def check_integral_estimates(pair: SolutionPair, problem: MFGProblem) -> CheckRecord:
+def check_integral_estimates(
+    pair: SolutionPair, problem: MFGProblem, refined: SolutionPair
+) -> CheckRecord:
     """Finiteness and grid stability of the space-time energy integrals.
 
     Covers the momentum integrals |Du|^gamma / m^abar and
     |Du|^gamma m^(1-abar), the slice bound on int |u|, and the density
-    energy int m^(1+alpha) + int m^(alpha-1) |Dm|^2.
+    energy int m^(1+alpha) + int m^(alpha-1) |Dm|^2.  ``refined`` is the
+    candidate resampled on the once-refined grid.
     """
     coarse = _integral_quantities(pair, problem)
-    fine = _integral_quantities(_refined_pair(pair), problem)
+    fine = _integral_quantities(refined, problem)
     values, ok = {}, True
     for key, c_val in coarse.items():
         f_val = fine[key]
@@ -283,7 +291,6 @@ def check_uniqueness_integrand(
         min_centered, raw_min, location = float("inf"), float("inf"), None
     eig_min = float(np.min(terms.eig_min))
     dv = lam_data.potential_dz(m)
-    gamma = ham.gamma
     ok = min_centered >= -1e-12 and eig_min > 0.0 and float(np.min(dv)) > 0.0
     return CheckRecord(
         name="uniqueness_integrand",
@@ -294,14 +301,16 @@ def check_uniqueness_integrand(
             "raw_min": raw_min,
             "hessian_eig_min": eig_min,
             "coupling_dz_min": float(np.min(dv)),
-            "alpha_bound_margin": 4.0 / gamma - alpha,
         },
         location=location,
     )
 
 
-def check_gradient_bound(pair: SolutionPair) -> CheckRecord:
-    """Sup-norms of Du, m, Dm: finite and stable under one grid refinement."""
+def check_gradient_bound(pair: SolutionPair, refined: SolutionPair) -> CheckRecord:
+    """Sup-norms of Du, m, Dm: finite and stable under one grid refinement.
+
+    ``refined`` is the candidate resampled on the once-refined grid.
+    """
 
     def sups(p: SolutionPair) -> dict:
         grid = p.u.grid
@@ -314,7 +323,7 @@ def check_gradient_bound(pair: SolutionPair) -> CheckRecord:
         }
 
     coarse = sups(pair)
-    fine = sups(_refined_pair(pair))
+    fine = sups(refined)
     ok, values = True, {}
     for key, c_val in coarse.items():
         stable = _stable(c_val, fine[key]) and np.isfinite(c_val)
@@ -330,21 +339,93 @@ def check_gradient_bound(pair: SolutionPair) -> CheckRecord:
 
 
 def check_exponents(problem: MFGProblem) -> CheckRecord:
-    """The reduced exponent (gamma-1)*alpha stays below 1, with its ladder."""
-    gamma = problem.hamiltonian.gamma
-    abar = (gamma - 1.0) * problem.alpha
+    """The exponent conditions of the theorem, each tested once.
+
+    (gamma-1)*alpha < 1 with its integrability ladder q(r) > r, and
+    alpha < 4/gamma, the sufficient condition for the uniqueness inequality
+    of the power family.
+    """
+    gamma, alpha = problem.hamiltonian.gamma, problem.alpha
     try:
-        der = DerivedExponents(gamma, problem.alpha)
-        q2 = der.q_of(2.0)
-        ok = True
+        q2 = DerivedExponents(gamma, alpha).q_of(2.0)
     except ValueError:
         q2 = float("nan")
-        ok = False
+    margin = 4.0 / gamma - alpha
     return CheckRecord(
         name="derived_exponents",
-        criterion="(gamma-1)*alpha < 1 and q(r) = r + 2*abar/(2-gamma) > r",
-        passed=ok and q2 > 2.0,
-        values={"alpha_bar": abar, "q_of_2": q2},
+        criterion="(gamma-1)*alpha < 1, q(r) = r + 2*abar/(2-gamma) > r, and alpha < 4/gamma",
+        passed=bool(q2 > 2.0 and margin > 0.0),
+        values={"alpha_bar": (gamma - 1.0) * alpha, "q_of_2": q2, "alpha_bound_margin": margin},
+    )
+
+
+# The momentum sample of check_hypotheses: log-uniform radii reach both the
+# small and the coercive regime, and the fixed seed makes the record
+# reproducible.
+_HYPOTHESIS_SAMPLES = 512
+_HYPOTHESIS_SEED = 0
+_HYPOTHESIS_RADII = (1e-3, 10.0)
+
+
+def check_hypotheses(problem: MFGProblem, lam_data: LambdaData) -> CheckRecord:
+    """The structural hypotheses on the run's Hamiltonian, sampled over momenta.
+
+    At 512 momenta with log-uniform radii in [1e-3, 10], each at a drawn
+    node when the weight varies by node, H = ``lam_data.hamiltonian`` must
+    meet the support inequality p.DpH - H + H(x,0) >= 0, coercivity
+    p.DpH - H >= c |p|^gamma - C, gradient growth |DpH| <= C (|p|^(gamma-1) + 1),
+    strict convexity and the centered uniqueness inequality of
+    :func:`uniqueness_terms`.  The location is the sampled momentum where
+    the uniqueness inequality is tightest.
+    """
+    model = lam_data.hamiltonian
+    rng = np.random.default_rng(_HYPOTHESIS_SEED)
+    n, dim = _HYPOTHESIS_SAMPLES, problem.grid.dim
+    direc = rng.normal(size=(dim, n))
+    direc /= np.linalg.norm(direc, axis=0)
+    lo, hi = _HYPOTHESIS_RADII
+    pn = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
+    p = direc * pn
+    sampled, nodes = model, None
+    if np.ndim(model.weight):
+        nodes = rng.integers(0, model.weight.size, size=n)
+        sampled = HamiltonianModel(model.gamma, model.weight[nodes])
+    terms = uniqueness_terms(sampled, p, problem.alpha)
+
+    gamma = model.gamma
+    w_min, w_max = model.weight_bounds()
+    c_coer = w_min * (gamma - 1.0) * 2.0 ** (0.5 * gamma - 1.0)
+    big_c = c_coer + w_max
+    c_grow = w_max * gamma
+    growth = c_grow * (pn ** (gamma - 1.0) + 1.0) - np.linalg.norm(sampled.grad(p), axis=0)
+    values = {
+        "support_min": float(np.min(terms.support)),
+        "coercivity_margin": float(np.min(terms.coercive - (c_coer * pn**gamma - big_c))),
+        "coercivity_c": c_coer,
+        "coercivity_C": big_c,
+        "growth_margin": float(np.min(growth)),
+        "growth_C": c_grow,
+        "hessian_eig_min": float(np.min(terms.eig_min)),
+        "centered_min": float(np.min(terms.centered)),
+        "raw_min": float(np.min(terms.raw)),
+    }
+    j = int(np.argmin(terms.centered))
+    location = {"|p|": float(pn[j])}
+    if nodes is not None:
+        location["node"] = int(nodes[j])
+    tol = -1e-10
+    ok = (
+        min(values["support_min"], values["coercivity_margin"], values["growth_margin"]) >= tol
+        and values["hessian_eig_min"] > 0.0
+        and values["centered_min"] > 0.0
+    )
+    return CheckRecord(
+        name="hamiltonian_hypotheses",
+        criterion="support, coercivity and growth >= -1e-10, D2H and the uniqueness "
+                  "inequality positive on 512 sampled momenta",
+        passed=bool(ok),
+        values=values,
+        location=location,
     )
 
 
@@ -353,13 +434,15 @@ def run_all_checks(
 ) -> EstimateReport:
     if lam_data is None:
         lam_data = LambdaData.from_problem(problem, 0.0)
+    refined = _refined_pair(pair)
     records = [
         check_mass(pair),
         check_value_bounds(pair, problem, lam_data),
-        check_integral_estimates(pair, problem),
+        check_integral_estimates(pair, problem, refined),
         check_inverse_m(pair),
         check_uniqueness_integrand(pair, problem, lam_data),
-        check_gradient_bound(pair),
+        check_gradient_bound(pair, refined),
         check_exponents(problem),
+        check_hypotheses(problem, lam_data),
     ]
     return EstimateReport(records=records)

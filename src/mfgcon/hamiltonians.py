@@ -11,15 +11,15 @@ and its convex blend toward the unit-weight power Hamiltonian,
 which is the homotopy family the continuation solver marches through.  The
 blend is the same power model with weight (1 - lam) c(x) + lam.  A
 brute-force convex-duality oracle for Lagrangians a(x) (1 + |v|^2)^(gamma'/2)
-(:func:`duality_table`) checks duality and growth; the structural hypotheses
-behind existence and uniqueness are verified by sampling, and the uniqueness
-inequality has one evaluator (:func:`uniqueness_terms`) shared with the
-estimate suite.
+(:func:`duality_table`) checks duality and the growth envelopes of L and its
+dual.  The uniqueness inequality has one evaluator (:func:`uniqueness_terms`),
+which the estimate suite calls both at the candidate's momenta and on the
+sample that certifies the structural hypotheses of the run's Hamiltonian.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -35,10 +35,6 @@ __all__ = [
     "duality_table",
     "UniquenessTerms",
     "uniqueness_terms",
-    "SampleSpec",
-    "AssumptionRecord",
-    "AssumptionReport",
-    "check_assumptions",
 ]
 
 
@@ -188,7 +184,8 @@ def legendre_transform(
 def growth_constants(lagrangian: LagrangianModel) -> dict[str, float]:
     """Explicit envelope constants for the power growth of L and its dual.
 
-    With  a_min |v|^g' <= L <= a_max 2^(g'/2) (1 + |v|^g')  the dual obeys
+    L obeys  C1 |v|^g' / g' <= L <= C2 |v|^g' / g' + K2  with C1 = g' a_min,
+    C2 = g' a_max 2^(g'/2) and K2 = a_max 2^(g'/2), so the dual obeys
     c1 |p|^g / g - k1 <= H0 <= c2 |p|^g / g, conjugation swapping the roles
     of the two envelope constants.
     """
@@ -197,11 +194,15 @@ def growth_constants(lagrangian: LagrangianModel) -> dict[str, float]:
     gp = lagrangian.gamma_prime
     g = lagrangian.gamma
     upper_coef = gp * a_max * 2.0 ** (0.5 * gp)
+    upper_shift = a_max * 2.0 ** (0.5 * gp)
     lower_coef = gp * a_min
     return {
         "gamma": g,
+        "lower_coef": lower_coef,
+        "upper_coef": upper_coef,
+        "upper_shift": upper_shift,
         "dual_lower_coef": upper_coef ** (1.0 - g),
-        "dual_lower_shift": a_max * 2.0 ** (0.5 * gp),
+        "dual_lower_shift": upper_shift,
         "dual_upper_coef": lower_coef ** (1.0 - g),
     }
 
@@ -213,17 +214,24 @@ class DualityTable:
     max_deviation: float                # worst |L** - L| over the sampled speeds
     ratio_range: tuple[float, float]    # H0 / (|p|^gamma / gamma) over the momenta
     window: tuple[float, float]         # envelope the ratios must stay in
+    envelope_margin: float              # worst slack of L in its envelope at the speeds
 
     @property
     def passed(self) -> bool:
         lo, hi = self.ratio_range
-        return self.max_deviation <= 1e-6 and self.window[0] <= lo and hi <= self.window[1]
+        return (
+            self.max_deviation <= 1e-6
+            and self.window[0] <= lo
+            and hi <= self.window[1]
+            and self.envelope_margin >= -1e-10
+        )
 
     def lines(self) -> list[str]:
         return [
             f"double_transform_max_deviation={self.max_deviation:.3e} (tol 1e-6)",
             f"growth_ratio_range=[{self.ratio_range[0]:.6f}, {self.ratio_range[1]:.6f}] "
             f"window=[{self.window[0]:.6f}, {self.window[1]:.6f}]",
+            f"lagrangian_envelope_margin={self.envelope_margin:.6e} (tol -1e-10)",
         ]
 
 
@@ -231,9 +239,11 @@ def duality_table(lagrangian: LagrangianModel, seed: int) -> DualityTable:
     """Brute-force convex-duality oracle for the running cost.
 
     Draws 100 (node, speed) pairs with ``seed`` and transforms L twice,
-    L -> H0 -> L**, which must give L back.  Then it compares H0 at 16
+    L -> H0 -> L**, which must give L back; at the same pairs L must lie in
+    its envelope C1 |v|^g' / g' <= L <= C2 |v|^g' / g' + K2, whose lower
+    side also makes L positive.  Then it compares H0 at 16
     momenta in [10, 100], each at a drawn node, with |p|^gamma / gamma; the
-    ratios must lie in [C1 / 2, 2 C2] for the envelope constants of
+    ratios must lie in [c1 / 2, 2 c2] for the dual envelope constants of
     :func:`growth_constants`.  Raises :class:`LegendreBoundaryError` when a
     search radius was too small.
     """
@@ -242,7 +252,8 @@ def duality_table(lagrangian: LagrangianModel, seed: int) -> DualityTable:
     idx = rng.integers(0, nodes, 100)
     speeds = rng.uniform(0.0, 3.0, 100)
     gp = lagrangian.gamma_prime
-    worst = 0.0
+    consts = growth_constants(lagrangian)
+    worst, envelope = 0.0, np.inf
     for x, v in zip(idx, speeds):
         profile = lagrangian.radial(int(x))
         w = lagrangian.weight_at(int(x))
@@ -255,9 +266,12 @@ def duality_table(lagrangian: LagrangianModel, seed: int) -> DualityTable:
             return conjugate_radial(profile, r, 3.0 * v_star + 5.0, samples=129)
 
         back = conjugate_radial(dual, v, 3.0 * p_star + 10.0, samples=129)
-        worst = max(worst, abs(back - profile(v)))
+        l_val = profile(v)
+        worst = max(worst, abs(back - l_val))
+        scaled = v**gp / gp
+        envelope = min(envelope, l_val - consts["lower_coef"] * scaled,
+                       consts["upper_coef"] * scaled + consts["upper_shift"] - l_val)
 
-    consts = growth_constants(lagrangian)
     g = consts["gamma"]
     ratios = []
     for p_mag in np.linspace(10.0, 100.0, 16):
@@ -269,6 +283,7 @@ def duality_table(lagrangian: LagrangianModel, seed: int) -> DualityTable:
         max_deviation=worst,
         ratio_range=(float(min(ratios)), float(max(ratios))),
         window=(0.5 * consts["dual_lower_coef"], 2.0 * consts["dual_upper_coef"]),
+        envelope_margin=float(envelope),
     )
 
 
@@ -306,233 +321,3 @@ def uniqueness_terms(model: HamiltonianModel, p: np.ndarray, alpha: float) -> Un
         eig_min=np.minimum(a, radial),
     )
 
-
-# ---------------------------------------------------------------------------
-# sampled verification of the structural hypotheses
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    """Deterministic (x, p) sample: grid nodes paired with momenta in a ball."""
-
-    n_momenta: int = 512
-    p_radius: float = 10.0
-    seed: int = 0
-    p_floor: float = 1e-6
-
-
-@dataclass
-class AssumptionRecord:
-    name: str
-    criterion: str
-    passed: bool
-    margin: float
-    values: dict = field(default_factory=dict)
-    worst: dict = field(default_factory=dict)
-
-
-@dataclass
-class AssumptionReport:
-    records: dict
-    sample: SampleSpec
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.records.values())
-
-    def __getitem__(self, name: str) -> AssumptionRecord:
-        return self.records[name]
-
-
-def _sample_momenta(model: HamiltonianModel, dim: int, spec: SampleSpec):
-    """Momenta in the ball, and the model with the weight of each sample's node."""
-    rng = np.random.default_rng(spec.seed)
-    n = spec.n_momenta
-    direc = rng.normal(size=(dim, n))
-    direc /= np.linalg.norm(direc, axis=0)
-    # log-uniform radii cover both the small and the coercive regime
-    radii = np.exp(rng.uniform(np.log(max(spec.p_floor, 1e-3)), np.log(spec.p_radius), n))
-    p = direc * radii
-    if np.ndim(model.weight) == 0:
-        return p, None, model
-    idx = rng.integers(0, model.weight.size, size=n)
-    return p, idx, HamiltonianModel(model.gamma, model.weight[idx])
-
-
-def check_assumptions(
-    model: HamiltonianModel,
-    alpha: float,
-    dim: int,
-    spec: SampleSpec = SampleSpec(),
-    lagrangian: LagrangianModel | None = None,
-    potential_dz_min: float | None = None,
-) -> AssumptionReport:
-    """Sampled pass/fail report for the structural hypotheses.
-
-    Each record carries the worst sampled margin (nonnegative means the
-    inequality held on the whole sample) plus the sample point achieving it.
-    The report is reproducible for a fixed :class:`SampleSpec`.
-    """
-    if spec.n_momenta < 1:
-        raise ValueError("empty sample set")
-    p, idx, sampled = _sample_momenta(model, dim, spec)
-    pn = np.linalg.norm(p, axis=0)
-    terms = uniqueness_terms(sampled, p, alpha)
-    w_min, w_max = model.weight_bounds()
-    g = model.gamma
-    tol = 1e-10
-
-    def worst_at(arr):
-        j = int(np.argmin(arr))
-        return {"|p|": float(pn[j]), "x_index": None if idx is None else int(idx[j])}
-
-    records: dict[str, AssumptionRecord] = {}
-
-    vals = terms.support
-    records["zero_momentum_support"] = AssumptionRecord(
-        name="zero_momentum_support",
-        criterion="H(x,p) - p.DpH(x,p) <= H(x,0) (convexity support inequality)",
-        passed=bool(np.min(vals) >= -tol),
-        margin=float(np.min(vals)),
-        worst=worst_at(vals),
-    )
-
-    c_coer = w_min * (g - 1.0) * 2.0 ** (0.5 * g - 1.0)
-    big_c = c_coer + w_max
-    vals = terms.coercive - (c_coer * pn**g - big_c)
-    records["coercivity"] = AssumptionRecord(
-        name="coercivity",
-        criterion="p.DpH - H >= c |p|^gamma - C",
-        passed=bool(np.min(vals) >= -tol),
-        margin=float(np.min(vals)),
-        values={"c": c_coer, "C": big_c},
-        worst=worst_at(vals),
-    )
-
-    c_grow = w_max * g
-    vals = c_grow * (pn ** (g - 1.0) + 1.0) - np.linalg.norm(sampled.grad(p), axis=0)
-    records["gradient_growth"] = AssumptionRecord(
-        name="gradient_growth",
-        criterion="|DpH| <= C |p|^(gamma-1) + C",
-        passed=bool(np.min(vals) >= -tol),
-        margin=float(np.min(vals)),
-        values={"C": c_grow},
-        worst=worst_at(vals),
-    )
-
-    if dim <= 2:
-        records["congestion_exponent"] = AssumptionRecord(
-            name="congestion_exponent",
-            criterion="alpha < 2/(d-2), vacuous below three dimensions",
-            passed=alpha >= 0.0,
-            margin=float("inf"),
-            values={"alpha": alpha},
-        )
-    else:
-        bound = 2.0 / (dim - 2)
-        records["congestion_exponent"] = AssumptionRecord(
-            name="congestion_exponent",
-            criterion="alpha < 2/(d-2)",
-            passed=0.0 <= alpha < bound,
-            margin=bound - alpha,
-            values={"alpha": alpha, "bound": bound},
-        )
-
-    records["subquadratic"] = AssumptionRecord(
-        name="subquadratic",
-        criterion="1 < gamma < 2",
-        passed=1.0 < g < 2.0,
-        margin=float(min(2.0 - g, g - 1.0)),
-        values={"gamma": g},
-    )
-
-    records["strict_convexity"] = AssumptionRecord(
-        name="strict_convexity",
-        criterion="smallest eigenvalue of D^2_pp H positive on the sample",
-        passed=bool(np.min(terms.eig_min) > 0.0),
-        margin=float(np.min(terms.eig_min)),
-        worst=worst_at(terms.eig_min),
-    )
-
-    # the centered form decides; the raw minimum is reported too
-    mask = pn >= spec.p_floor
-    centered, raw = terms.centered[mask], terms.raw[mask]
-    jmask = np.argmin(centered)
-    records["uniqueness_inequality"] = AssumptionRecord(
-        name="uniqueness_inequality",
-        criterion="p.DpH - H + H(x,0) > (alpha/4) p.D2H.p for p != 0",
-        passed=bool(np.min(centered) > 0.0),
-        margin=float(np.min(centered)),
-        values={"raw_min": float(np.min(raw))},
-        worst={"|p|": float(pn[mask][jmask])},
-    )
-
-    records["uniqueness_alpha_bound"] = AssumptionRecord(
-        name="uniqueness_alpha_bound",
-        criterion="alpha < 4/gamma (sufficient condition for the power family)",
-        passed=alpha < 4.0 / g,
-        margin=4.0 / g - alpha,
-        values={"alpha": alpha, "bound": 4.0 / g},
-    )
-
-    if lagrangian is not None:
-        records.update(_lagrangian_records(lagrangian, dim, spec))
-
-    if potential_dz_min is not None:
-        records["potential_monotonicity"] = AssumptionRecord(
-            name="potential_monotonicity",
-            criterion="d/dz V(x, z) > 0 on the sampled density range",
-            passed=potential_dz_min > 0.0,
-            margin=float(potential_dz_min),
-        )
-
-    return AssumptionReport(records=records, sample=spec)
-
-
-def _lagrangian_records(lagrangian: LagrangianModel, dim: int, spec: SampleSpec):
-    rng = np.random.default_rng(spec.seed + 1)
-    v = rng.normal(size=(dim, spec.n_momenta)) * rng.uniform(0.0, spec.p_radius, spec.n_momenta)
-    w = lagrangian.weight
-    if np.ndim(w):
-        w = w[rng.integers(0, w.size, size=spec.n_momenta)]
-    lvals = LagrangianModel(lagrangian.gamma_prime, w).value(v)
-    s = np.sum(v * v, axis=0)
-    gp = lagrangian.gamma_prime
-
-    # Hessian of w (1+s)^(gp/2): radial eigenvalue is the smallest one only
-    # if gp < 2, so for superquadratic growth the tangential one is minimal.
-    a = w * gp * (1.0 + s) ** (0.5 * gp - 1.0)
-    b = w * gp * (gp - 2.0) * (1.0 + s) ** (0.5 * gp - 2.0)
-    eig_min = np.minimum(a, a + b * s)
-
-    w_all = np.asarray(lagrangian.weight, dtype=float)
-    a_min, a_max = float(np.min(w_all)), float(np.max(w_all))
-    vn = np.sqrt(s)
-    c1, k1 = gp * a_min, 0.0
-    c2 = gp * a_max * 2.0 ** (0.5 * gp)
-    k2 = a_max * 2.0 ** (0.5 * gp)
-    env_lower = lvals - (c1 * vn**gp / gp - k1)
-    env_upper = (c2 * vn**gp / gp + k2) - lvals
-
-    return {
-        "lagrangian_convexity": AssumptionRecord(
-            name="lagrangian_convexity",
-            criterion="v -> L(x, v) strictly convex",
-            passed=bool(np.min(eig_min) > 0.0),
-            margin=float(np.min(eig_min)),
-        ),
-        "lagrangian_positivity": AssumptionRecord(
-            name="lagrangian_positivity",
-            criterion="L(x, v) >= 0",
-            passed=bool(np.min(lvals) >= 0.0),
-            margin=float(np.min(lvals)),
-        ),
-        "lagrangian_growth": AssumptionRecord(
-            name="lagrangian_growth",
-            criterion="C1 |v|^gamma'/gamma' - c1 <= L <= C2 |v|^gamma'/gamma' + c2",
-            passed=bool(min(np.min(env_lower), np.min(env_upper)) >= -1e-10),
-            margin=float(min(np.min(env_lower), np.min(env_upper))),
-            values={"C1": c1, "c1": k1, "C2": c2, "c2": k2},
-        ),
-    }

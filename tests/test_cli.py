@@ -291,9 +291,10 @@ def test_legendre_command(workdir, capsys):
     code = main(["legendre", "--config", workdir["cfg"]])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert lines[0].startswith("double_transform_max_deviation=")
     assert lines[1].startswith("growth_ratio_range=")
+    assert lines[2].startswith("lagrangian_envelope_margin=")
 
 
 def test_check_reports_nonpositive_density_as_a_failed_check(workdir, tmp_path, capsys):

@@ -6,12 +6,14 @@ from mfgcon.estimates import (
     DerivedExponents,
     check_exponents,
     check_gradient_bound,
+    check_hypotheses,
     check_integral_estimates,
     check_inverse_m,
     check_mass,
     check_uniqueness_integrand,
     check_value_bounds,
     run_all_checks,
+    _refined_pair,
 )
 from mfgcon.grids import Field, SpaceTimeField, fourier_interpolate, integrate
 from mfgcon.system import LambdaData, Potential, SolutionPair
@@ -82,7 +84,7 @@ def test_value_bound_degenerate_data(small_problem):
 
 def test_integral_estimates_trivial_pair(small_problem):
     state = trivial_solution(small_problem)
-    rec = check_integral_estimates(state.pair, small_problem)
+    rec = check_integral_estimates(state.pair, small_problem, _refined_pair(state.pair))
     assert rec.passed
     assert rec.values["momentum_over_density"] == pytest.approx(0.0, abs=1e-20)
     assert rec.values["momentum_weighted"] == pytest.approx(0.0, abs=1e-20)
@@ -119,7 +121,9 @@ def test_uniqueness_integrand_trivial_pair(small_problem):
     # curvature equals gamma and the coupling slope is d/dz arctan at z = 1
     assert rec.values["hessian_eig_min"] == pytest.approx(1.5, rel=1e-12)
     assert rec.values["coupling_dz_min"] == pytest.approx(0.5, rel=1e-12)
-    assert rec.values["alpha_bound_margin"] == pytest.approx(4 / 1.5 - 0.5, rel=1e-12)
+    assert check_exponents(small_problem).values["alpha_bound_margin"] == pytest.approx(
+        4 / 1.5 - 0.5, rel=1e-12
+    )
 
 
 def test_uniqueness_integrand_flags_large_alpha(small_problem):
@@ -142,7 +146,7 @@ def test_uniqueness_integrand_flags_large_alpha(small_problem):
 
 def test_gradient_bounds_trivial_pair(small_problem):
     state = trivial_solution(small_problem)
-    rec = check_gradient_bound(state.pair)
+    rec = check_gradient_bound(state.pair, _refined_pair(state.pair))
     assert rec.passed
     assert rec.values["du_sup"] == 0.0
     assert rec.values["dm_sup"] == 0.0
@@ -153,6 +157,79 @@ def test_exponent_record(small_problem):
     rec = check_exponents(small_problem)
     assert rec.passed
     assert rec.values["alpha_bar"] == pytest.approx(0.25)
+    assert rec.values["alpha_bound_margin"] == pytest.approx(4 / 1.5 - 0.5, rel=1e-12)
+
+
+def constant_pair(problem):
+    """u = 0 and m = 1 on every slice."""
+    shape = (problem.time.num_slices, problem.grid.num_nodes)
+    return SolutionPair(
+        u=SpaceTimeField(problem.grid, problem.time, np.zeros(shape)),
+        m=SpaceTimeField(problem.grid, problem.time, np.ones(shape)),
+    )
+
+
+def test_hypotheses_reference_margins(small_problem):
+    for problem in (small_problem, make_problem(dim=2, n=8)):
+        rec = check_hypotheses(problem, LambdaData.from_problem(problem, 0.0))
+        assert rec.passed
+        assert rec.values["support_min"] >= -1e-10
+        assert rec.values["coercivity_margin"] >= -1e-10
+        assert rec.values["growth_margin"] >= -1e-10
+        assert rec.values["hessian_eig_min"] > 0.0
+        assert rec.values["centered_min"] > 0.0
+        # the raw form is negative near p = 0: H(x, 0) = 1 for the unit weight
+        assert rec.values["raw_min"] == pytest.approx(-1.0, abs=1e-5)
+        assert rec.location["|p|"] > 0.0
+    margin = check_exponents(small_problem).values["alpha_bound_margin"]
+    assert margin == pytest.approx(4.0 / 1.5 - 0.5, rel=1e-12)
+    assert margin == pytest.approx(2.1667, abs=1e-4)
+
+
+def test_hypotheses_flag_large_alpha():
+    problem = make_problem(alpha=3.0)
+    rec = check_hypotheses(problem, LambdaData.from_problem(problem, 0.0))
+    assert not rec.passed
+    assert rec.values["centered_min"] < 0.0
+    exponents = check_exponents(problem)
+    assert not exponents.passed
+    assert exponents.values["alpha_bound_margin"] < 0.0
+
+
+def test_hypotheses_blend_identity_at_lambda_one():
+    # at lam = 1 the blend of a weighted Hamiltonian is the unit-weight one
+    x = make_problem().grid.coordinates()[0]
+    weighted = make_problem(weight=1.0 + 0.5 * np.cos(2 * np.pi * x))
+    unit = make_problem()
+    rec_blend = check_hypotheses(weighted, LambdaData.from_problem(weighted, 1.0))
+    rec_unit = check_hypotheses(unit, LambdaData.from_problem(unit, 1.0))
+    assert rec_blend.passed and rec_unit.passed
+    assert rec_blend.values == rec_unit.values
+    # at lam = 0 the weighted model is sampled node by node
+    rec = check_hypotheses(weighted, LambdaData.from_problem(weighted, 0.0))
+    assert rec.passed and "node" in rec.location
+    assert rec.values != rec_unit.values
+
+
+def test_hypotheses_reproducible(small_problem):
+    lam = LambdaData.from_problem(small_problem, 0.0)
+    r1 = check_hypotheses(small_problem, lam)
+    r2 = check_hypotheses(small_problem, lam)
+    assert r1.values == r2.values
+    assert r1.location == r2.location
+
+
+def test_report_fails_hypotheses_outside_the_theorem():
+    # (gamma-1)*alpha = 0.7 < 1, but alpha = 3.5 > 4/gamma: the uniqueness
+    # inequality fails on the run's Hamiltonian although the trivial pair
+    # meets every a priori bound
+    problem = make_problem(gamma=1.2, alpha=3.5)
+    report = run_all_checks(constant_pair(problem), problem)
+    assert not report.all_pass
+    failed = {r.name for r in report.records if not r.passed}
+    assert failed == {"hamiltonian_hypotheses", "derived_exponents"}
+    assert report["hamiltonian_hypotheses"].values["centered_min"] < 0.0
+    assert report["derived_exponents"].values["alpha_bound_margin"] < 0.0
 
 
 def test_report_on_solved_state(small_problem, solved):
@@ -162,6 +239,7 @@ def test_report_on_solved_state(small_problem, solved):
     names = [r.name for r in report.records]
     assert "mass_conservation" in names
     assert "uniqueness_integrand" in names
+    assert "hamiltonian_hypotheses" in names
     as_dict = report.to_dict()
     assert as_dict["all_pass"]
     assert len(as_dict["records"]) == len(report.records)

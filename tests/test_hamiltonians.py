@@ -6,8 +6,6 @@ from mfgcon.hamiltonians import (
     HamiltonianModel,
     LagrangianModel,
     LegendreBoundaryError,
-    SampleSpec,
-    check_assumptions,
     conjugate_radial,
     duality_table,
     growth_constants,
@@ -185,55 +183,18 @@ def test_dual_uniqueness_inequality_sharp_in_alpha():
             assert coercive < 0.25 * 3.0 * curvature
 
 
-def test_check_assumptions_reference_case():
-    report = check_assumptions(unit_model(), alpha=0.5, dim=1, spec=SampleSpec(seed=3))
-    assert report.all_pass
-    assert report["uniqueness_alpha_bound"].margin == pytest.approx(
-        4.0 / GAMMA - 0.5, rel=1e-12
+def test_lagrangian_envelope_in_duality_table(per_node_table):
+    # C1 |v|^g' / g' <= L <= C2 |v|^g' / g' + K2 at the table's speeds, with
+    # the constants growth_constants derives; the lower side makes L positive
+    lagr, table = per_node_table
+    consts = growth_constants(lagr)
+    gp = lagr.gamma_prime
+    w = np.asarray(lagr.weight)
+    assert consts["lower_coef"] == pytest.approx(gp * np.min(w), rel=1e-15)
+    assert consts["upper_coef"] == pytest.approx(gp * np.max(w) * 2.0 ** (0.5 * gp), rel=1e-15)
+    assert consts["upper_shift"] == pytest.approx(np.max(w) * 2.0 ** (0.5 * gp), rel=1e-15)
+    assert table.envelope_margin >= -1e-10
+    assert table.passed
+    assert table.lines()[2] == (
+        f"lagrangian_envelope_margin={table.envelope_margin:.6e} (tol -1e-10)"
     )
-    assert report["uniqueness_alpha_bound"].margin == pytest.approx(2.1667, abs=1e-4)
-    assert report["congestion_exponent"].margin == np.inf
-    assert report["subquadratic"].margin == pytest.approx(0.5)
-
-
-def test_check_assumptions_flags_large_alpha():
-    report = check_assumptions(unit_model(), alpha=3.0, dim=1, spec=SampleSpec(seed=3))
-    assert not report["uniqueness_alpha_bound"].passed
-    assert not report["uniqueness_inequality"].passed
-    assert not report.all_pass
-
-
-def test_check_assumptions_blend_identity_at_lambda_one():
-    grid = PeriodicGrid(1, 16)
-    x = grid.coordinates()[0]
-    weighted = HamiltonianModel(GAMMA, 1.0 + 0.5 * np.cos(2 * np.pi * x))
-    blend = HamiltonianModel.blend(weighted, lam=1.0)
-    rep_blend = check_assumptions(blend, alpha=0.5, dim=1, spec=SampleSpec(seed=8))
-    rep_unit = check_assumptions(unit_model(), alpha=0.5, dim=1, spec=SampleSpec(seed=8))
-    for name in rep_unit.records:
-        assert rep_blend[name].passed == rep_unit[name].passed
-
-
-def test_check_assumptions_reproducible_and_validates_input():
-    r1 = check_assumptions(unit_model(), 0.5, 1, SampleSpec(seed=42))
-    r2 = check_assumptions(unit_model(), 0.5, 1, SampleSpec(seed=42))
-    for name in r1.records:
-        assert r1[name].margin == r2[name].margin
-    with pytest.raises(ValueError):
-        check_assumptions(unit_model(), 0.5, 1, SampleSpec(n_momenta=0))
-
-
-def test_check_assumptions_lagrangian_and_potential_records():
-    lagr = LagrangianModel(gamma_prime=3.0, weight=1.0)
-    report = check_assumptions(
-        unit_model(), 0.5, 1, SampleSpec(seed=1), lagrangian=lagr, potential_dz_min=0.4
-    )
-    assert report["lagrangian_convexity"].passed
-    assert report["lagrangian_positivity"].passed
-    assert report["lagrangian_growth"].passed
-    assert report["potential_monotonicity"].passed
-    # a running cost with one weight per node is sampled node by node
-    x = PeriodicGrid(1, 16).coordinates()[0]
-    per_node = LagrangianModel(gamma_prime=3.0, weight=1.0 + 0.3 * np.cos(2 * np.pi * x))
-    report = check_assumptions(unit_model(), 0.5, 2, SampleSpec(seed=1), lagrangian=per_node)
-    assert report.all_pass
