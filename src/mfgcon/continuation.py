@@ -297,6 +297,7 @@ def solve_path(
     if on_state is not None:
         on_state(state)
     tangent = _euler_tangent(problem, state.pair, at_one)
+    del at_one  # its Hamiltonian terms would otherwise stay alive for the whole path
     dl = config.dlambda_init
     lam = 1.0
     while lam > 0.0:

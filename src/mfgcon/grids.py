@@ -198,10 +198,10 @@ def _fft_axes(dim: int) -> tuple[int, ...]:
     return tuple(range(-dim, 0))
 
 
-def _rfft_stack(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Half spectrum of a (..., N**d) stack of real fields."""
+def _rfft_stack(values: np.ndarray, grid: PeriodicGrid, out=None) -> np.ndarray:
+    """Half spectrum of a (..., N**d) stack of real fields, written into ``out`` if given."""
     shaped = values.reshape(values.shape[:-1] + grid.shape)
-    return np.fft.rfftn(shaped, axes=_fft_axes(grid.dim))
+    return np.fft.rfftn(shaped, axes=_fft_axes(grid.dim), out=out)
 
 
 def _irfft_stack(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:

@@ -4,14 +4,17 @@ The derivative is taken of the discrete equations themselves, so Newton
 inherits quadratic local convergence and a finite-difference check of the
 directional derivative is exact up to the quadratic remainder.  The operator
 is applied matrix-free on the real half spectrum, with its coefficient fields
-frozen once per solve.  Its rows split as L = H + N: H is the two decoupled
-implicit heat chains, N the coupling rows, and one helper computes N for both
-the plain apply and the solve.  Every linear solve is gmres on the right
+frozen once per solve.  A Newton solve takes q, H(q) and D_pH(q) from the
+residual evaluation that made its right-hand side, when that evaluation was
+at the same pair and the same LambdaData; every other caller evaluates them
+afresh.  Its rows split as L = H + N: H is the two decoupled implicit heat
+chains, N the coupling rows, and one helper computes N for both the plain
+apply and the solve.  Every linear solve is gmres on the right
 preconditioned operator I + N H^-1, where H^-1 marches both chains on one
-batched rfftn of all their time slices.  One apply of it takes 2d + 4 real
-field transforms: that forward transform of the iterate, one inverse of
-(Dv, f) from the chain spectra, and the flux divergence's forward and inverse
-pair.
+batched rfftn of all their time slices, as a blocked scan in time.  One apply
+of it takes 2d + 4 real field transforms: that forward transform of the
+iterate, one inverse of (Dv, f) from the chain spectra, and the flux
+divergence's forward and inverse pair.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .system import (
     MFGProblem,
     ResidualBundle,
     SolutionPair,
-    _shared_terms,
+    _hamiltonian_terms,
+    _HamiltonianTerms,
 )
 
 __all__ = [
@@ -76,15 +80,24 @@ class _BaseCoefficients:
 
 
 def _base_coefficients(
-    problem: MFGProblem, lam_data: LambdaData, base: SolutionPair
+    problem: MFGProblem,
+    lam_data: LambdaData,
+    base: SolutionPair,
+    terms: _HamiltonianTerms | None = None,
 ) -> _BaseCoefficients:
+    """The coefficient fields at ``base``.
+
+    ``terms`` are used when they were taken at ``base`` under this very
+    ``lam_data``, and evaluated afresh otherwise, so they can never come from
+    another pair or another lambda.
+    """
+    if terms is None or not terms.taken_at(lam_data, base):
+        terms = _hamiltonian_terms(problem, lam_data, base)
     alpha = problem.alpha
     m = base.m.values
-    q = _shared_terms(problem, base).q
+    q, h_val, dp_h = terms.q, terms.h, terms.dp_h
     m_safe = np.maximum(m, problem.m_floor)
     ham = lam_data.hamiltonian
-    h_val = ham.value(q)
-    dp_h = ham.grad(q)
     hess_a, hess_b = ham.hess_coeffs(q)
     q_sq = np.sum(q * q, axis=0)
     hess_q = (hess_a + hess_b * q_sq) * q  # D^2H . q, radial for this family
@@ -201,6 +214,9 @@ _GMRES_RESTART = 10
 # Operator applies one solve may take before it fails: each restart cycle
 # applies the operator restart times, plus once for its true residual.
 _MAX_APPLIES = 400
+# Time slices per block of the heat-chain march.  Of 2, 4 and 8, 4 marched
+# fastest on the d = 1 workloads (33 and 65 slices).
+_CHAIN_BLOCK = 4
 
 
 def _heat_chain_preconditioner(problem: MFGProblem):
@@ -209,20 +225,39 @@ def _heat_chain_preconditioner(problem: MFGProblem):
     Returns ``chains(rows)``, which maps a row vector [value rows | transport
     rows] to the half spectra, a (2, K, M) stack, of the (v, f) that solves
     the heat rows.  The value chain runs backward from the terminal row, the
-    density chain forward from the initial row; each step divides by
-    1/dt + |omega|^2 mode by mode.  Both chains take one batched rfftn and
-    march together, the value chain in reversed time.
+    density chain forward from the initial row; both take one batched rfftn
+    and march together, the value chain in reversed time.  Mode by mode each
+    chain is the affine recurrence x_n = c x_(n-1) + s r_n from x_0 = r_0,
+    with s = 1 / (1/dt + |omega|^2) and c = s / dt in (0, 1].  It is marched
+    as a blocked scan (Kogge & Stone 1973; Blelloch 1990) over blocks of
+    B = ``_CHAIN_BLOCK`` slices: every block marches from a zero carry at once,
+    the block ends take the true carry through x -> c^B x, and each block
+    adds c^(j+1) times the end of the block before it to its slice j.  That
+    is B - 1 + ceil(K/B) vectorized steps in place of K - 1, and as every
+    weight is at most 1 nothing grows.
     """
     grid, time = problem.grid, problem.time
     mm, k, dt = grid.num_nodes, time.num_slices, time.dt
     _, ksq = _spectra(grid.dim, grid.points_per_dim)
     sym = 1.0 / (1.0 / dt + ksq)
+    c = sym / dt
+    powers = np.stack([c ** (j + 1) for j in range(_CHAIN_BLOCK)])
+    n_blocks = -(-k // _CHAIN_BLOCK)
 
     def chains(rows: np.ndarray) -> np.ndarray:
-        spec = _rfft_stack(rows.reshape(2, k, mm), grid)
+        # the spectra go straight into an array padded to whole blocks
+        x = np.empty((2, n_blocks * _CHAIN_BLOCK) + sym.shape, dtype=complex)
+        spec = _rfft_stack(rows.reshape(2, k, mm), grid, out=x[:, :k])
         spec[0] = spec[0, ::-1]
-        for n in range(1, k):  # the first row of each chain is a data row
-            spec[:, n] = sym * (spec[:, n] + spec[:, n - 1] / dt)
+        spec[:, 1:] *= sym  # the first row of each chain is a data row
+        x[:, k:] = 0.0  # the padding never reaches a real slice; zeroed to stay finite
+        blocks = x.reshape((2, n_blocks, _CHAIN_BLOCK) + sym.shape)
+        for j in range(1, _CHAIN_BLOCK):
+            blocks[:, :, j] += c * blocks[:, :, j - 1]
+        ends = blocks[:, :, -1]
+        for b in range(1, n_blocks):
+            ends[:, b] += powers[-1] * ends[:, b - 1]
+        blocks[:, 1:, :-1] += powers[:-1] * ends[:, :-1, None]
         spec[0] = spec[0, ::-1]
         return spec
 
@@ -262,15 +297,18 @@ def solve_linearized(
     ``rtol``; then w = H^-1 y.  Its residual is the true residual of L w =
     rhs.  One apply of I + N H^-1 takes 2d + 4 real field transforms: the
     chains' rfftn of y, one irfftn of (Dv, f) from the chain spectra, and the
-    flux divergence's transform pair.  A solve that misses its tolerance
-    raises :class:`LinearSolveError`.
+    flux divergence's transform pair.  The coefficients of L take q, H(q)
+    and D_pH(q) from ``rhs.terms`` when :func:`residual_full` made ``rhs`` at
+    this ``base`` under this ``lam_data`` (the Newton corrector's case), and
+    evaluate them afresh otherwise.  A solve that misses its tolerance raises
+    :class:`LinearSolveError`.
     """
     k, mm = problem.time.num_slices, problem.grid.num_nodes
     n_dof = 2 * k * mm
     rhs_vec = bundle_to_vector(rhs)
     if not rhs_vec.any():
         return vector_to_perturbation(np.zeros(n_dof), problem)
-    coef = _base_coefficients(problem, lam_data, base)
+    coef = _base_coefficients(problem, lam_data, base, rhs.terms)
     chains = _heat_chain_preconditioner(problem)
     coupled = _right_preconditioned_apply(problem, coef, chains)
     op = spla.LinearOperator((n_dof, n_dof), matvec=coupled, dtype=float)

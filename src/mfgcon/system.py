@@ -195,6 +195,11 @@ class ResidualBundle(NamedTuple):
     fp: SpaceTimeField
     hjb: SpaceTimeField
 
+    # The Hamiltonian terms of the evaluation that produced the rows, on the
+    # bundles residual_full returns; an attribute, not a field, so a bundle
+    # still unpacks as (fp, hjb).
+    terms = None
+
     def sup_norm(self) -> float:
         return max(self.fp.sup_norm(), self.hjb.sup_norm())
 
@@ -230,10 +235,42 @@ def _shared_terms(problem: MFGProblem, pair: SolutionPair) -> _SharedTerms:
     return _SharedTerms(du=du, lap_u=du_lap[d], q=du / m_pow, m_pow=m_pow)
 
 
-def _hjb_rows(problem, lam_data, pair, terms: _SharedTerms) -> SpaceTimeField:
+class _HamiltonianTerms(NamedTuple):
+    """q, H(q) and D_pH(q) of one pair under one LambdaData.
+
+    The residual rows and the linearization's coefficients both use them.  The
+    pair's arrays and the data are kept so that :meth:`taken_at` can tell by
+    identity whether the terms belong to a given pair and data.
+    """
+
+    lam_data: LambdaData
+    u: np.ndarray
+    m: np.ndarray
+    q: np.ndarray      # (d, K, M) congestion ratio
+    h: np.ndarray      # (K, M) H(q)
+    dp_h: np.ndarray   # (d, K, M) D_pH(q)
+
+    def taken_at(self, lam_data: LambdaData, pair: SolutionPair) -> bool:
+        return self.lam_data is lam_data and self.u is pair.u.values and self.m is pair.m.values
+
+
+def _hamiltonian_terms(
+    problem: MFGProblem, lam_data: LambdaData, pair: SolutionPair, q: Optional[np.ndarray] = None
+) -> _HamiltonianTerms:
+    """The Hamiltonian terms at ``pair``; ``q`` is its congestion ratio when already known."""
+    if q is None:
+        q = _shared_terms(problem, pair).q
+    ham = lam_data.hamiltonian
+    return _HamiltonianTerms(lam_data, pair.u.values, pair.m.values, q, ham.value(q), ham.grad(q))
+
+
+class _EvaluatedResidual(ResidualBundle):
+    """The rows of :func:`residual_full`; unlike a plain bundle it can hold ``terms``."""
+
+
+def _hjb_rows(problem, lam_data, pair, terms: _SharedTerms, h_vals) -> SpaceTimeField:
     dt = problem.time.dt
     u, m = pair.u.values, pair.m.values
-    h_vals = lam_data.hamiltonian.value(terms.q)
     drift = np.einsum("dm,dkm->km", lam_data.b_values, terms.du)
     out = np.empty_like(u)
     out[:-1] = (
@@ -247,10 +284,9 @@ def _hjb_rows(problem, lam_data, pair, terms: _SharedTerms) -> SpaceTimeField:
     return SpaceTimeField(problem.grid, problem.time, out)
 
 
-def _fp_rows(problem, lam_data, pair, terms: _SharedTerms) -> SpaceTimeField:
+def _fp_rows(problem, lam_data, pair, dp_h) -> SpaceTimeField:
     grid, dt = problem.grid, problem.time.dt
     m = pair.m.values
-    dp_h = lam_data.hamiltonian.grad(terms.q)
     flux_m = np.empty((grid.dim + 1,) + m.shape)
     np.multiply(dp_h + lam_data.b_values[:, None, :], m, out=flux_m[: grid.dim])
     flux_m[grid.dim] = m
@@ -273,9 +309,14 @@ def residual_full(
     with all spatial terms on slice n, and the last slice the terminal
     mismatch u(., T) - psi.  The density check, the gradient and Laplacian of
     u and the congestion ratio are computed once and shared by both rows.
+    The bundle keeps q, H(q) and D_pH(q) as its ``terms``, so that a linear
+    solve at the same pair and data need not evaluate them again.
     """
-    terms = _shared_terms(problem, pair)
-    return ResidualBundle(
-        fp=_fp_rows(problem, lam_data, pair, terms),
-        hjb=_hjb_rows(problem, lam_data, pair, terms),
+    shared = _shared_terms(problem, pair)
+    terms = _hamiltonian_terms(problem, lam_data, pair, shared.q)
+    bundle = _EvaluatedResidual(
+        fp=_fp_rows(problem, lam_data, pair, terms.dp_h),
+        hjb=_hjb_rows(problem, lam_data, pair, shared, terms.h),
     )
+    bundle.terms = terms
+    return bundle

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from mfgcon import continuation, linearized
+from mfgcon import continuation, linearized, system
 from mfgcon.continuation import (
     ContinuationState,
     HorizonError,
@@ -17,6 +17,7 @@ from mfgcon.continuation import (
 from mfgcon.estimates import check_mass
 from mfgcon.fileio import build_problem, load_config
 from mfgcon.grids import SpaceTimeField, integrate
+from mfgcon.hamiltonians import HamiltonianModel
 from mfgcon.linearized import _KRYLOV_RTOL
 from mfgcon.system import LambdaData, SolutionPair, residual_full
 
@@ -261,10 +262,9 @@ def test_first_solve_far_from_the_solution_is_loose(small_problem, monkeypatch):
 
 
 def test_reference_solve_work_stays_bounded(monkeypatch):
-    # the tangent first step, the secant predictor and the forcing terms cut the
-    # plain corrector's work on this config (30 Newton iterations and 248 lgmres
-    # matvecs) to 12 iterations plus the tangent solve; right-preconditioned
-    # gmres then takes 13 solves and 45 operator applies
+    # the tangent first step, the secant predictor and the forcing terms hold
+    # this config to 12 Newton iterations plus the tangent solve: 13 gmres
+    # solves on the right-preconditioned operator, with 45 applies in all
     counts = {"solves": 0, "applies": 0}
     real = spla.gmres
 
@@ -285,6 +285,34 @@ def test_reference_solve_work_stays_bounded(monkeypatch):
     assert sum(s.newton_iters for s in states) <= 12
     assert 0 < counts["solves"] <= 13
     assert 0 < counts["applies"] <= 45
+
+
+def test_reference_path_evaluates_each_linearization_once(monkeypatch):
+    # every Newton solve takes q, H(q) and D_pH(q) from the residual of its
+    # right-hand side; only the tangent, whose right-hand side is a difference
+    # of two residuals, evaluates them again, so 20 residuals make 21 calls
+    # where one per solve on top would make 33
+    counts = {"residual": 0, "shared": 0, "value": 0, "grad": 0}
+
+    def counted(owner, name, key):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(continuation, "residual_full", "residual")
+    counted(system, "_shared_terms", "shared")
+    counted(HamiltonianModel, "value", "value")
+    counted(HamiltonianModel, "grad", "grad")
+    cfg = load_config(REFERENCE_CFG)
+    states = solve_path(build_problem(cfg), cfg.solver)
+    assert states[-1].lam == 0.0
+    assert counts["residual"] == 20
+    assert counts["shared"] <= counts["residual"] + 1
+    assert counts["value"] == counts["grad"] == counts["shared"]
 
 
 def _record_newton_starts(monkeypatch):
@@ -357,6 +385,64 @@ def test_stiff_terminal_data_solves_without_a_rejected_step(monkeypatch):
     assert states[-1].lam == 0.0
     assert failures == []
     assert len(rtols) <= 22
+
+
+def test_rejected_step_is_retried_at_half_the_size(monkeypatch):
+    # one pinned step of 1 is too far for the stiff terminal data: Newton runs
+    # out of iterations at lam = 0, the step halves, and two steps of 0.5 land
+    problem = make_problem(n=32, n_t=32, horizon=0.05, psi_amp=2.0)
+    starts, failures = _record_newton_starts(monkeypatch)
+    cfg = SolverConfig(dlambda_init=1.0, dlambda_max=1.0)
+    states = solve_path(problem, cfg)
+    assert failures == [0.0]
+    assert len(starts) == 3
+    assert [s.lam for s in states] == [1.0, 0.5, 0.0]
+    assert [s.step for s in states[1:]] == [0.5, 0.5]
+    for state in states:
+        assert state.residual_norm <= cfg.newton_tol
+
+
+def test_line_search_accepts_a_damped_step(monkeypatch):
+    # from the lam = 1 pair, the first full Newton steps toward lam = 0.9 with
+    # psi = 0.5 cos(2 pi x) raise the residual; their halves lower it
+    problem = make_problem(psi_amp=0.5)
+    start = trivial_solution(problem).pair
+    events = []
+    real_solve, real_residual = continuation.solve_linearized, continuation.residual_full
+
+    def solve(problem, lam_data, base, rhs, **kwargs):
+        w = real_solve(problem, lam_data, base, rhs, **kwargs)
+        events.append((base, w))
+        return w
+
+    def residual(problem, lam_data, pair):
+        events.append(pair)
+        return real_residual(problem, lam_data, pair)
+
+    monkeypatch.setattr(continuation, "solve_linearized", solve)
+    monkeypatch.setattr(continuation, "residual_full", residual)
+    cfg = SolverConfig()
+    _, diag = newton_correct(problem, LambdaData.from_problem(problem, 0.9), start, cfg)
+    assert diag.residual_history[-1] <= cfg.newton_tol
+    # after a solve at base the line search tries base - s w for s = 1, 1/2,
+    # ... and keeps the first that lowers the residual: the last one tried
+    taken = []
+    for i, event in enumerate(events):
+        if not isinstance(event, tuple):
+            continue
+        base, w = event
+        tried = []
+        for later in events[i + 1 :]:
+            if isinstance(later, tuple):
+                break
+            tried += [
+                s for s in (0.5**j for j in range(40))
+                if np.array_equal(later.m.values, base.m.values - s * w.f.values)
+            ]
+        taken.append(tried[-1])
+    assert len(taken) == diag.iterations
+    assert taken[0] == 0.5
+    assert taken[-1] == 1.0
 
 
 @pytest.mark.parametrize("stiff", [False, True])

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from mfgcon.continuation import trivial_solution
-from mfgcon.grids import SpaceTimeField, _grad_lap_stack, _grad_stack, _irfft_stack
+from mfgcon import system
+from mfgcon.grids import (
+    SpaceTimeField,
+    _grad_lap_stack,
+    _grad_stack,
+    _irfft_stack,
+    _rfft_stack,
+    _spectra,
+)
 from mfgcon.linearized import (
     Perturbation,
     _base_coefficients,
@@ -15,6 +23,7 @@ from mfgcon.linearized import (
 )
 from mfgcon.system import (
     LambdaData,
+    ResidualBundle,
     SolutionPair,
     _congestion_stack,
     residual_full,
@@ -181,6 +190,82 @@ def test_heat_chain_preconditioner_inverts_decoupled_chains(dim, n):
     chains = _heat_chain_preconditioner(problem)
     back = _irfft_stack(chains(np.concatenate([rows_v.ravel(), rows_f.ravel()])), grid).ravel()
     assert np.max(np.abs(back - np.concatenate([v.ravel(), f.ravel()]))) < 1e-12
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 3, 4, 5, 12, 32])
+@pytest.mark.parametrize("dim", [1, 2], ids=["d1", "d2"])
+def test_blocked_chain_march_matches_the_per_slice_recurrence(dim, n_t):
+    # n_t + 1 slices in blocks of 4: fewer slices than a block, one whole
+    # block, and ragged last blocks
+    problem = make_problem(n=32 if dim == 1 else 16, n_t=n_t, dim=dim)
+    grid, k, dt = problem.grid, problem.time.num_slices, problem.time.dt
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=2 * k * grid.num_nodes)
+    spec = _rfft_stack(rows.reshape(2, k, grid.num_nodes), grid)
+    sym = 1.0 / (1.0 / dt + _spectra(dim, grid.points_per_dim)[1])
+    spec[0] = spec[0, ::-1]  # the value chain runs backward from its terminal row
+    for n in range(1, k):
+        spec[:, n] = sym * (spec[:, n] + spec[:, n - 1] / dt)
+    spec[0] = spec[0, ::-1]
+    chains = _heat_chain_preconditioner(problem)
+    chains(rng.normal(size=rows.shape))  # an earlier march leaves nothing behind
+    got = chains(rows)
+    assert np.max(np.abs(got - spec)) <= 1e-13 * np.max(np.abs(spec))
+
+
+def _count_shared_terms(monkeypatch):
+    calls = []
+    real = system._shared_terms
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(system, "_shared_terms", counting)
+    return calls
+
+
+def _without_terms(bundle):
+    return ResidualBundle(fp=bundle.fp, hjb=bundle.hjb)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["d1", "d2"])
+def test_newton_solve_reuses_the_residual_terms_exactly(small_problem, dim, monkeypatch):
+    problem = small_problem if dim == 1 else make_problem(n=16, n_t=12, dim=2)
+    base = perturbed_base(problem, np.random.default_rng(12))
+    lam = LambdaData.from_problem(problem, 0.6)
+    rhs = residual_full(problem, lam, base)
+    calls = _count_shared_terms(monkeypatch)
+    reused = solve_linearized(problem, lam, base, rhs, rtol=1e-3)
+    assert calls == []
+    fresh = solve_linearized(problem, lam, base, _without_terms(rhs), rtol=1e-3)
+    assert len(calls) == 1
+    assert np.array_equal(reused.v.values, fresh.v.values)
+    assert np.array_equal(reused.f.values, fresh.f.values)
+
+
+def test_terms_of_another_evaluation_are_never_reused(monkeypatch):
+    # perfbench's set-up solves at lambda = 1 on a residual taken at 0.9; with a
+    # nonunit weight H differs between the two, so stale terms would show
+    problem = make_problem(weight=2.0)
+    pair = trivial_solution(problem).pair
+    lam_one = LambdaData.from_problem(problem, 1.0)
+    rhs = residual_full(problem, LambdaData.from_problem(problem, 0.9), pair)
+    stale = rhs.terms._replace(lam_data=lam_one)
+    assert not np.array_equal(
+        _base_coefficients(problem, lam_one, pair, stale).zero_order_u,
+        _base_coefficients(problem, lam_one, pair).zero_order_u,
+    )
+    calls = _count_shared_terms(monkeypatch)
+    got = solve_linearized(problem, lam_one, pair, rhs)
+    expect = solve_linearized(problem, lam_one, pair, _without_terms(rhs))
+    assert len(calls) == 2
+    assert np.array_equal(got.v.values, expect.v.values)
+    assert np.array_equal(got.f.values, expect.f.values)
+    # equal data in another LambdaData, or a copy of the pair, is another evaluation
+    same_lam = residual_full(problem, LambdaData.from_problem(problem, 1.0), pair)
+    assert not same_lam.terms.taken_at(lam_one, pair)
+    assert not residual_full(problem, lam_one, pair).terms.taken_at(lam_one, pair.copy())
 
 
 @pytest.mark.parametrize(
