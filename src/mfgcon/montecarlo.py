@@ -4,12 +4,17 @@ Paths follow dX = drift dt + sqrt(2) dW on the torus with the feedback drift
 -DpH(x, Q) - b read off a solved pair, started from the pair's initial
 density.  The empirical slice densities (periodic cloud-in-cell deposition,
 each normalized to unit mass) are compared against the solved m in L1.
-Batches draw from generators spawned off one seed, so results are
-reproducible bit for bit and independent of scheduling.
+The paths run in fixed-size batches, each drawing from its own generator
+spawned off one seed, and the batches run at the same time on the usable
+cores.  Each batch deposits into its own array and the arrays are summed in
+batch order, so the densities depend on the seed and the batch size only,
+bit for bit, never on the core count or on scheduling.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +35,15 @@ class SDEConfig:
     paths: int = 100_000
     seed: int = 0
     substeps: int = 1
-    batch_size: int = 250_000
+    batch_size: int = 50_000
 
     def __post_init__(self):
         if self.paths < 1:
             raise ValueError("need at least one path")
         if self.substeps < 1:
             raise ValueError("substeps must divide the solver step at least once")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least one path, got {self.batch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -120,6 +127,41 @@ class _Stencil:
         np.add.at(out, self.idx.ravel(), self.wts.ravel())
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _simulate_batch(drift, m_init, grid, time, substeps: int, seed, n: int) -> np.ndarray:
+    """Unnormalized (K, M) deposits of one batch of n paths drawn from its own generator."""
+    deposits = np.zeros((time.num_slices, grid.num_nodes))
+    dt_sub = time.dt / substeps
+    rng = np.random.default_rng(seed)
+    pos = _sample_initial(m_init, grid, rng, n)
+    noise = np.empty_like(pos)
+    stencil = _Stencil(grid, n)
+    stencil.locate(pos)
+    stencil.deposit(deposits[0])
+    for k in range(time.steps):
+        for sub in range(substeps):
+            if sub > 0:
+                stencil.locate(pos)
+            vel = stencil.interpolate(drift[:, k])
+            rng.standard_normal(out=noise)
+            vel *= dt_sub
+            noise *= np.sqrt(2.0 * dt_sub)
+            pos += vel
+            pos += noise
+            # the same bits as pos %= 1.0, without its cost; noise is redrawn next
+            pos -= np.floor(pos, out=noise)
+        stencil.locate(pos)
+        stencil.deposit(deposits[k + 1])
+    return deposits
+
+
 def simulate_density(
     problem: MFGProblem,
     lam_data: LambdaData,
@@ -132,41 +174,41 @@ def simulate_density(
     held on the current solver slice and interpolated linearly in space.
     Every returned slice integrates to one exactly.  A pair with a
     nonpositive density sample raises NonpositiveDensityError.
+
+    The paths are split into batches of ``batch_size`` (the last one takes
+    the rest), each with its own generator spawned off ``seed``.  The batches
+    run on the usable cores: the calling thread and ``workers - 1`` pool
+    threads each take every ``workers``-th batch.  Each batch deposits into
+    its own array and the arrays are summed in batch order, so the result
+    depends on ``seed`` and ``batch_size`` only.  An exception in any batch
+    reaches the caller unchanged.
     """
     grid, time = problem.grid, problem.time
     q = _shared_terms(problem, pair).q
     drift = -(lam_data.hamiltonian.grad(q) + lam_data.b_values[:, None, :])  # (d, K, M)
 
-    deposits = np.zeros((time.num_slices, grid.num_nodes))
-    dt_sub = time.dt / cfg.substeps
-    root = np.random.SeedSequence(cfg.seed)
     n_batches = (cfg.paths + cfg.batch_size - 1) // cfg.batch_size
-    children = root.spawn(n_batches)
+    children = np.random.SeedSequence(cfg.seed).spawn(n_batches)
+    sizes = [min(cfg.batch_size, cfg.paths - b * cfg.batch_size) for b in range(n_batches)]
+    batches: list = [None] * n_batches
+    workers = min(n_batches, _usable_cores())
 
-    done = 0
-    for b in range(n_batches):
-        n = min(cfg.batch_size, cfg.paths - done)
-        done += n
-        rng = np.random.default_rng(children[b])
-        pos = _sample_initial(lam_data.m_init_values, grid, rng, n)
-        noise = np.empty_like(pos)
-        stencil = _Stencil(grid, n)
-        stencil.locate(pos)
-        stencil.deposit(deposits[0])
-        for k in range(time.steps):
-            for sub in range(cfg.substeps):
-                if sub > 0:
-                    stencil.locate(pos)
-                vel = stencil.interpolate(drift[:, k])
-                rng.standard_normal(out=noise)
-                vel *= dt_sub
-                noise *= np.sqrt(2.0 * dt_sub)
-                pos += vel
-                pos += noise
-                pos -= np.floor(pos)  # the same bits as pos %= 1.0, without its cost
-            stencil.locate(pos)
-            stencil.deposit(deposits[k + 1])
+    def run_share(first: int) -> None:
+        # one batch at a time, so only ``workers`` batches' particles are alive
+        for b in range(first, n_batches, workers):
+            batches[b] = _simulate_batch(
+                drift, lam_data.m_init_values, grid, time, cfg.substeps, children[b], sizes[b]
+            )
 
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run_share, first) for first in range(1, workers)]
+        run_share(0)
+        for future in futures:
+            future.result()
+
+    deposits = batches[0]
+    for more in batches[1:]:
+        deposits += more
     densities = deposits / (cfg.paths * grid.cell_volume)
     return SpaceTimeField(grid, time, densities)
 

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from mfgcon import montecarlo
 from mfgcon.continuation import solve_path, trivial_solution
 from mfgcon.grids import PeriodicGrid, SpaceTimeField
 from mfgcon.montecarlo import (
@@ -81,6 +84,9 @@ def test_substeps_validated():
         SDEConfig(paths=10, substeps=0)
     with pytest.raises(ValueError):
         SDEConfig(paths=0)
+    for size in (0, -5):
+        with pytest.raises(ValueError):
+            SDEConfig(paths=10, batch_size=size)
 
 
 def test_two_dimensional_uniform_smoke():
@@ -165,14 +171,60 @@ def _two_pass_density(problem, lam, pair, cfg):
     return deposits / (cfg.paths * grid.cell_volume)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_one_stencil_pass_matches_the_two_pass_reference(dim):
+@pytest.fixture(scope="module", params=[1, 2])
+def drifted(request):
+    """A drifted solved pair at lam = 0, in d = 1 and d = 2."""
+    problem = make_problem(n=16, n_t=4, horizon=0.02, dim=request.param, psi_amp=0.5)
+    final = solve_path(problem)[-1]
+    return problem, LambdaData.from_problem(problem, 0.0), final.pair
+
+
+def test_one_stencil_pass_matches_the_two_pass_reference(drifted):
     # a drifted solved pair, several batches and substeps, so that every branch
     # of the shared stencil (deposit, first and later substeps) is exercised
-    problem = make_problem(n=16, n_t=4, horizon=0.02, dim=dim, psi_amp=0.5)
-    final = solve_path(problem)[-1]
-    lam = LambdaData.from_problem(problem, 0.0)
+    problem, lam, pair = drifted
     cfg = SDEConfig(paths=5_000, seed=9, substeps=2, batch_size=2_000)
-    got = simulate_density(problem, lam, final.pair, cfg).values
-    want = _two_pass_density(problem, lam, final.pair, cfg)
+    got = simulate_density(problem, lam, pair, cfg).values
+    want = _two_pass_density(problem, lam, pair, cfg)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_densities_do_not_depend_on_the_worker_count(drifted, monkeypatch):
+    # four batches, the last one short, and two substeps per solver step; four
+    # workers are more threads than cores, switching as often as they can
+    problem, lam, pair = drifted
+    cfg = SDEConfig(paths=7_000, seed=4, substeps=2, batch_size=2_000)
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(montecarlo, "_usable_cores", lambda: workers)
+            got[workers] = simulate_density(problem, lam, pair, cfg).values
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got[1], got[2])
+    assert np.array_equal(got[1], got[4])
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_batch_exception_reaches_the_caller(mc_problem, monkeypatch, failing):
+    # on two workers, batch 1 runs in the pool thread and batch 2 is the calling
+    # thread's second batch
+    state = trivial_solution(mc_problem)
+    lam = LambdaData.from_problem(mc_problem, 1.0)
+    cfg = SDEConfig(paths=5_000, seed=4, batch_size=2_000)
+    boom = RuntimeError("batch failed")
+    sample = montecarlo._sample_initial
+
+    def failing_sample(m0_values, grid, rng, n):
+        if rng.bit_generator.seed_seq.spawn_key == (failing,):
+            raise boom
+        return sample(m0_values, grid, rng, n)
+
+    monkeypatch.setattr(montecarlo, "_sample_initial", failing_sample)
+    for workers in (1, 2):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: workers)
+        with pytest.raises(RuntimeError) as caught:
+            simulate_density(mc_problem, lam, state.pair, cfg)
+        assert caught.value is boom
