@@ -66,8 +66,8 @@ def parse_field_expression(text: str, dim: int):
         return [(0.0, None, None)]
     if cleaned in ("1", "uniform"):
         return [(1.0, None, None)]
-    # split on '+' while keeping negative coefficients intact
-    pieces = re.split(r"\s*\+\s*", cleaned)
+    # split on '+' while keeping negative coefficients and signed exponents intact
+    pieces = re.split(r"\s*(?<![eE])\+\s*", cleaned)
     terms = []
     for piece in pieces:
         m = _TERM.match(piece)

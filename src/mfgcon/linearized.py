@@ -11,10 +11,13 @@ afresh.  Its rows split as L = H + N: H is the two decoupled implicit heat
 chains, N the coupling rows, and one helper computes N for both the plain
 apply and the solve.  Every linear solve is gmres on the right
 preconditioned operator I + N H^-1, where H^-1 marches both chains on one
-batched rfftn of all their time slices, as a blocked scan in time.  One apply
-of it takes 2d + 4 real field transforms: that forward transform of the
-iterate, one inverse of (Dv, f) from the chain spectra, and the flux
-divergence's forward and inverse pair.
+batched real transform of all their time slices.  Each chain's recurrence,
+rescaled by powers of its factor c, is a prefix sum in time: one cumsum
+between two table multiplies, in blocks short enough that no weight c^-j
+exceeds 1e100, so nothing overflows.  One apply of it takes
+2d + 4 real field transforms: that forward transform of the iterate, one
+inverse of (Dv, f) from the chain spectra, and the flux divergence's forward
+and inverse pair.
 """
 
 from __future__ import annotations
@@ -214,9 +217,10 @@ _GMRES_RESTART = 10
 # Operator applies one solve may take before it fails: each restart cycle
 # applies the operator restart times, plus once for its true residual.
 _MAX_APPLIES = 400
-# Time slices per block of the heat-chain march.  Of 2, 4 and 8, 4 marched
-# fastest on the d = 1 workloads (33 and 65 slices).
-_CHAIN_BLOCK = 4
+# Bound on the largest weight c^-j in one block of the heat-chain march.  A
+# block's partial sums then stay below B * 1e100 times its largest datum,
+# which leaves about 1e200 of headroom for the data below float64's 1.8e308.
+_CHAIN_WEIGHT_MAX = 1e100
 
 
 def _heat_chain_preconditioner(problem: MFGProblem):
@@ -225,39 +229,53 @@ def _heat_chain_preconditioner(problem: MFGProblem):
     Returns ``chains(rows)``, which maps a row vector [value rows | transport
     rows] to the half spectra, a (2, K, M) stack, of the (v, f) that solves
     the heat rows.  The value chain runs backward from the terminal row, the
-    density chain forward from the initial row; both take one batched rfftn
-    and march together, the value chain in reversed time.  Mode by mode each
-    chain is the affine recurrence x_n = c x_(n-1) + s r_n from x_0 = r_0,
-    with s = 1 / (1/dt + |omega|^2) and c = s / dt in (0, 1].  It is marched
-    as a blocked scan (Kogge & Stone 1973; Blelloch 1990) over blocks of
-    B = ``_CHAIN_BLOCK`` slices: every block marches from a zero carry at once,
-    the block ends take the true carry through x -> c^B x, and each block
-    adds c^(j+1) times the end of the block before it to its slice j.  That
-    is B - 1 + ceil(K/B) vectorized steps in place of K - 1, and as every
-    weight is at most 1 nothing grows.
+    density chain forward from the initial row; both take one batched real
+    transform and march together, the value chain in reversed time.  Mode by
+    mode each chain is the affine recurrence x_n = c x_(n-1) + t_n from x_0 =
+    t_0 = r_0, with t_n = s r_n, s = 1 / (1/dt + |omega|^2) and c = s / dt in
+    (0, 1].  Rescaled, the recurrence is a prefix sum (Kogge & Stone 1973;
+    Blelloch 1990): x_j = c^j sum_(i <= j) c^-i t_i, one cumsum in time
+    between a multiply by a (B, M) table of s c^-j and one by a table of c^j.
+    The block length B is the largest B <= K whose largest weight
+    c_min^-(B - 1) stays at or below ``_CHAIN_WEIGHT_MAX``, so no weight and
+    no partial sum overflows: the benchmark grids (33 and 65 slices) march
+    in one block, d = 1 with N = 256, n_t = 256 and T = 0.05 in blocks of
+    48.  With several blocks every block sums from a zero carry at once, the
+    block ends take the true carry through x -> c^B x, and each block adds
+    c^(j+1) times the end of the block before it to its slice j.
     """
     grid, time = problem.grid, problem.time
     mm, k, dt = grid.num_nodes, time.num_slices, time.dt
     _, ksq = _spectra(grid.dim, grid.points_per_dim)
     sym = 1.0 / (1.0 / dt + ksq)
     c = sym / dt
-    powers = np.stack([c ** (j + 1) for j in range(_CHAIN_BLOCK)])
-    n_blocks = -(-k // _CHAIN_BLOCK)
+    # log(1/c_min) > 0, but it rounds to 0 on a vanishing dt: never divide by it
+    # unless one block would be too long
+    growth = -np.log(np.min(c))
+    limit = np.log(_CHAIN_WEIGHT_MAX)
+    block = k if growth * (k - 1) <= limit else 1 + int(limit / growth)
+    n_blocks = -(-k // block)
+    j = np.arange(block).reshape((block,) + (1,) * c.ndim)
+    post = c**j  # c^j, and c^(j+1) = post[j+1] for the carry
+    pre = sym / post  # s c^-j; the data row t_0 = r_0 takes weight 1
+    pre[0] = 1.0
+    carry = post[-1] * c  # c^B
 
     def chains(rows: np.ndarray) -> np.ndarray:
         # the spectra go straight into an array padded to whole blocks
-        x = np.empty((2, n_blocks * _CHAIN_BLOCK) + sym.shape, dtype=complex)
+        x = np.empty((2, n_blocks * block) + sym.shape, dtype=complex)
         spec = _rfft_stack(rows.reshape(2, k, mm), grid, out=x[:, :k])
         spec[0] = spec[0, ::-1]
-        spec[:, 1:] *= sym  # the first row of each chain is a data row
         x[:, k:] = 0.0  # the padding never reaches a real slice; zeroed to stay finite
-        blocks = x.reshape((2, n_blocks, _CHAIN_BLOCK) + sym.shape)
-        for j in range(1, _CHAIN_BLOCK):
-            blocks[:, :, j] += c * blocks[:, :, j - 1]
+        blocks = x.reshape((2, n_blocks, block) + sym.shape)
+        blocks *= pre
+        blocks[:, 1:, 0] *= sym  # only the chains' first row is a data row
+        np.cumsum(blocks, axis=2, out=blocks)
+        blocks *= post
         ends = blocks[:, :, -1]
         for b in range(1, n_blocks):
-            ends[:, b] += powers[-1] * ends[:, b - 1]
-        blocks[:, 1:, :-1] += powers[:-1] * ends[:, :-1, None]
+            ends[:, b] += carry * ends[:, b - 1]
+        blocks[:, 1:, :-1] += post[1:] * ends[:, :-1, None]
         spec[0] = spec[0, ::-1]
         return spec
 
@@ -267,8 +285,8 @@ def _heat_chain_preconditioner(problem: MFGProblem):
 def _right_preconditioned_apply(problem: MFGProblem, coef: _BaseCoefficients, chains):
     """Matvec of L H^-1 = I + N H^-1 on a row vector y, with H^-1 = ``chains``.
 
-    (Dv, f) come back from the chain spectra by one irfftn, so N needs no
-    forward transform of its own beyond the flux divergence's.
+    (Dv, f) come back from the chain spectra by one inverse transform, so N
+    needs no forward transform of its own beyond the flux divergence's.
     """
     grid = problem.grid
     d = grid.dim
@@ -296,12 +314,12 @@ def solve_linearized(
     preconditioned system (I + N H^-1) y = rhs to the relative tolerance
     ``rtol``; then w = H^-1 y.  Its residual is the true residual of L w =
     rhs.  One apply of I + N H^-1 takes 2d + 4 real field transforms: the
-    chains' rfftn of y, one irfftn of (Dv, f) from the chain spectra, and the
-    flux divergence's transform pair.  The coefficients of L take q, H(q)
-    and D_pH(q) from ``rhs.terms`` when :func:`residual_full` made ``rhs`` at
-    this ``base`` under this ``lam_data`` (the Newton corrector's case), and
-    evaluate them afresh otherwise.  A solve that misses its tolerance raises
-    :class:`LinearSolveError`.
+    chains' forward transform of y, one inverse of (Dv, f) from the chain
+    spectra, and the flux divergence's transform pair.  The coefficients of L
+    take q, H(q) and D_pH(q) from ``rhs.terms`` when :func:`residual_full`
+    made ``rhs`` at this ``base`` under this ``lam_data`` (the Newton
+    corrector's case), and evaluate them afresh otherwise.  A solve that
+    misses its tolerance raises :class:`LinearSolveError`.
     """
     k, mm = problem.time.num_slices, problem.grid.num_nodes
     n_dof = 2 * k * mm

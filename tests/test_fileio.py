@@ -56,6 +56,15 @@ def test_parse_field_terms():
         parse_field_expression("0.2*cos(1,2,3)", 2)
 
 
+def test_signed_exponents_are_not_split_as_terms():
+    spelled = parse_field_expression("1e+0 + 2E+1*cos(1) + 2.5e-1*cos(1)", 1)
+    plain = parse_field_expression("1 + 20*cos(1) + 0.25*cos(1)", 1)
+    assert spelled == plain == [(1.0, None, None), (20.0, "cos", (1,)), (0.25, "cos", (1,))]
+    # a '+' after a space still separates terms, so a broken exponent is rejected
+    with pytest.raises(ConfigError):
+        parse_field_expression("1e +0", 1)
+
+
 def test_realize_field_matches_analytic():
     grid = PeriodicGrid(1, 64)
     x = grid.coordinates()[0]

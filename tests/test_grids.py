@@ -10,6 +10,8 @@ from mfgcon.grids import (
     _div_lap_stack,
     _grad_lap_stack,
     _grad_stack,
+    _irfft_stack,
+    _rfft_stack,
     fourier_interpolate,
     integrate,
 )
@@ -232,6 +234,14 @@ def test_half_spectrum_stacks_match_complex_reference(dim, n):
     assert rel_err(_div_lap_stack(stack, grid), ref.div(comps) + ref.lap(vals)) <= 1e-12
     # a single field (no batch axis) takes the same path
     assert rel_err(_grad_stack(vals[0], grid), ref.grad(vals[:1])[:, 0]) <= 1e-12
+    # the stack transforms are rfftn/irfftn over the grid axes, bit for bit
+    axes = tuple(range(-dim, 0))
+    spec = np.fft.rfftn(vals.reshape((9,) + grid.shape), axes=axes)
+    assert np.array_equal(_rfft_stack(vals, grid), spec)
+    out = np.empty_like(spec)
+    assert _rfft_stack(vals, grid, out=out) is out and np.array_equal(out, spec)
+    back = np.fft.irfftn(spec, s=grid.shape, axes=axes).reshape(vals.shape)
+    assert np.array_equal(_irfft_stack(spec, grid), back)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)], ids=["d1", "d2"])

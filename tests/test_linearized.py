@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfgcon.continuation import trivial_solution
-from mfgcon import system
+from mfgcon import linearized, system
 from mfgcon.grids import (
     SpaceTimeField,
     _grad_lap_stack,
@@ -192,25 +192,57 @@ def test_heat_chain_preconditioner_inverts_decoupled_chains(dim, n):
     assert np.max(np.abs(back - np.concatenate([v.ravel(), f.ravel()]))) < 1e-12
 
 
-@pytest.mark.parametrize("n_t", [1, 2, 3, 4, 5, 12, 32])
-@pytest.mark.parametrize("dim", [1, 2], ids=["d1", "d2"])
-def test_blocked_chain_march_matches_the_per_slice_recurrence(dim, n_t):
-    # n_t + 1 slices in blocks of 4: fewer slices than a block, one whole
-    # block, and ragged last blocks
-    problem = make_problem(n=32 if dim == 1 else 16, n_t=n_t, dim=dim)
+def march_and_recurrence(problem):
+    """The chains' march of random rows, and the same chains marched slice by slice."""
     grid, k, dt = problem.grid, problem.time.num_slices, problem.time.dt
     rng = np.random.default_rng(5)
     rows = rng.normal(size=2 * k * grid.num_nodes)
     spec = _rfft_stack(rows.reshape(2, k, grid.num_nodes), grid)
-    sym = 1.0 / (1.0 / dt + _spectra(dim, grid.points_per_dim)[1])
+    sym = 1.0 / (1.0 / dt + _spectra(grid.dim, grid.points_per_dim)[1])
     spec[0] = spec[0, ::-1]  # the value chain runs backward from its terminal row
     for n in range(1, k):
         spec[:, n] = sym * (spec[:, n] + spec[:, n - 1] / dt)
     spec[0] = spec[0, ::-1]
     chains = _heat_chain_preconditioner(problem)
     chains(rng.normal(size=rows.shape))  # an earlier march leaves nothing behind
-    got = chains(rows)
-    assert np.max(np.abs(got - spec)) <= 1e-13 * np.max(np.abs(spec))
+    return chains(rows), spec
+
+
+def smallest_chain_factor(problem):
+    dt = problem.time.dt
+    return np.min(1.0 / (1.0 + dt * _spectra(problem.grid.dim, problem.grid.points_per_dim)[1]))
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 3, 4, 5, 12, 32])
+@pytest.mark.parametrize("dim", [1, 2], ids=["d1", "d2"])
+def test_blocked_chain_march_matches_the_per_slice_recurrence(dim, n_t):
+    # n_t + 1 slices, each grid in a single block under the default weight bound
+    problem = make_problem(n=32 if dim == 1 else 16, n_t=n_t, dim=dim)
+    got, ref = march_and_recurrence(problem)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("block", [1, 4, 11, 32])
+@pytest.mark.parametrize("dim", [1, 2], ids=["d1", "d2"])
+def test_chain_march_in_several_blocks_matches_the_recurrence(dim, block, monkeypatch):
+    # 33 slices: blocks of one slice, ragged last blocks (4 and 32) and whole
+    # blocks (11), from a weight bound just above c_min^-(block - 1)
+    problem = make_problem(n=32 if dim == 1 else 16, n_t=32, dim=dim)
+    weight_max = 1.5 * smallest_chain_factor(problem) ** -(block - 1.0)
+    monkeypatch.setattr(linearized, "_CHAIN_WEIGHT_MAX", weight_max)
+    got, ref = march_and_recurrence(problem)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_fine_grid_chain_march_stays_finite():
+    # one block of all 257 slices would weigh its last slice by c_min^-256,
+    # past the float64 range; the weight bound splits it instead
+    problem = make_problem(n=256, n_t=256, horizon=0.05)
+    k = problem.time.num_slices
+    assert -(k - 1) * np.log(smallest_chain_factor(problem)) > np.log(np.finfo(float).max)
+    got, ref = march_and_recurrence(problem)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _count_shared_terms(monkeypatch):
