@@ -6,8 +6,8 @@ config errors, command-line errors included (a missing option, an unknown
 flag or subcommand, an option on a command that does not read it, such as
 ``--seed`` on a command that draws no samples).
 ``--help`` exits 0.  The solve command emits one machine-parseable line per
-accepted homotopy step and never reports success without a residual
-certificate in the log.
+accepted continuation state, naming the grid it was certified on, and never
+reports success without a residual certificate in the log.
 """
 
 from __future__ import annotations
@@ -47,10 +47,12 @@ EXIT_USAGE = 3
 
 
 def _state_line(state) -> str:
+    """One path.log record; ``grid`` and ``n_t`` name the grids the state is certified on."""
+    grid, time = state.pair.u.grid, state.pair.u.time
     return (
         f"lambda={state.lam:.6f} residual={state.residual_norm:.3e} "
         f"newton_iters={state.newton_iters} min_m={state.min_density():.6e} "
-        f"dlambda={state.step:.4f}"
+        f"dlambda={state.step:.4f} grid={'x'.join(map(str, grid.shape))} n_t={time.steps}"
     )
 
 

@@ -82,6 +82,10 @@ def test_solve_artifacts(workdir):
     last = dict(kv.split("=") for kv in log[-1].split())
     assert float(last["lambda"]) == 0.0
     assert float(last["residual"]) <= 1e-8
+    # a d = 1 path is not nested: every record names the config grid
+    for line in log:
+        record = dict(kv.split("=") for kv in line.split())
+        assert (record["grid"], record["n_t"]) == ("32", "16")
 
 
 def test_check_round_trip(workdir):
@@ -349,6 +353,10 @@ def test_two_dimensional_config_solve(tmp_path):
     assert code == 0
     u, _ = read_field(str(out / "u.field"))
     assert u.grid.dim == 2 and u.grid.num_nodes == 64
+    # below 32 nodes per axis the path is not nested
+    for line in (out / "path.log").read_text().strip().splitlines():
+        record = dict(kv.split("=") for kv in line.split())
+        assert (record["grid"], record["n_t"]) == ("8x8", "6")
 
 
 def test_inflated_horizon_contract(tmp_path):
@@ -382,3 +390,38 @@ def test_failed_linear_solve_ends_in_horizon_failure(tmp_path, monkeypatch):
     assert code == 2
     log = open(out / "path.log").read().strip().splitlines()
     assert log[-1].startswith("horizon_failure")
+
+
+NESTED2D = FLAT2D.replace("n = 8", "n = 32").replace("n_t = 6", "n_t = 8")
+
+
+def test_nested_solve_falls_back_to_the_config_grid(tmp_path, monkeypatch):
+    # every Newton correction on the config grid fails: the coarse path is
+    # certified and logged on its own grid, the fallback march from lambda = 1
+    # underflows, and the fields written are on the config grid
+    from mfgcon import continuation
+
+    real = continuation.newton_correct
+
+    def coarse_only(problem, *args, **kwargs):
+        if problem.grid.points_per_dim == 32:
+            raise continuation.NewtonFailure("fine grid", continuation.NewtonDiagnostics(0))
+        return real(problem, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_correct", coarse_only)
+    cfg = tmp_path / "nested.cfg"
+    cfg.write_text(NESTED2D)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    log = (out / "path.log").read_text().strip().splitlines()
+    assert log[-1].startswith("horizon_failure")
+    records = [dict(kv.split("=") for kv in line.split()) for line in log[:-1]]
+    grids = [(r["grid"], r["n_t"]) for r in records]
+    assert grids[-1] == ("32x32", "8") and float(records[-1]["lambda"]) == 1.0
+    assert set(grids[:-1]) == {("16x16", "4")}
+    assert float(records[-2]["lambda"]) == 0.0
+    for name in ("u.field", "m.field"):
+        stf, _ = read_field(str(out / name))
+        assert stf.grid.shape == (32, 32) and stf.time.steps == 8
+    fields = [str(out / "u.field"), str(out / "m.field")]
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "chk")] + fields) in (0, 1)

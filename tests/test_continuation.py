@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 
 from mfgcon import continuation, linearized, system
 from mfgcon.continuation import (
+    _TANGENT_RTOL,
     ContinuationState,
     HorizonError,
     NewtonFailure,
@@ -16,7 +17,7 @@ from mfgcon.continuation import (
 )
 from mfgcon.estimates import check_mass
 from mfgcon.fileio import build_problem, load_config
-from mfgcon.grids import SpaceTimeField, integrate
+from mfgcon.grids import PeriodicGrid, SpaceTimeField, TimeGrid, integrate
 from mfgcon.hamiltonians import HamiltonianModel
 from mfgcon.linearized import _KRYLOV_RTOL
 from mfgcon.system import LambdaData, SolutionPair, residual_full
@@ -243,9 +244,9 @@ def _record_rtols(monkeypatch):
 def test_forcing_terms_stay_in_range(small_problem, monkeypatch):
     rtols = _record_rtols(monkeypatch)
     states = solve_path(small_problem)
-    # the tangent solve at the default tolerance, then one solve per Newton iteration
+    # the tangent solve at its own tolerance, then one solve per Newton iteration
     assert len(rtols) == 1 + sum(s.newton_iters for s in states)
-    assert rtols[0] == _KRYLOV_RTOL
+    assert rtols[0] == _TANGENT_RTOL
     assert all(_KRYLOV_RTOL <= r <= 0.1 for r in rtols)
     assert max(rtols) == 0.1 and min(rtols) < 1e-3
 
@@ -483,3 +484,119 @@ def test_pinned_steps_end_on_a_full_step(small_problem, dim, dl):
     du = np.max(np.abs(adaptive.pair.u.values - final.pair.u.values))
     dm = np.max(np.abs(adaptive.pair.m.values - final.pair.m.values))
     assert max(du, dm) <= 1e-6
+
+
+# the perfbench grid2d data on 32x32 nodes, the smallest grid with a nested path
+NESTED_2D = """
+[problem]
+d = 2
+n = 32
+n_t = {n_t}
+t = 0.05
+gamma = 1.5
+alpha = 0.5
+b_x = 0.1*sin(1,0)
+b_y = 0.05*sin(0,1)
+v1 = 0.05*cos(1,1)
+v2 = arctan
+psi = 0.05*cos(1,0)
+m0 = 1 + 0.2*cos(1,0) + 0.1*cos(0,1)
+"""
+
+
+def _nested_problem(tmp_path, n_t):
+    path = tmp_path / "nested.cfg"
+    path.write_text(NESTED_2D.format(n_t=n_t))
+    cfg = load_config(str(path))
+    return build_problem(cfg), cfg.solver
+
+
+def _sup_gap(a, b):
+    return max(np.max(np.abs(a.u.values - b.u.values)), np.max(np.abs(a.m.values - b.m.values)))
+
+
+def test_coarse_problem_is_the_config_on_the_coarse_grid(tmp_path):
+    problem, _ = _nested_problem(tmp_path, 8)
+    path = tmp_path / "coarse.cfg"
+    path.write_text(NESTED_2D.format(n_t=4).replace("n = 32", "n = 16"))
+    direct = build_problem(load_config(str(path)))
+    coarse = continuation._coarse_problem(problem)
+    assert coarse.grid == direct.grid and coarse.time == direct.time
+    assert coarse.k0 == pytest.approx(direct.k0, abs=1e-15)
+
+    def scalars(p):
+        return p.alpha, p.m_floor, p.potential.v2_kind, p.hamiltonian.gamma
+
+    assert scalars(coarse) == scalars(direct)
+    for got, want in [
+        (coarse.hamiltonian.weight, direct.hamiltonian.weight),
+        (coarse.b.values, direct.b.values),
+        (coarse.potential.v1.values, direct.potential.v1.values),
+        (coarse.psi.values, direct.psi.values),
+        (coarse.m0.values, direct.m0.values),
+    ]:
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_t, coarse_n_t", [(8, 4), (7, 7)])
+def test_lift_is_exact_on_band_limited_fields_linear_in_time(n_t, coarse_n_t):
+    fine = make_problem(n=32, n_t=n_t, dim=2)
+    coarse_grid, coarse_time = PeriodicGrid(2, 16), TimeGrid(fine.time.horizon, coarse_n_t)
+
+    def sample(grid, time):
+        x, y = grid.coordinates()
+        f = np.cos(2 * np.pi * (3 * x - 2 * y)) + np.sin(2 * np.pi * 7 * y)
+        vals = (1.0 + 5.0 * time.times())[:, None] * f.ravel()[None, :] + 2.0
+        return SpaceTimeField(grid, time, vals)
+
+    coarse = sample(coarse_grid, coarse_time)
+    lifted = continuation._lift(SolutionPair(u=coarse, m=coarse), fine)
+    want = sample(fine.grid, fine.time).values
+    for f in (lifted.u, lifted.m):
+        assert f.grid == fine.grid and f.time == fine.time
+        np.testing.assert_allclose(f.values, want, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_t, coarse_n_t", [(8, 4), (7, 7)])
+def test_nested_path_matches_the_direct_march(tmp_path, n_t, coarse_n_t):
+    problem, cfg = _nested_problem(tmp_path, n_t)
+    states = solve_path(problem, cfg)
+    direct = continuation._march(problem, cfg)
+    *coarse, final = states
+    for s in coarse:
+        assert s.pair.u.grid.shape == (16, 16) and s.pair.u.time.steps == coarse_n_t
+        assert s.residual_norm <= cfg.newton_tol
+    assert coarse[0].lam == 1.0 and coarse[-1].lam == 0.0
+    assert final.lam == 0.0 and final.step == 0.0
+    assert final.pair.u.grid == problem.grid and final.pair.m.time == problem.time
+    assert final.newton_iters <= 3
+    assert final.residual_norm <= cfg.newton_tol
+    assert _sup_gap(final.pair, direct[-1].pair) <= 1e-12
+
+
+@pytest.mark.parametrize("failing", ["coarse path", "fine correction"])
+def test_nested_path_falls_back_to_the_target_grid(tmp_path, monkeypatch, failing):
+    problem, cfg = _nested_problem(tmp_path, 8)
+    real = continuation.newton_correct
+    fine_calls = []
+
+    def failing_newton(prob, lam_data, pair, config):
+        on_target = prob.grid == problem.grid
+        if on_target:
+            fine_calls.append(lam_data.lam)
+        if (failing == "coarse path" and not on_target) or fine_calls == [0.0]:
+            raise NewtonFailure("injected", continuation.NewtonDiagnostics(0))
+        return real(prob, lam_data, pair, config)
+
+    monkeypatch.setattr(continuation, "newton_correct", failing_newton)
+    accepted = []
+    states = solve_path(problem, cfg, on_state=accepted.append)
+    assert fine_calls[0] == (0.0 if failing == "fine correction" else 0.9)
+    assert states[0].lam == 1.0 and states[-1].lam == 0.0
+    assert all(s.pair.u.grid == problem.grid for s in states)
+    # the coarse states were reported before the fallback's
+    assert len(accepted) > len(states)
+    assert all(a is b for a, b in zip(accepted[-len(states):], states))
+    monkeypatch.setattr(continuation, "newton_correct", real)
+    direct = continuation._march(problem, cfg)
+    assert _sup_gap(states[-1].pair, direct[-1].pair) == 0.0
