@@ -3,8 +3,9 @@
 The package couples a backward value-function equation with a forward density
 transport equation, solves the pair by homotopy continuation from an explicit
 endpoint with exact-Jacobian Newton corrections, cross-validates the inner
-linear solves with a Fourier-Galerkin shooting construction, and re-checks
-every accepted solution against the a priori bounds the theory guarantees.
+linear solves with one direct solve of their Fourier-Galerkin projection, and
+re-checks every accepted solution against the a priori bounds the theory
+guarantees.
 """
 
 from .continuation import (
@@ -20,7 +21,7 @@ from .estimates import DerivedExponents, EstimateReport, run_all_checks
 from .galerkin import (
     FourierBasis,
     assemble_galerkin_system,
-    shooting_matrix,
+    shooting_spectrum,
     solve_linearized_galerkin,
 )
 from .grids import (

@@ -108,15 +108,14 @@ def _cmd_solve(args) -> int:
         write_plot_columns(os.path.join(args.out, "u.txt"), final.pair.u)
         write_plot_columns(os.path.join(args.out, "m.txt"), final.pair.m)
     if basis is not None:
-        from .galerkin import assemble_galerkin_system, shooting_matrix
+        from .galerkin import assemble_galerkin_system, shooting_spectrum
 
         system = assemble_galerkin_system(
             problem, LambdaData.from_problem(problem, 0.0), final.pair, basis
         )
-        sigma = np.linalg.svd(shooting_matrix(system), compute_uv=False)
         np.savetxt(
             os.path.join(args.out, "galerkin_spectrum.txt"),
-            sigma,
+            shooting_spectrum(system),
             header="singular values of the shooting map at lambda=0",
         )
     if args.verbose or not report.all_pass:

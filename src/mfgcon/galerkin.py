@@ -1,16 +1,20 @@
-"""Fourier-Galerkin reduction of the linearized system and its shooting solve.
+"""Fourier-Galerkin reduction of the linearized system and its direct solve.
 
 Projecting the residual rows of the linearization onto finitely many Fourier
-modes gives a recurrence in the coefficient vectors A (density direction) and
-B (value direction) with the solver's own time scheme: the value rows step B
-forward explicitly and the transport rows are implicit in A.  Half the
-boundary data is initial (A at t = 0), half terminal (B at t = T), so the
-solve is completed by the shooting map that sends initial coefficients to
-(A(0), B(T)): its invertibility is exactly the injectivity argument behind
-uniqueness, and its smallest singular value is monitored.  The blocks are
-projected from the frozen coefficient fields, never from the operator apply,
-so this path cross-validates the monolithic linear solve at small mode
-counts; it is not the production solver.
+modes gives rows in the coefficient vectors A (density direction) and B
+(value direction) with the solver's own time scheme: the transport rows are
+implicit in A, the value rows in B backward in time.  Half the boundary data
+is initial (A at t = 0), half terminal (B at t = T), so all slices' rows are
+solved at once as one sparse block system (Ascher, Mattheij & Russell,
+*Numerical Solution of Boundary Value Problems for ODEs*, SIAM 1995, ch. 5).
+Single shooting from t = 0 would amplify mode k by (1 + dt 4 pi^2 k^2)^N_t
+(ch. 4 there); the whole-system solve does not, so it stays at the roundoff
+of the blocks at every mode count.  The shooting map (A(0), B(0)) ->
+(A(0), B(T)) is still what the injectivity argument behind uniqueness
+inverts, and :func:`shooting_spectrum` reports its singular values from the
+same factorization.  The blocks are projected from the frozen coefficient
+fields, never from the operator apply, so this path cross-validates the
+monolithic linear solve; it is not the production solver.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .grids import PeriodicGrid, SpaceTimeField
 from .linearized import Perturbation, _base_coefficients
@@ -26,22 +32,10 @@ from .system import LambdaData, MFGProblem, ResidualBundle, SolutionPair
 __all__ = [
     "FourierBasis",
     "GalerkinSystem",
-    "ShootingSingularError",
     "assemble_galerkin_system",
-    "shooting_matrix",
+    "shooting_spectrum",
     "solve_linearized_galerkin",
 ]
-
-
-# Smallest singular value of the shooting map below which the split data
-# counts as unsolvable.
-_SIGMA_TOL = 1e-12
-
-
-class ShootingSingularError(RuntimeError):
-    def __init__(self, sigma_min: float):
-        self.sigma_min = sigma_min
-        super().__init__(f"shooting matrix is numerically singular (sigma_min={sigma_min:.3e})")
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,8 @@ class FourierBasis:
     """First n real Fourier modes: the constant, then cos/sin pairs by frequency.
 
     Orthonormal in the discrete L2 inner product and orthogonal in H1; plane
-    waves cos(2 pi k.x), sin(2 pi k.x) are used in every dimension.
+    waves cos(2 pi k.x), sin(2 pi k.x) are used in every dimension, for the
+    frequencies below the grid's Nyquist frequency in every component.
     """
 
     grid: PeriodicGrid
@@ -61,14 +56,17 @@ class FourierBasis:
     def build(cls, grid: PeriodicGrid, n_modes: int) -> "FourierBasis":
         if n_modes < 1:
             raise ValueError("need at least one mode")
+        kvecs = _frequency_order(grid)
+        if n_modes > 1 + 2 * len(kvecs):
+            raise ValueError(
+                f"the grid resolves {1 + 2 * len(kvecs)} modes below its Nyquist frequency"
+            )
         coords = grid.coordinates()
         modes, grads, freqs = [], [], []
         modes.append(np.ones(grid.num_nodes))
         grads.append(np.zeros((grid.dim, grid.num_nodes)))
         freqs.append((0,) * grid.dim)
-        for kvec in _frequency_order(grid.dim):
-            if len(modes) >= n_modes:
-                break
+        for kvec in kvecs[: n_modes // 2]:
             phase = 2.0 * np.pi * sum(k * c for k, c in zip(kvec, coords))
             root2 = np.sqrt(2.0)
             cos_m = (root2 * np.cos(phase)).ravel()
@@ -87,9 +85,6 @@ class FourierBasis:
                 grads.append(sin_g)
                 freqs.append(kvec)
         values = np.stack(modes)
-        max_freq = max(max(abs(k) for k in kv) for kv in freqs)
-        if max_freq >= grid.points_per_dim // 2:
-            raise ValueError("mode frequencies must stay below the grid Nyquist frequency")
         basis = cls(grid=grid, values=values, grads=np.stack(grads, axis=1), freqs=tuple(freqs))
         gram = basis.gram()
         if np.max(np.abs(gram - np.eye(len(modes)))) > 1e-12:
@@ -112,18 +107,16 @@ class FourierBasis:
         return np.asarray(coeffs) @ self.values
 
 
-def _frequency_order(dim: int):
-    """Frequency vectors ordered by |k|^2, one representative per +-k pair."""
-    limit = 64
-    if dim == 1:
-        cands = [(k,) for k in range(1, limit)]
+def _frequency_order(grid: PeriodicGrid):
+    """Frequency vectors below the grid's Nyquist frequency in every component,
+    ordered by |k|^2, one representative per +-k pair."""
+    half = grid.points_per_dim // 2
+    if grid.dim == 1:
+        cands = [(k,) for k in range(1, half)]
     else:
-        cands = []
-        for kx in range(-limit, limit):
-            for ky in range(0, limit):
-                if ky == 0 and kx <= 0:
-                    continue
-                cands.append((kx, ky))
+        cands = [
+            (kx, ky) for kx in range(1 - half, half) for ky in range(half) if ky > 0 or kx > 0
+        ]
     return sorted(cands, key=lambda kv: (sum(k * k for k in kv), kv))
 
 
@@ -137,7 +130,9 @@ class GalerkinSystem:
         (A^n - A^(n-1))/dt + (K + P_n) A^n + S_n B^n = r_fp^n     (n >= 1)
         (B^n - B^(n+1))/dt + (K + R_n) B^n + G_n A^n = r_hjb^n    (n < N_t)
 
-    with the data rows A^0 = r_fp^0 and B^(N_t) = r_hjb^(N_t).
+    with the data rows A^0 = r_fp^0 and B^(N_t) = r_hjb^(N_t).  In the
+    unknowns (A^0..A^N_t, B^0..B^N_t) the transport rows are block lower
+    bidiagonal in A and the value rows block upper bidiagonal in B.
     """
 
     basis: FourierBasis
@@ -155,87 +150,76 @@ def assemble_galerkin_system(
     base: SolutionPair,
     basis: FourierBasis,
 ) -> GalerkinSystem:
-    """Project the linearized equations at ``base`` onto the basis, slice by slice."""
+    """Project the linearized equations at ``base`` onto the basis, all slices at once."""
     if basis.grid != problem.grid:
         raise ValueError("basis and problem grids mismatch")
     coef = _base_coefficients(problem, lam_data, base)
     vol = problem.grid.cell_volume
-    e = basis.values
-    de = basis.grads
-    k_slices = problem.time.num_slices
-    n = basis.n_modes
-
-    stiffness = vol * np.einsum("dkm,dlm->kl", de, de)
-    p_blocks = np.empty((k_slices, n, n))
-    s_blocks = np.empty((k_slices, n, n))
-    r_blocks = np.empty((k_slices, n, n))
-    g_blocks = np.empty((k_slices, n, n))
-
-    for j in range(k_slices):
-        cp = coef.drift_coef[:, j, :]                      # (d, M)
-        p_blocks[j] = vol * np.einsum("dm,lm,dkm->kl", cp, e, de)
-        qde = np.einsum("dm,dnm->nm", coef.q[:, j, :], de)  # (n, M)
-        s_blocks[j] = vol * (
-            np.einsum("m,dkm,dlm->kl", coef.flux_a[j], de, de)
-            + np.einsum("m,km,lm->kl", coef.flux_b[j], qde, qde)
-        )
-        r_blocks[j] = vol * np.einsum("dm,km,dlm->kl", coef.transport[:, j, :], e, de)
-        g_blocks[j] = vol * np.einsum("m,km,lm->kl", coef.zero_order_u[j], e, e)
-
+    e, de = basis.values, basis.grads
+    # coefficient of Dv in the density flux, flux_a I + flux_b q q^T, as (K+1, d, d, M)
+    q = np.moveaxis(coef.q, 0, 1)
+    flux_dv = coef.flux_b[:, None, None] * q[:, :, None] * q[:, None]
+    flux_dv += np.eye(problem.grid.dim)[:, :, None] * coef.flux_a[:, None, None]
     return GalerkinSystem(
         basis=basis,
         dt=problem.time.dt,
-        stiffness=stiffness,
-        p_blocks=p_blocks,
-        s_blocks=s_blocks,
-        r_blocks=r_blocks,
-        g_blocks=g_blocks,
+        stiffness=vol * np.einsum("dkm,dlm->kl", de, de),
+        p_blocks=vol * np.einsum("djm,lm,dkm->jkl", coef.drift_coef, e, de, optimize=True),
+        s_blocks=vol * np.einsum("jdem,dkm,elm->jkl", flux_dv, de, de, optimize=True),
+        r_blocks=vol * np.einsum("djm,km,dlm->jkl", coef.transport, e, de, optimize=True),
+        g_blocks=vol * np.einsum("jm,km,lm->jkl", coef.zero_order_u, e, e, optimize=True),
     )
 
 
-def _march(system: GalerkinSystem, a0, b0, r_fp, r_hjb):
-    """Coefficient paths of the system's rows, marched forward from (A^0, B^0).
+def _factorized_rows(system: GalerkinSystem):
+    """LU factors of all the system's rows as one sparse matrix, and its index.
 
-    Step n solves the value row of slice n-1 for B^n, then the transport row
-    of slice n for A^n.  ``a0`` and ``b0`` are (n, c) stacks of columns and
-    the projected rows ``r_fp``, ``r_hjb`` are (K+1, n, c) or (K+1, n, 1).
-    Returns the (K+1, n, c) paths of A and B.
+    ``index[j]`` numbers the unknowns (A^j, B^j) and, in the same order, the
+    transport and value rows of slice j, so each slice owns one dense 2n x 2n
+    diagonal block and the time differences reach the neighbouring slices
+    through -I/dt.
     """
-    dt, k_mat = system.dt, system.stiffness
-    implicit = np.eye(len(k_mat)) / dt + k_mat
-    a = np.empty((len(system.p_blocks),) + np.shape(a0))
-    b = np.empty_like(a)
-    a[0], b[0] = a0, b0
-    for n in range(1, len(a)):
-        b[n] = b[n - 1] + dt * (
-            (k_mat + system.r_blocks[n - 1]) @ b[n - 1]
-            + system.g_blocks[n - 1] @ a[n - 1]
-            - r_hjb[n - 1]
-        )
-        a[n] = np.linalg.solve(
-            implicit + system.p_blocks[n],
-            a[n - 1] / dt + r_fp[n] - system.s_blocks[n] @ b[n],
-        )
-    if not np.all(np.isfinite(b[-1])):
-        raise FloatingPointError("the shooting march overflowed")
-    return a, b
+    k1, n = system.p_blocks.shape[:2]
+    dt, k_mat, eye = system.dt, system.stiffness, np.eye(n)
+    diag = np.zeros((k1, 2, n, 2, n))  # [slice, row half, row, unknown half, unknown]
+    diag[0, 0, :, 0] = eye
+    diag[1:, 0, :, 0] = eye / dt + k_mat + system.p_blocks[1:]
+    diag[1:, 0, :, 1] = system.s_blocks[1:]
+    diag[:-1, 1, :, 0] = system.g_blocks[:-1]
+    diag[:-1, 1, :, 1] = eye / dt + k_mat + system.r_blocks[:-1]
+    diag[-1, 1, :, 1] = eye
+    diag = diag.reshape(k1, 2 * n, 2 * n)
+    index = np.arange(k1 * 2 * n).reshape(k1, 2 * n)
+    row = np.concatenate([
+        np.broadcast_to(index[:, :, None], diag.shape).ravel(),
+        index[1:, :n].ravel(),   # transport rows on A^(j-1)
+        index[:-1, n:].ravel(),  # value rows on B^(j+1)
+    ])
+    col = np.concatenate([
+        np.broadcast_to(index[:, None, :], diag.shape).ravel(),
+        index[:-1, :n].ravel(),
+        index[1:, n:].ravel(),
+    ])
+    data = np.concatenate([diag.ravel(), np.full(2 * (k1 - 1) * n, -1.0 / dt)])
+    matrix = sp.csc_array((data, (row, col)), shape=(index.size, index.size))
+    return splu(matrix), index
 
 
-def shooting_matrix(system: GalerkinSystem) -> np.ndarray:
-    """The linear map (A^0, B^0) -> (A^0, B^(N_t)) of the homogeneous rows.
+def shooting_spectrum(system: GalerkinSystem) -> np.ndarray:
+    """Singular values, largest first, of the shooting map (A^0, B^0) -> (A^0, B^(N_t)).
 
-    Columns come from marching the unit initial vectors; the first block
-    row is the identity on A^0 by construction.  Surjectivity of this map is
-    what makes the split initial/terminal data solvable, and it is equivalent
-    to injectivity.
+    That map of the homogeneous rows is what the split initial/terminal data
+    must invert, and its surjectivity is equivalent to injectivity.  Its
+    inverse (A^0, B^(N_t)) -> (A^0, B^0) takes 2n solves with unit data rows
+    on one factorization, and its singular values are the reciprocals.
     """
+    lu, index = _factorized_rows(system)
     n = system.basis.n_modes
-    eye = np.eye(2 * n)
-    zero = np.zeros((len(system.p_blocks), n, 1))
-    _, b = _march(system, eye[:n], eye[n:], zero, zero)
-    phi = eye
-    phi[n:] = b[-1]
-    return phi
+    data_rows = np.concatenate([index[0, :n], index[-1, n:]])
+    units = np.zeros((index.size, 2 * n))
+    units[data_rows, np.arange(2 * n)] = 1.0
+    inverse = lu.solve(units)[index[0]]
+    return 1.0 / np.linalg.svd(inverse, compute_uv=False)[::-1]
 
 
 def solve_linearized_galerkin(
@@ -244,33 +228,21 @@ def solve_linearized_galerkin(
     base: SolutionPair,
     basis: FourierBasis,
     rhs: ResidualBundle,
-):
-    """Shooting solve of the projected linearized rows L w = ``rhs``.
+) -> Perturbation:
+    """Direct solve of the projected linearized rows L w = ``rhs``.
 
-    ``rhs`` uses the residual row layout, as in ``solve_linearized``.  The
-    particular path starts from zero coefficients; the homogeneous correction
-    fixes A^0 to the projected initial row and shoots for the projected
-    terminal row.  Returns (perturbation, info) with the smallest singular
-    value of the shooting matrix in ``info``; the coefficient paths are
-    ``basis.project`` of the perturbation's slices.
+    ``rhs`` uses the residual row layout, as in ``solve_linearized``; its
+    projection is the right-hand side of every row, data rows included.  The
+    coefficient paths are ``basis.project`` of the perturbation's slices.
     """
     system = assemble_galerkin_system(problem, lam_data, base, basis)
+    lu, index = _factorized_rows(system)
+    r_fp = basis.project(rhs.fp.values)   # (K+1, n)
+    r_hjb = basis.project(rhs.hjb.values)
+    coeffs = lu.solve(np.concatenate([r_fp, r_hjb], axis=1).ravel()).reshape(index.shape)
     n = basis.n_modes
-    r_fp = basis.project(rhs.fp.values)[..., None]   # (K+1, n, 1)
-    r_hjb = basis.project(rhs.hjb.values)[..., None]
-
-    phi = shooting_matrix(system)
-    sigma_min = float(np.linalg.svd(phi, compute_uv=False)[-1])
-    if sigma_min <= _SIGMA_TOL:
-        raise ShootingSingularError(sigma_min)
-    zero = np.zeros((n, 1))
-    _, b_part = _march(system, zero, zero, r_fp, r_hjb)
-    beta = np.linalg.solve(phi[n:, n:], r_hjb[-1] - b_part[-1] - phi[n:, :n] @ r_fp[0])
-
-    a, b = _march(system, r_fp[0], beta, r_fp, r_hjb)
     grid, time = problem.grid, problem.time
-    pert = Perturbation(
-        v=SpaceTimeField(grid, time, basis.reconstruct(b[..., 0])),
-        f=SpaceTimeField(grid, time, basis.reconstruct(a[..., 0])),
+    return Perturbation(
+        v=SpaceTimeField(grid, time, basis.reconstruct(coeffs[:, n:])),
+        f=SpaceTimeField(grid, time, basis.reconstruct(coeffs[:, :n])),
     )
-    return pert, {"sigma_min": sigma_min}

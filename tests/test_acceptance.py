@@ -7,12 +7,14 @@ solved by the same ``solve_path(problem, cfg.solver)`` call as
 coupling, psi 0.05 cos, m0 proportional to 1 + 0.2 cos.
 """
 
+import dataclasses
 import os
 import time as clock
 
 import numpy as np
 import pytest
 
+from mfgcon import linearized
 from mfgcon.continuation import SolverConfig, newton_correct, solve_path, trivial_solution
 from mfgcon.estimates import (
     check_exponents,
@@ -146,6 +148,24 @@ def test_criterion_4_linearization_consistency(reference):
     assert ok
 
 
+# Mode count of the Galerkin cross-check.  At 32 modes the monolithic
+# solution's part outside the span of the reference lambda = 0 state is about
+# 2e-12, so the gate's 1e-9 allowance for the two solves' roundoff dominates.
+GALERKIN_MODES = 32
+
+
+def galerkin_gap_at_solution(reference, rhs):
+    """Sup gap between the Galerkin and monolithic solves at the solved
+    lambda = 0 state, and the monolithic solution's part outside the span."""
+    problem = reference["problem"]
+    final = reference["states"][-1]
+    lam0 = LambdaData.from_problem(problem, 0.0)
+    basis = FourierBasis.build(problem.grid, GALERKIN_MODES)
+    pert_gal = solve_linearized_galerkin(problem, lam0, final.pair, basis, rhs)
+    pert_mono = solve_linearized(problem, lam0, final.pair, rhs)
+    return sup_gap(pert_gal, pert_mono), span_tail(basis, pert_mono)
+
+
 def test_criterion_5_galerkin_cross_validation(reference):
     problem = reference["problem"]
     rhs = random_bundle(problem, np.random.default_rng(31))
@@ -154,33 +174,45 @@ def test_criterion_5_galerkin_cross_validation(reference):
     # use the same time scheme, so they agree to the Krylov tolerance
     lam1 = LambdaData.from_problem(problem, 1.0)
     state = trivial_solution(problem)
-    basis = FourierBasis.build(problem.grid, 8)
-    pert_gal, _ = solve_linearized_galerkin(problem, lam1, state.pair, basis, rhs)
+    basis = FourierBasis.build(problem.grid, GALERKIN_MODES)
+    pert_gal = solve_linearized_galerkin(problem, lam1, state.pair, basis, rhs)
     gap1 = sup_gap(pert_gal, solve_linearized(problem, lam1, state.pair, rhs))
 
     # at the solved state the modes couple: the gap may only be the
     # monolithic solution's part outside the span
-    final = reference["states"][-1]
-    lam0 = LambdaData.from_problem(problem, 0.0)
-    basis10 = FourierBasis.build(problem.grid, 10)
-    pert_gal0, _ = solve_linearized_galerkin(problem, lam0, final.pair, basis10, rhs)
-    pert_mono0 = solve_linearized(problem, lam0, final.pair, rhs)
-    gap0 = sup_gap(pert_gal0, pert_mono0)
-    tail0 = span_tail(basis10, pert_mono0)
+    gap0, tail0 = galerkin_gap_at_solution(reference, rhs)
+    bound0 = 1.1 * tail0 + 1e-9
 
     zeros = SpaceTimeField.zeros(problem.grid, problem.time)
-    pert_zero, _ = solve_linearized_galerkin(
+    pert_zero = solve_linearized_galerkin(
         problem, lam1, state.pair, basis, ResidualBundle(fp=zeros, hjb=zeros)
     )
     homog = pert_zero.sup_norm()
-    ok = gap1 <= 1e-8 and gap0 <= 1.1 * tail0 and homog == 0.0
-    report(5, "shooting solve against the monolithic solve", ok,
-           f"gap(lambda=1)={gap1:.2e} (tol 1e-8) gap(lambda=0)={gap0:.3e} "
-           f"span tail={tail0:.3e} ratio={gap0 / tail0:.4f} (tol 1.1) "
+    ok = gap1 <= 1e-8 and gap0 <= bound0 and homog == 0.0
+    report(5, f"direct Galerkin solve at {GALERKIN_MODES} modes against the monolithic solve",
+           ok, f"gap(lambda=1)={gap1:.2e} (tol 1e-8) gap(lambda=0)={gap0:.3e} "
+           f"span tail={tail0:.3e} (tol 1.1*tail+1e-9={bound0:.3e}) "
            f"homogeneous={homog:.1e}")
     assert homog == 0.0
     assert gap1 <= 1e-8
-    assert gap0 <= 1.1 * tail0
+    assert gap0 <= bound0
+
+
+def test_criterion_5_catches_a_coupling_error(reference, monkeypatch):
+    # a 1e-5 relative error in the value rows' density coefficient of the
+    # monolithic solve moves its lambda = 0 answer by about 2e-9; the Galerkin
+    # blocks come from the coefficients themselves, so the gate must see it
+    original = linearized._coupling_rows
+
+    def scaled(problem, coef, dv, f):
+        coef = dataclasses.replace(coef, zero_order_u=coef.zero_order_u * (1.0 + 1e-5))
+        return original(problem, coef, dv, f)
+
+    monkeypatch.setattr(linearized, "_coupling_rows", scaled)
+    gap0, tail0 = galerkin_gap_at_solution(
+        reference, random_bundle(reference["problem"], np.random.default_rng(31))
+    )
+    assert gap0 > 1.1 * tail0 + 1e-9
 
 
 def test_criterion_6_energy_constant(reference):
@@ -192,7 +224,7 @@ def test_criterion_6_energy_constant(reference):
     ratios = []
     for _ in range(20):
         rhs = random_bundle(problem, rng)
-        pert, _ = solve_linearized_galerkin(problem, lam, state.pair, basis, rhs)
+        pert = solve_linearized_galerkin(problem, lam, state.pair, basis, rhs)
         ratios.append(float(np.max(slice_l2_norms(pert))) / data_norm(rhs))
     achieved = max(ratios)
     ok = np.isfinite(achieved) and achieved < 10.0

@@ -16,7 +16,7 @@ import pytest
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # Hooks of code that was deleted on purpose; their counters read zero.
-RETIRED = {"assemble_L"}
+RETIRED = {"assemble_L", "shooting_matrix"}
 
 
 def _load_spans():

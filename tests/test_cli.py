@@ -340,9 +340,11 @@ def test_galerkin_spectrum_dump(tmp_path):
     out = tmp_path / "o"
     code = main(["solve", "--config", str(cfg), "--out", str(out)])
     assert code == 0
+    text = (out / "galerkin_spectrum.txt").read_text()
+    assert text.startswith("# singular values of the shooting map at lambda=0\n")
     sigma = np.loadtxt(out / "galerkin_spectrum.txt")
     assert sigma.shape == (12,)
-    assert np.all(sigma > 0.0)
+    assert np.all(sigma > 0.0) and np.all(np.diff(sigma) <= 0.0)
 
 
 def test_two_dimensional_config_solve(tmp_path):
