@@ -67,11 +67,11 @@ _EASY_CONTRACTION = 0.01
 # 0.10000000000000014, which must still fit in a dlambda_max of 0.1.
 _LAMBDA_ROUNDOFF = 1e-12
 # Relative tolerance of the lam = 1 tangent solve.  With terminal cost
-# 2 cos(2 pi x) on N = n_t = 32, gmres ends its second iteration between
-# 1.9e-11 and 1.1e-10 relative over a dozen torus shifts of the data, so at
-# 1e-10 roundoff decides whether it takes a third; 1e-9 sits clear of that
-# floor.  The tangent only predicts the first Newton start, so this changes
-# no certificate.
+# 2 cos(2 pi x) on N = n_t = 32, the Krylov loop's residual estimate after
+# its second apply lies between 2.2e-11 and 7.7e-11 relative over a dozen
+# torus shifts of the data, so near 1e-10 roundoff would decide whether it
+# takes a third; 1e-9 sits clear of that floor.  The tangent only predicts
+# the first Newton start, so this changes no certificate.
 _TANGENT_RTOL = 1e-9
 # Nest one coarse level under d = 2 paths on at least this many nodes per
 # axis.  d = 1 paths are marched directly: halving configs/reference.cfg

@@ -9,12 +9,15 @@ residual evaluation that made its right-hand side, when that evaluation was
 at the same pair and the same LambdaData; every other caller evaluates them
 afresh.  Its rows split as L = H + N: H is the two decoupled implicit heat
 chains, N the coupling rows, and one helper computes N for both the plain
-apply and the solve.  Every linear solve is gmres on the right
-preconditioned operator I + N H^-1, where H^-1 marches both chains on one
-batched real transform of all their time slices.  Each chain's recurrence,
-rescaled by powers of its factor c, is a prefix sum in time: one cumsum
-between two table multiplies, in blocks short enough that no weight c^-j
-exceeds 1e100, so nothing overflows.  One apply of it takes
+apply and the solve.  Every linear solve is one restarted GMRES loop of
+this module on the right preconditioned operator I + N H^-1, where H^-1
+marches both chains on one batched real transform of all their time
+slices.  The loop stops on its Arnoldi residual estimate, which with right
+preconditioning from a zero start is the residual of L w = rhs in exact
+arithmetic, so it makes no closing apply to recheck it.  Each chain's
+recurrence, rescaled by powers of its factor c, is a prefix sum in time:
+one cumsum between two table multiplies, in blocks short enough that no
+weight c^-j exceeds 1e100, so nothing overflows.  One apply of it takes
 2d + 4 real field transforms: that forward transform of the iterate, one
 inverse of (Dv, f) from the chain spectra, and the flux divergence's forward
 and inverse pair.
@@ -22,11 +25,11 @@ and inverse pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .grids import (
     SpaceTimeField,
@@ -203,19 +206,21 @@ def bundle_to_vector(bundle: ResidualBundle) -> np.ndarray:
 
 
 # Default tolerance of a linear solve and the floor of Newton's forcing term.
-# On the Galerkin cross-check's right-hand side gmres meets 1e-10 after 3
-# applies at the lambda = 1 base and 8 at the solved lambda = 0 base, where
-# L w = rhs then holds to 1.4e-12 and 3.7e-11 relative.  Tighter tolerances are
-# reached (1e-14 after 118 applies at lambda = 0) but buy nothing: w = H^-1 y
-# is formed apart from the apply, and the residual of L w = rhs levels off
-# near 1.2e-12, the roundoff of the 1/dt heat rows.  Newton accepts a state on
-# its own residual, so this bounds work, not the certificate.
+# On the Galerkin cross-check's right-hand side the solve meets 1e-10 after 2
+# applies at the lambda = 1 base and 7 at the solved lambda = 0 base, where
+# L w = rhs then holds to 1.4e-12 and 3.7e-11 relative.  The Arnoldi estimate
+# goes on falling below that (1e-14 after 9 applies at lambda = 0), but the
+# true residual of L w = rhs levels off near 2e-12, the roundoff of the 1/dt
+# heat rows, since w = H^-1 y is formed apart from the apply.  Newton accepts
+# a state on its own residual, so this bounds work, not the certificate.
 _KRYLOV_RTOL = 1e-10
-# gmres keeps restart + 1 basis vectors of the full unknown count; a solve on
-# the benchmark workloads takes at most 8 applies, so 10 restarts none of them.
+# The loop keeps restart + 1 basis vectors of the full unknown count, written
+# only as it reaches them; a solve on the benchmark workloads takes at most 7
+# applies, so 10 restarts none of them.
 _GMRES_RESTART = 10
 # Operator applies one solve may take before it fails: each restart cycle
-# applies the operator restart times, plus once for its true residual.
+# applies the operator at most restart times, and once more for the true
+# residual it restarts from when it ends unconverged.
 _MAX_APPLIES = 400
 # Bound on the largest weight c^-j in one block of the heat-chain march.  A
 # block's partial sums then stay below B * 1e100 times its largest datum,
@@ -310,16 +315,18 @@ def solve_linearized(
     """Solve the linearized system L w = rhs for the direction w = (v, f).
 
     ``rhs`` uses the residual row layout.  The heat rows of L are the chains
-    H, so L = H + N with N the coupling rows, and gmres solves the right
-    preconditioned system (I + N H^-1) y = rhs to the relative tolerance
-    ``rtol``; then w = H^-1 y.  Its residual is the true residual of L w =
-    rhs.  One apply of I + N H^-1 takes 2d + 4 real field transforms: the
-    chains' forward transform of y, one inverse of (Dv, f) from the chain
-    spectra, and the flux divergence's transform pair.  The coefficients of L
-    take q, H(q) and D_pH(q) from ``rhs.terms`` when :func:`residual_full`
-    made ``rhs`` at this ``base`` under this ``lam_data`` (the Newton
-    corrector's case), and evaluate them afresh otherwise.  A solve that
-    misses its tolerance raises :class:`LinearSolveError`.
+    H, so L = H + N with N the coupling rows, and :func:`_gmres` solves the
+    right preconditioned system (I + N H^-1) y = rhs from y = 0 until its
+    Arnoldi residual estimate is at most ``rtol`` |rhs|; then w = H^-1 y.
+    rhs - (I + N H^-1) y is rhs - L w, so in exact arithmetic that estimate
+    is the residual of L w = rhs.  One apply of I + N H^-1 takes 2d + 4 real
+    field transforms: the chains' forward transform of y, one inverse of
+    (Dv, f) from the chain spectra, and the flux divergence's transform
+    pair.  The coefficients of L take q, H(q) and D_pH(q) from
+    ``rhs.terms`` when :func:`residual_full` made ``rhs`` at this ``base``
+    under this ``lam_data`` (the Newton corrector's case), and evaluate them
+    afresh otherwise.  A solve that misses its tolerance raises
+    :class:`LinearSolveError`.
     """
     k, mm = problem.time.num_slices, problem.grid.num_nodes
     n_dof = 2 * k * mm
@@ -328,15 +335,70 @@ def solve_linearized(
         return vector_to_perturbation(np.zeros(n_dof), problem)
     coef = _base_coefficients(problem, lam_data, base, rhs.terms)
     chains = _heat_chain_preconditioner(problem)
-    coupled = _right_preconditioned_apply(problem, coef, chains)
-    op = spla.LinearOperator((n_dof, n_dof), matvec=coupled, dtype=float)
-    y, info = spla.gmres(
-        op,
-        rhs_vec,
-        rtol=rtol,
-        restart=_GMRES_RESTART,
-        maxiter=_MAX_APPLIES // (_GMRES_RESTART + 1),
-    )
-    if info != 0:
-        raise LinearSolveError(f"Krylov solve did not converge (info={info})")
+    y = _gmres(_right_preconditioned_apply(problem, coef, chains), rhs_vec, rtol)
     return vector_to_perturbation(_irfft_stack(chains(y), problem.grid).ravel(), problem)
+
+
+def _gmres(apply, rhs: np.ndarray, rtol: float) -> np.ndarray:
+    """Restarted GMRES(``_GMRES_RESTART``) for apply(y) = rhs from y = 0.
+
+    Arnoldi orthogonalizes each new vector by block classical Gram-Schmidt
+    with one re-orthogonalization, and Givens rotations keep the least
+    squares residual |g_(j+1)| of the cycle at hand (Saad & Schultz 1986).
+    The solve stops as soon as that estimate is at most rtol * |rhs|, which
+    an exact breakdown meets with a zero estimate.  Only a cycle that ends
+    unconverged applies the operator to the iterate, for the true residual
+    it restarts from.  Raises :class:`LinearSolveError` when
+    ``_MAX_APPLIES`` applies did not reach the target, and as soon as the
+    estimate is NaN.  ``apply`` must return a new array: the loop
+    orthogonalizes it in place.
+    """
+    rhs_norm = math.sqrt(rhs @ rhs)
+    target = rtol * rhs_norm
+    basis = np.empty((_GMRES_RESTART + 1, rhs.size))
+    tri = np.zeros((_GMRES_RESTART, _GMRES_RESTART))
+    y = np.zeros(rhs.size)
+    residual, estimate, applies = rhs, rhs_norm, 0
+    while applies < _MAX_APPLIES:
+        basis[0] = residual / estimate
+        rotations, g = [], [estimate]
+        for j in range(min(_GMRES_RESTART, _MAX_APPLIES - applies)):
+            w = apply(basis[j])
+            applies += 1
+            v = basis[: j + 1]
+            h = v @ w
+            w -= h @ v
+            h2 = v @ w
+            w -= h2 @ v
+            w_norm = math.sqrt(w @ w)
+            col = (h + h2).tolist()
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            rho = math.hypot(col[j], w_norm)
+            if rho == 0.0:  # singular on the Krylov space: this cycle is stuck
+                break
+            c, s = col[j] / rho, w_norm / rho
+            rotations.append((c, s))
+            col[j] = rho
+            tri[: j + 1, j] = col
+            g.append(-s * g[j])
+            g[j] *= c
+            estimate = abs(g[j + 1])
+            if not estimate > target:  # met, or NaN
+                break
+            basis[j + 1] = w / w_norm
+        k = len(rotations)
+        y += np.linalg.solve(tri[:k, :k], g[:k]) @ basis[:k]
+        if not estimate > target or applies == _MAX_APPLIES:
+            break
+        residual = rhs - apply(y)
+        applies += 1
+        estimate = math.sqrt(residual @ residual)
+        if not estimate > target:
+            break
+    if not estimate <= target:
+        raise LinearSolveError(
+            f"Krylov solve did not converge: relative residual estimate "
+            f"{estimate / rhs_norm:.2e} > rtol {rtol:.1e} after {applies} applies"
+        )
+    return y

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import zlib
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from mfgcon.cli import main
-from mfgcon.continuation import HorizonError, solve_path
+from mfgcon.continuation import HorizonError, NewtonFailure, solve_path
 from mfgcon.fileio import (
     _HEADER,
     _MAGIC,
@@ -377,16 +378,24 @@ def test_inflated_horizon_contract(tmp_path):
 
 
 def test_failed_linear_solve_ends_in_horizon_failure(tmp_path, monkeypatch):
-    # every inner Krylov solve reports non-convergence: each one must count as a
-    # Newton failure that halves the step, until the step underflows
-    import scipy.sparse.linalg as spla
+    # one operator apply per solve meets no Krylov tolerance: each solve must
+    # count as a Newton failure that halves the step, until the step underflows
+    from mfgcon import linearized
 
-    monkeypatch.setattr(spla, "gmres", lambda A, b, **kw: (np.zeros_like(b), 1))
+    monkeypatch.setattr(linearized, "_MAX_APPLIES", 1)
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY)
     with pytest.raises(HorizonError) as err:
         solve_path(build_problem(load_config(str(cfg))))
     assert [s.lam for s in err.value.states] == [1.0]
+    failure = err.value.__context__
+    assert isinstance(failure, NewtonFailure)
+    assert isinstance(failure.__cause__, linearized.LinearSolveError)
+    assert re.fullmatch(
+        r"inner linear solve failed: Krylov solve did not converge: relative residual "
+        r"estimate \S+ > rtol \S+ after 1 applies",
+        str(failure),
+    )
     out = tmp_path / "o"
     code = main(["solve", "--config", str(cfg), "--out", str(out)])
     assert code == 2

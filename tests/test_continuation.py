@@ -1,8 +1,9 @@
+import math
 import os
+import re
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from mfgcon import continuation, linearized, system
 from mfgcon.continuation import (
@@ -262,30 +263,75 @@ def test_first_solve_far_from_the_solution_is_loose(small_problem, monkeypatch):
     assert len(rtols) == diag.iterations
 
 
+def _count_krylov_work(monkeypatch) -> dict:
+    """Count Krylov solves and their operator applies from here on."""
+    counts = {"solves": 0, "applies": 0}
+    real = linearized._right_preconditioned_apply
+
+    def counting_operator(*args):
+        counts["solves"] += 1
+        apply = real(*args)
+
+        def counted(y):
+            counts["applies"] += 1
+            return apply(y)
+
+        return counted
+
+    monkeypatch.setattr(linearized, "_right_preconditioned_apply", counting_operator)
+    return counts
+
+
 def test_reference_solve_work_stays_bounded(monkeypatch):
     # the tangent first step, the secant predictor and the forcing terms hold
-    # this config to 12 Newton iterations plus the tangent solve: 13 gmres
-    # solves on the right-preconditioned operator, with 45 applies in all
-    counts = {"solves": 0, "applies": 0}
-    real = spla.gmres
-
-    def counting_gmres(A, b, **kwargs):
-        counts["solves"] += 1
-        op = spla.aslinearoperator(A)
-
-        def matvec(x):
-            counts["applies"] += 1
-            return op.matvec(x)
-
-        return real(spla.LinearOperator(op.shape, matvec=matvec, dtype=float), b, **kwargs)
-
-    monkeypatch.setattr(linearized.spla, "gmres", counting_gmres)
+    # this config to 12 Newton iterations plus the tangent solve: 13 Krylov
+    # solves on the right-preconditioned operator, with 32 applies in all; a
+    # closing true-residual apply per solve would make 45
+    counts = _count_krylov_work(monkeypatch)
     cfg = load_config(REFERENCE_CFG)
     states = solve_path(build_problem(cfg), cfg.solver)
     assert states[-1].lam == 0.0
     assert sum(s.newton_iters for s in states) <= 12
     assert 0 < counts["solves"] <= 13
-    assert 0 < counts["applies"] <= 45
+    assert 0 < counts["applies"] <= 32
+
+
+def _stiff_config_text(shift: int) -> str:
+    """configs/reference.cfg with psi = 2 cos(2 pi x) on N = n_t = 32 and every
+    data field translated by ``shift`` nodes, evaluated afresh:
+    A cos(2 pi x) + B sin(2 pi x) at x + shift / 32."""
+    phi = 2.0 * math.pi * shift / 32
+    c, s = math.cos(phi), math.sin(phi)
+
+    def wave(a, b):
+        return f"{a * c + b * s!r}*cos(1) + {b * c - a * s!r}*sin(1)"
+
+    lines = {
+        "n": "32", "n_t": "32", "b_x": wave(0.0, 0.1), "v1": wave(0.05, 0.0),
+        "psi": wave(2.0, 0.0), "m0": "1 + " + wave(0.2, 0.0),
+    }
+    text = open(REFERENCE_CFG).read()
+    for key, value in lines.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+    return text
+
+
+def test_stiff_path_work_does_not_depend_on_a_torus_shift(tmp_path, monkeypatch):
+    # a whole-node translation of the data changes the discrete problem only
+    # by roundoff, so the work must not change with it.  A solve tolerance at
+    # the roundoff floor of its stopping test breaks this: with the tangent
+    # at 1e-10, scipy's gmres took 106 applies on one of these shifts and 105
+    # on the other
+    counts = _count_krylov_work(monkeypatch)
+    work = []
+    for shift in (15, 26):
+        counts.update(solves=0, applies=0)
+        path = tmp_path / f"stiff{shift}.cfg"
+        path.write_text(_stiff_config_text(shift))
+        cfg = load_config(str(path))
+        assert solve_path(build_problem(cfg), cfg.solver)[-1].lam == 0.0
+        work.append(dict(counts))
+    assert work[0] == work[1]
 
 
 def test_reference_path_evaluates_each_linearization_once(monkeypatch):

@@ -153,22 +153,26 @@ def test_cross_validation_against_monolithic_solve():
 
     # on a perturbed base the modes couple: the gap is the monolithic
     # solution's part outside the span, and nothing inside it beyond the
-    # roundoff of the two solves, at every mode count
+    # roundoff of the two solves, at every mode count.  The base with u
+    # perturbed stays blunt: the Hessian of |p|^1.5 is singular at p = 0,
+    # which a periodic Du must cross, so its coefficients are not smooth
+    # there and the span tail is still 4.0e-2 at 32 modes.  With m alone
+    # perturbed Du = 0, and the tail falls to 2.6e-8 at 32 modes, where a
+    # 1e-5 relative error in flux_a or drift_coef of the monolithic solve
+    # fails the gate
     rng = np.random.default_rng(4)
     grid, time = problem.grid, problem.time
-    base = SolutionPair(
-        u=SpaceTimeField(grid, time, state.pair.u.values
-                         + band_limited_spacetime(grid, time, rng, amp=0.05).values),
-        m=SpaceTimeField(grid, time,
-                         1.0 + 0.1 * band_limited_spacetime(grid, time, rng).values / 3),
-    )
+    du = band_limited_spacetime(grid, time, rng, amp=0.05).values
+    m = SpaceTimeField(grid, time, 1.0 + 0.1 * band_limited_spacetime(grid, time, rng).values / 3)
     lam = LambdaData.from_problem(problem, 0.4)
-    pert_mono = solve_linearized(problem, lam, base, rhs)
-    assert span_tail(basis, pert_mono) > 1e-6
-    for n_modes in (8, 16, 32):
-        basis = FourierBasis.build(grid, n_modes)
-        pert_gal = solve_linearized_galerkin(problem, lam, base, basis, rhs)
-        assert sup_gap(pert_gal, pert_mono) <= 1.1 * span_tail(basis, pert_mono) + 1e-9
+    for u in (state.pair.u.values + du, state.pair.u.values):
+        base = SolutionPair(u=SpaceTimeField(grid, time, u), m=m)
+        pert_mono = solve_linearized(problem, lam, base, rhs)
+        assert span_tail(FourierBasis.build(grid, 8), pert_mono) > 1e-6
+        for n_modes in (8, 16, 32):
+            basis = FourierBasis.build(grid, n_modes)
+            pert_gal = solve_linearized_galerkin(problem, lam, base, basis, rhs)
+            assert sup_gap(pert_gal, pert_mono) <= 1.1 * span_tail(basis, pert_mono) + 1e-9
 
 
 def test_energy_bound_single_constant(small_problem):

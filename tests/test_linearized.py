@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
-from mfgcon.continuation import trivial_solution
+from mfgcon.continuation import solve_path, trivial_solution
 from mfgcon import linearized, system
+from mfgcon.fileio import build_problem, load_config
 from mfgcon.grids import (
     SpaceTimeField,
     _grad_lap_stack,
@@ -12,8 +15,10 @@ from mfgcon.grids import (
     _spectra,
 )
 from mfgcon.linearized import (
+    LinearSolveError,
     Perturbation,
     _base_coefficients,
+    _gmres,
     _heat_chain_preconditioner,
     _right_preconditioned_apply,
     apply_L,
@@ -29,7 +34,9 @@ from mfgcon.system import (
     residual_full,
 )
 
-from conftest import band_limited_spacetime, make_problem
+from conftest import band_limited_spacetime, make_problem, random_bundle
+
+REFERENCE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.cfg")
 
 
 def perturbed_base(problem, rng, amp=0.05):
@@ -172,6 +179,99 @@ def test_krylov_solve_inverts_the_operator(small_problem, dim, lam_value):
     assert np.linalg.norm(achieved) <= 1e-9 * np.linalg.norm(rhs_vec)
     assert np.max(np.abs(sol.v.values - known.v.values)) < 1e-8
     assert np.max(np.abs(sol.f.values - known.f.values)) < 1e-8
+
+
+def _counted(matrix):
+    """Matvec by ``matrix`` and the list whose length counts its calls."""
+    calls = []
+
+    def apply(y):
+        calls.append(None)
+        return matrix @ y
+
+    return apply, calls
+
+
+def test_gmres_matches_a_dense_solve():
+    rng = np.random.default_rng(3)
+    matrix = np.eye(8) + 0.4 * rng.normal(size=(8, 8))  # nonsymmetric
+    rhs = rng.normal(size=8)
+    apply, calls = _counted(matrix)
+    y = _gmres(apply, rhs, 1e-12)
+    assert len(calls) <= 8
+    assert np.max(np.abs(y - np.linalg.solve(matrix, rhs))) <= 1e-12
+
+
+def test_gmres_restarts_and_meets_rtol_in_its_true_residual():
+    # a spread spectrum keeps GMRES(10) well short of 1e-8 after one cycle
+    matrix = np.diag(np.linspace(1.0, 50.0, 60))
+    matrix[0, 1] = 1.0
+    rhs = np.random.default_rng(4).normal(size=60)
+    apply, calls = _counted(matrix)
+    y = _gmres(apply, rhs, 1e-8)
+    assert len(calls) > 2 * linearized._GMRES_RESTART
+    assert np.linalg.norm(matrix @ y - rhs) <= 1e-8 * np.linalg.norm(rhs)
+
+
+def test_gmres_stops_on_an_exact_breakdown():
+    # A v_0 = v_0 exactly, so Arnoldi breaks down after one apply; the zero
+    # estimate meets even rtol = 0
+    rhs = np.zeros(6)
+    rhs[3] = 4.0
+    apply, calls = _counted(np.eye(6))
+    y = _gmres(apply, rhs, 0.0)
+    assert len(calls) == 1
+    assert np.array_equal(y, rhs)
+
+
+@pytest.mark.parametrize("kind", ["cyclic_shift", "zero"])
+def test_gmres_that_cannot_converge_raises_after_the_apply_cap(kind):
+    # the cyclic shift stagnates: every Krylov space of dimension below 40
+    # leaves the residual of e_0 at its full norm; the zero operator breaks
+    # down with a singular Hessenberg matrix
+    matrix = np.roll(np.eye(40), 1, axis=0) if kind == "cyclic_shift" else np.zeros((40, 40))
+    rhs = np.zeros(40)
+    rhs[0] = 1.0
+    apply, calls = _counted(matrix)
+    with pytest.raises(LinearSolveError) as err:
+        _gmres(apply, rhs, 1e-6)
+    assert len(calls) == linearized._MAX_APPLIES
+    assert str(err.value) == (
+        "Krylov solve did not converge: relative residual estimate 1.00e+00 > "
+        f"rtol 1.0e-06 after {linearized._MAX_APPLIES} applies"
+    )
+
+
+def test_gmres_fails_at_once_on_a_nan_apply():
+    def nan_apply(y):
+        out = y.copy()
+        out[0] = np.nan
+        return out
+
+    with pytest.raises(LinearSolveError, match="estimate nan > rtol 1.0e-10 after 1 applies"):
+        _gmres(nan_apply, np.ones(20), 1e-10)
+
+
+@pytest.fixture(scope="module")
+def reference_zero_state():
+    cfg = load_config(REFERENCE_CFG)
+    problem = build_problem(cfg)
+    states = solve_path(problem, cfg.solver)
+    assert states[-1].lam == 0.0
+    return problem, states[-1].pair
+
+
+@pytest.mark.parametrize("rtol", [1e-1, 1e-4, 1e-8, 1e-10])
+def test_estimate_stop_keeps_the_true_residual_at_rtol(reference_zero_state, rtol):
+    # the solve stops on the Arnoldi estimate; at the solved reference state
+    # the true relative residual of L w = rhs must follow it
+    problem, pair = reference_zero_state
+    lam = LambdaData.from_problem(problem, 0.0)
+    rhs = random_bundle(problem, np.random.default_rng(31))
+    w = solve_linearized(problem, lam, pair, rhs, rtol=rtol)
+    rhs_vec = bundle_to_vector(rhs)
+    achieved = bundle_to_vector(apply_L(problem, lam, pair, w)) - rhs_vec
+    assert np.linalg.norm(achieved) <= 2.0 * rtol * np.linalg.norm(rhs_vec)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16)], ids=["d1", "d2"])
