@@ -117,9 +117,6 @@ class Field:
     def constant(cls, grid: PeriodicGrid, value: float) -> "Field":
         return cls(grid, np.full(grid.num_nodes, float(value)))
 
-    def shaped(self) -> np.ndarray:
-        return self.values.reshape(self.grid.shape)
-
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 

@@ -12,9 +12,10 @@ which is the homotopy family the continuation solver marches through.  The
 blend is the same power model with weight (1 - lam) c(x) + lam.  A
 brute-force convex-duality oracle for Lagrangians a(x) (1 + |v|^2)^(gamma'/2)
 (:func:`duality_table`) checks duality and the growth envelopes of L and its
-dual.  The uniqueness inequality has one evaluator (:func:`uniqueness_terms`),
-which the estimate suite calls both at the candidate's momenta and on the
-sample that certifies the structural hypotheses of the run's Hamiltonian.
+dual by one batched search on profile values (:func:`conjugate_radial`).  The
+uniqueness inequality has one evaluator (:func:`uniqueness_terms`), which the
+estimate suite calls both at the candidate's momenta and on the sample that
+certifies the structural hypotheses of the run's Hamiltonian.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "HamiltonianModel",
@@ -63,10 +63,6 @@ class HamiltonianModel:
         if lam == 0.0:
             return base
         return cls(base.gamma, (1.0 - lam) * base.weight + lam)
-
-    @property
-    def gamma_prime(self) -> float:
-        return self.gamma / (self.gamma - 1.0)
 
     def weight_bounds(self) -> tuple[float, float]:
         """Range of the zero-momentum value H(x, 0)."""
@@ -112,18 +108,13 @@ class LagrangianModel:
     def gamma(self) -> float:
         return self.gamma_prime / (self.gamma_prime - 1.0)
 
-    def weight_at(self, x_index) -> float:
-        if np.ndim(self.weight) == 0:
-            return float(self.weight)
-        return float(np.asarray(self.weight)[x_index])
-
-    def value(self, v: np.ndarray) -> np.ndarray:
-        s = np.sum(np.square(np.asarray(v, dtype=float)), axis=0)
-        return self.weight * (1.0 + s) ** (0.5 * self.gamma_prime)
-
     def radial(self, x_index):
-        """Scalar profile t -> L(x, t e) along any direction (isotropy)."""
-        w = self.weight_at(x_index)
+        """Profile t -> L(x, t e) along any direction (isotropy), row by row.
+
+        ``x_index`` is a node index or an index array of shape S; the profile
+        maps radii of shape S + (k,) to L at node ``x_index[s]`` on row s.
+        """
+        w = np.expand_dims(self.weight if np.ndim(self.weight) == 0 else self.weight[x_index], -1)
         s = self.gamma_prime
         return lambda t: w * (1.0 + t * t) ** (0.5 * s)
 
@@ -132,53 +123,63 @@ class LegendreBoundaryError(RuntimeError):
     """The brute-force maximizer landed on the sample boundary."""
 
 
-def conjugate_radial(profile, slope: float, radius: float, samples: int = 257) -> float:
-    """sup over t in [0, radius] of slope*t - profile(t), by grid + refinement.
+# Bracket width the golden-section refinement of conjugate_radial narrows to.
+_XATOL = 1e-12
+_INV_PHI = 0.5 * (np.sqrt(5.0) - 1.0)
 
-    ``profile`` must be convex and radially symmetric about 0, which makes
-    the search one-dimensional; convexity also makes the grid argmax a valid
-    bracket for the local ascent.  Raises :class:`LegendreBoundaryError` when
-    the maximizer touches t == radius.
+
+def conjugate_radial(profile, slope, radius, samples: int = 257) -> np.ndarray:
+    """sup over t in [0, radius] of slope*t - profile(t), for all entries at once.
+
+    ``slope`` and ``radius`` broadcast to a shape S; ``profile`` maps radii of
+    shape S + (k,) to values, row s for entry s, each row convex and even in
+    t.  Convexity lets the argmax over ``samples`` grid radii bracket every
+    supremum, and golden-section steps, as many as take the widest bracket to
+    ``_XATOL``, narrow all brackets together.  Raises
+    :class:`LegendreBoundaryError`, naming the slope and radius, when a grid
+    maximizer sits at t == radius.
     """
-    if radius <= 0.0 or samples < 8:
-        raise ValueError("need positive radius and at least 8 samples")
-    ts = np.linspace(0.0, radius, samples)
-    try:
-        prof_vals = np.asarray(profile(ts), dtype=float)
-        if prof_vals.shape != ts.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        prof_vals = np.asarray([profile(t) for t in ts])
-    vals = slope * ts - prof_vals
-    i = int(np.argmax(vals))
-    if i == samples - 1:
-        raise LegendreBoundaryError(
-            f"maximizer at the sample boundary t={radius}; enlarge the radius"
-        )
-    lo = ts[max(i - 1, 0)]
-    hi = ts[i + 1]
-    res = minimize_scalar(
-        lambda t: -(slope * t - profile(t)), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(max(-res.fun, vals[i]))
+    slope, radius = np.broadcast_arrays(np.asarray(slope, float), np.asarray(radius, float))
+    if np.any(radius <= 0.0) or samples < 8:
+        raise ValueError("need positive radii and at least 8 samples")
+    ts = np.linspace(0.0, radius, samples, axis=-1)
+
+    def gain(t):
+        return slope[..., None] * t - profile(t)
+
+    vals = gain(ts)
+    i = np.argmax(vals, axis=-1)[..., None]
+    at_edge = np.flatnonzero(i == samples - 1)
+    if at_edge.size:
+        k = at_edge[0]
+        raise LegendreBoundaryError(f"maximizer at the sample boundary t={radius.flat[k]} "
+                                    f"for slope {slope.flat[k]}; enlarge the radius")
+    lo = np.take_along_axis(ts, np.maximum(i - 1, 0), -1)
+    width = np.take_along_axis(ts, i + 1, -1) - lo
+    steps = int(np.ceil(np.log(_XATOL / np.max(width)) / np.log(_INV_PHI)))
+    # values at the interior points lo + width * (phi^2, phi) of each bracket;
+    # a step keeps the better one, so every bracket shrinks by phi
+    f_lo, f_hi = gain(lo + _INV_PHI**2 * width), gain(lo + _INV_PHI * width)
+    for _ in range(steps):
+        up = f_hi > f_lo
+        width = _INV_PHI * width
+        lo = lo + up * (_INV_PHI * width)
+        f_new = gain(lo + np.where(up, _INV_PHI, _INV_PHI**2) * width)
+        f_lo, f_hi = np.where(up, f_hi, f_new), np.where(up, f_new, f_lo)
+    return np.maximum(np.maximum(f_lo, f_hi), np.take_along_axis(vals, i, -1))[..., 0]
 
 
-def legendre_transform(
-    lagrangian: LagrangianModel,
-    x_index: int,
-    p,
-    v_radius: float,
-    v_samples: int = 257,
-) -> float:
+def legendre_transform(lagrangian: LagrangianModel, x_index, p, v_radius,
+                       v_samples: int = 257) -> np.ndarray:
     """sup over v of [-v . p - L(x, v)], the convex dual defining H0.
 
-    The Lagrangian is isotropic in v, so the supremum is attained along the
-    direction -p/|p| and reduces to a one-dimensional search.
+    ``p`` has shape (d,) + S, and ``x_index`` and ``v_radius`` broadcast to
+    S, so one call transforms a stack of momenta.  The Lagrangian is
+    isotropic in v, so each supremum is attained along the direction
+    -p/|p| and reduces to a one-dimensional search.
     """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    profile = lagrangian.radial(x_index)
-    return conjugate_radial(profile, float(np.linalg.norm(p)), v_radius, v_samples)
+    p_norm = np.linalg.norm(np.asarray(p, dtype=float), axis=0)
+    return conjugate_radial(lagrangian.radial(x_index), p_norm, v_radius, v_samples)
 
 
 def growth_constants(lagrangian: LagrangianModel) -> dict[str, float]:
@@ -241,49 +242,45 @@ def duality_table(lagrangian: LagrangianModel, seed: int) -> DualityTable:
     Draws 100 (node, speed) pairs with ``seed`` and transforms L twice,
     L -> H0 -> L**, which must give L back; at the same pairs L must lie in
     its envelope C1 |v|^g' / g' <= L <= C2 |v|^g' / g' + K2, whose lower
-    side also makes L positive.  Then it compares H0 at 16
-    momenta in [10, 100], each at a drawn node, with |p|^gamma / gamma; the
-    ratios must lie in [c1 / 2, 2 c2] for the dual envelope constants of
-    :func:`growth_constants`.  Raises :class:`LegendreBoundaryError` when a
-    search radius was too small.
+    side also makes L positive.  The double transform is one
+    :func:`conjugate_radial` call whose profile, H0 on each pair's row, is a
+    batched :func:`conjugate_radial` call itself.  Then one
+    :func:`legendre_transform` call compares H0 at 16 momenta in [10, 100],
+    each at a drawn node, with |p|^gamma / gamma; the ratios must lie in
+    [c1 / 2, 2 c2] for the dual envelope constants of :func:`growth_constants`.
+    Raises :class:`LegendreBoundaryError` when a search radius was too small.
     """
     rng = np.random.default_rng(seed)
     nodes = np.size(lagrangian.weight)
     idx = rng.integers(0, nodes, 100)
     speeds = rng.uniform(0.0, 3.0, 100)
     gp = lagrangian.gamma_prime
+    weight = np.broadcast_to(lagrangian.weight, nodes)
     consts = growth_constants(lagrangian)
-    worst, envelope = 0.0, np.inf
-    for x, v in zip(idx, speeds):
-        profile = lagrangian.radial(int(x))
-        w = lagrangian.weight_at(int(x))
-        v = float(v)
-        # the maximizing momentum for speed v has size w gp v (1+v^2)^(gp/2-1)
-        p_star = w * gp * v * (1.0 + v * v) ** (0.5 * gp - 1.0)
+    # the maximizing momentum for speed v has size w gp v (1+v^2)^(gp/2-1)
+    p_star = weight[idx] * gp * speeds * (1.0 + speeds**2) ** (0.5 * gp - 1.0)
+    rows = lagrangian.radial(idx[:, None])
 
-        def dual(r):
-            v_star = (r / (w * gp)) ** (1.0 / (gp - 1.0)) if r > 0 else 0.0
-            return conjugate_radial(profile, r, 3.0 * v_star + 5.0, samples=129)
+    def dual(r):
+        v_star = (r / (gp * weight[idx, None])) ** (1.0 / (gp - 1.0))
+        return conjugate_radial(rows, r, 3.0 * v_star + 5.0, samples=129)
 
-        back = conjugate_radial(dual, v, 3.0 * p_star + 10.0, samples=129)
-        l_val = profile(v)
-        worst = max(worst, abs(back - l_val))
-        scaled = v**gp / gp
-        envelope = min(envelope, l_val - consts["lower_coef"] * scaled,
-                       consts["upper_coef"] * scaled + consts["upper_shift"] - l_val)
+    back = conjugate_radial(dual, speeds, 3.0 * p_star + 10.0, samples=129)
+    l_val = lagrangian.radial(idx)(speeds[:, None])[:, 0]
+    scaled = speeds**gp / gp
+    envelope = np.minimum(l_val - consts["lower_coef"] * scaled,
+                          consts["upper_coef"] * scaled + consts["upper_shift"] - l_val)
 
     g = consts["gamma"]
-    ratios = []
-    for p_mag in np.linspace(10.0, 100.0, 16):
-        x = int(rng.integers(0, nodes))
-        v_star = (p_mag / (gp * lagrangian.weight_at(x))) ** (1.0 / (gp - 1.0))
-        h_val = legendre_transform(lagrangian, x, [p_mag], v_radius=4.0 * v_star + 2.0)
-        ratios.append(h_val / (p_mag**g / g))
+    p_mag = np.linspace(10.0, 100.0, 16)
+    x = rng.integers(0, nodes, 16)
+    v_star = (p_mag / (gp * weight[x])) ** (1.0 / (gp - 1.0))
+    ratios = legendre_transform(lagrangian, x, p_mag[None], 4.0 * v_star + 2.0) / (p_mag**g / g)
     return DualityTable(
-        max_deviation=worst,
-        ratio_range=(float(min(ratios)), float(max(ratios))),
+        max_deviation=float(np.max(np.abs(back - l_val))),
+        ratio_range=(float(np.min(ratios)), float(np.max(ratios))),
         window=(0.5 * consts["dual_lower_coef"], 2.0 * consts["dual_upper_coef"]),
-        envelope_margin=float(envelope),
+        envelope_margin=float(np.min(envelope)),
     )
 
 

@@ -211,8 +211,9 @@ def bundle_to_vector(bundle: ResidualBundle) -> np.ndarray:
 # L w = rhs then holds to 1.4e-12 and 3.7e-11 relative.  The Arnoldi estimate
 # goes on falling below that (1e-14 after 9 applies at lambda = 0), but the
 # true residual of L w = rhs levels off near 2e-12, the roundoff of the 1/dt
-# heat rows, since w = H^-1 y is formed apart from the apply.  Newton accepts
-# a state on its own residual, so this bounds work, not the certificate.
+# heat rows, since w = H^-1 y is formed apart from the apply; solve_linearized
+# refuses an rtol below this floor.  Newton accepts a state on its own
+# residual, so this bounds work, not the certificate.
 _KRYLOV_RTOL = 1e-10
 # The loop keeps restart + 1 basis vectors of the full unknown count, written
 # only as it reaches them; a solve on the benchmark workloads takes at most 7
@@ -326,8 +327,12 @@ def solve_linearized(
     ``rhs.terms`` when :func:`residual_full` made ``rhs`` at this ``base``
     under this ``lam_data`` (the Newton corrector's case), and evaluate them
     afresh otherwise.  A solve that misses its tolerance raises
-    :class:`LinearSolveError`.
+    :class:`LinearSolveError`; ``rtol`` below ``_KRYLOV_RTOL`` raises ValueError.
     """
+    if rtol < _KRYLOV_RTOL:
+        raise ValueError(
+            f"rtol {rtol:.1e} is below the Krylov floor _KRYLOV_RTOL = {_KRYLOV_RTOL:.0e}"
+        )
     k, mm = problem.time.num_slices, problem.grid.num_nodes
     n_dof = 2 * k * mm
     rhs_vec = bundle_to_vector(rhs)

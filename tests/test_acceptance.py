@@ -316,3 +316,6 @@ def test_criterion_10_duality_oracle(reference):
     table = duality_table(lagr, seed=0)
     report(10, "convex-duality oracle", table.passed, " ".join(table.lines()))
     assert table.passed
+    assert table.max_deviation <= 1e-12
+    assert table.ratio_range == pytest.approx((0.4424605962779851, 0.564311053109206), abs=1e-9)
+    assert table.envelope_margin == pytest.approx(1.0028352617830278, abs=1e-9)

@@ -29,10 +29,13 @@ def test_every_exported_name_resolves(name):
 
 
 def test_package_imports_cleanly():
+    # nothing needs scipy.optimize, whose import costs every process memory and start-up time
     stars = "; ".join(f"from mfgcon.{name} import *" for name in MODULES)
+    lean = "import sys; assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'"
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", f"import mfgcon; from mfgcon import *; {stars}"],
+        [sys.executable, "-W", "error", "-c",
+         f"import mfgcon; from mfgcon import *; {stars}; {lean}"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -124,6 +124,27 @@ def test_hessian_positive_definite_on_sample():
         assert w[0] == pytest.approx(eig_min[j], rel=1e-12)
 
 
+def test_batched_conjugate_matches_the_quadratic_dual():
+    # sup over t of s t - a t^2 / 2 is s^2 / (2a), at t = s / a; slope 0 has
+    # its maximizer at t = 0, the left end of its bracket
+    a = np.array([0.5, 1.0, 3.0])
+    slopes = np.array([0.0, 0.3, 1.0, 2.5])
+    radii = np.array([6.0, 3.0, 1.0])[:, None]
+    got = conjugate_radial(lambda t: a[:, None, None] * t * t / 2, slopes, radii, samples=129)
+    assert got.shape == (3, 4)
+    np.testing.assert_allclose(got, slopes**2 / (2 * a[:, None]), rtol=1e-12, atol=1e-12)
+    # one scalar radius for a row of slopes, each with its own curvature
+    b = np.array([0.5, 1.0, 2.0, 4.0])
+    got = conjugate_radial(lambda t: b[:, None] * t * t / 2, slopes, 6.0)
+    np.testing.assert_allclose(got, slopes**2 / (2 * b), rtol=1e-12, atol=1e-12)
+
+
+def test_batched_conjugate_names_the_entry_past_its_radius():
+    a = np.array([1.0, 1.0, 2.0])
+    with pytest.raises(LegendreBoundaryError, match=r"t=2\.0 for slope 5\.0;"):
+        conjugate_radial(lambda t: a[:, None] * t * t / 2, np.array([1.0, 5.0, 1.0]), 2.0)
+
+
 def test_legendre_at_zero_momentum_and_boundary_error():
     lagr = LagrangianModel(gamma_prime=3.0, weight=2.5)
     val = legendre_transform(lagr, 0, [0.0], v_radius=3.0)
@@ -142,7 +163,7 @@ def per_node_table():
 
 def test_legendre_double_transform_recovers_lagrangian(per_node_table):
     _, table = per_node_table
-    assert table.max_deviation < 1e-6
+    assert table.max_deviation <= 1e-12
     assert table.passed
 
 
@@ -151,6 +172,7 @@ def test_legendre_growth_matches_dual_envelope(per_node_table):
     consts = growth_constants(lagr)
     assert table.window == (0.5 * consts["dual_lower_coef"], 2.0 * consts["dual_upper_coef"])
     lo, hi = table.ratio_range
+    assert (lo, hi) == pytest.approx((0.35683207722021876, 0.6469200649099244), abs=1e-9)
     assert table.window[0] <= lo <= hi <= table.window[1]
     # the weight varies by 1.3 / 0.7 across nodes, and so do the sampled ratios
     assert hi / lo > 1.2
@@ -165,22 +187,19 @@ def test_dual_uniqueness_inequality_sharp_in_alpha():
     # checked through radial finite differences of the duality oracle.
     lagr = LagrangianModel(gamma_prime=3.0, weight=1.0)  # gamma = 1.5, 4/gamma = 8/3
     eps = 1e-4
-
-    def h_of(r):
-        v_star = (r / 3.0) ** 0.5 if r > 0 else 0.0
-        return conjugate_radial(lagr.radial(0), r, 3.0 * v_star + 6.0, samples=129)
-
-    for r in (0.05, 0.3, 1.0, 4.0, 30.0, 60.0):
-        h0 = h_of(r)
-        dh = (h_of(r + eps) - h_of(r - eps)) / (2 * eps)
-        d2h = (h_of(r + eps) - 2 * h0 + h_of(r - eps)) / eps**2
-        coercive = r * dh - h0
-        curvature = r * r * d2h
-        assert coercive > 0.25 * 0.5 * curvature - 1e-6          # alpha = 0.5 passes
-        if r >= 30.0:
-            # the curvature-to-coercivity ratio tends to gamma from below, so
-            # alpha = 3 > 4/gamma is violated once the momentum is large
-            assert coercive < 0.25 * 3.0 * curvature
+    r = np.array([0.05, 0.3, 1.0, 4.0, 30.0, 60.0])
+    stencil = r[:, None] + eps * np.array([-1.0, 0.0, 1.0])
+    h = conjugate_radial(lagr.radial(0), stencil, 3.0 * (stencil / 3.0) ** 0.5 + 6.0, samples=129)
+    h0 = h[:, 1]
+    dh = (h[:, 2] - h[:, 0]) / (2 * eps)
+    d2h = (h[:, 2] - 2 * h0 + h[:, 0]) / eps**2
+    coercive = r * dh - h0
+    curvature = r * r * d2h
+    assert np.all(coercive > 0.25 * 0.5 * curvature - 1e-6)          # alpha = 0.5 passes
+    # the curvature-to-coercivity ratio tends to gamma from below, so
+    # alpha = 3 > 4/gamma is violated once the momentum is large
+    large = r >= 30.0
+    assert np.all(coercive[large] < 0.25 * 3.0 * curvature[large])
 
 
 def test_lagrangian_envelope_in_duality_table(per_node_table):
@@ -194,6 +213,7 @@ def test_lagrangian_envelope_in_duality_table(per_node_table):
     assert consts["upper_coef"] == pytest.approx(gp * np.max(w) * 2.0 ** (0.5 * gp), rel=1e-15)
     assert consts["upper_shift"] == pytest.approx(np.max(w) * 2.0 ** (0.5 * gp), rel=1e-15)
     assert table.envelope_margin >= -1e-10
+    assert table.envelope_margin == pytest.approx(0.706396851738599, abs=1e-9)
     assert table.passed
     assert table.lines()[2] == (
         f"lagrangian_envelope_margin={table.envelope_margin:.6e} (tol -1e-10)"

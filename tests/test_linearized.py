@@ -274,6 +274,17 @@ def test_estimate_stop_keeps_the_true_residual_at_rtol(reference_zero_state, rto
     assert np.linalg.norm(achieved) <= 2.0 * rtol * np.linalg.norm(rhs_vec)
 
 
+def test_solve_rejects_an_rtol_below_the_krylov_floor(reference_zero_state):
+    # below about 1e-12 the Arnoldi estimate goes on falling after the true
+    # residual has levelled off, so such a solve would report false success
+    problem, pair = reference_zero_state
+    lam = LambdaData.from_problem(problem, 0.0)
+    rhs = random_bundle(problem, np.random.default_rng(31))
+    floor = r"rtol 1\.0e-14 is below the Krylov floor _KRYLOV_RTOL = 1e-10"
+    with pytest.raises(ValueError, match=floor):
+        solve_linearized(problem, lam, pair, rhs, rtol=1e-14)
+
+
 @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16)], ids=["d1", "d2"])
 def test_heat_chain_preconditioner_inverts_decoupled_chains(dim, n):
     problem = make_problem(n=n, n_t=12, dim=dim)
