@@ -39,7 +39,9 @@ from .grids import (
     SpaceTimeField,
     TimeGrid,
     VectorField,
-    fourier_interpolate,
+    _irfft_stack,
+    _pad_spectrum,
+    _rfft_stack,
     integrate,
 )
 from .linearized import _KRYLOV_RTOL, LinearSolveError, Perturbation, solve_linearized
@@ -386,21 +388,22 @@ def _coarse_problem(problem: MFGProblem) -> MFGProblem:
 def _lift(pair: SolutionPair, problem: MFGProblem) -> SolutionPair:
     """``pair`` on the problem's grids: Fourier interpolation in space, linear in time.
 
-    When the coarse path halved n_t, even fine slices copy the coarse ones and
-    odd slices average their two neighbours.
+    The stacked (u, m) goes through one forward transform, the zero-padding
+    of ``grids._pad_spectrum`` and one inverse transform.  When the coarse
+    path halved n_t, even fine slices copy the coarse ones and odd slices
+    average their two neighbours.
     """
+    grid = pair.u.grid
+    spec = _rfft_stack(np.stack([pair.u.values, pair.m.values]), grid)
+    lifted = _irfft_stack(_pad_spectrum(spec, grid, problem.grid.points_per_dim), problem.grid)
     num_slices = problem.time.num_slices
-
-    def lift(f: SpaceTimeField) -> SpaceTimeField:
-        coarse = fourier_interpolate(f, problem.grid.points_per_dim).values
-        if coarse.shape[0] == num_slices:
-            return SpaceTimeField(problem.grid, problem.time, coarse)
-        fine = np.empty((num_slices, coarse.shape[1]))
-        fine[::2] = coarse
-        fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
-        return SpaceTimeField(problem.grid, problem.time, fine)
-
-    return SolutionPair(u=lift(pair.u), m=lift(pair.m))
+    if lifted.shape[1] != num_slices:
+        coarse = lifted
+        lifted = np.empty((2, num_slices, coarse.shape[2]))
+        lifted[:, ::2] = coarse
+        lifted[:, 1::2] = 0.5 * (coarse[:, :-1] + coarse[:, 1:])
+    u, m = (SpaceTimeField(problem.grid, problem.time, f) for f in lifted)
+    return SolutionPair(u=u, m=m)
 
 
 def solve_path(

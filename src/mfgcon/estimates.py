@@ -3,9 +3,14 @@
 Bounds whose constants are not explicit become finiteness plus
 refinement-stability criteria: the quantity is recomputed after resampling
 the candidate on a once-refined grid and the two values must agree within a
-factor of two.  The hypotheses of the theorem the run reproduces are part of
-the same report: the exponent conditions (:func:`check_exponents`) and the
-structural hypotheses of the run's Hamiltonian, sampled over momenta
+factor of two.  Both grids come from one spectral pass
+(:func:`_spectral_pass`): one forward transform of the stacked (u, m) gives
+both gradients on the run's grid through one inverse transform, and the
+same spectrum, zero-padded in blocks of time slices, gives the refined
+samples and their gradients.  The checks read per-slice sums and maxima
+from that pass.  The hypotheses of the theorem the run reproduces are part
+of the same report: the exponent conditions (:func:`check_exponents`) and
+the structural hypotheses of the run's Hamiltonian, sampled over momenta
 (:func:`check_hypotheses`).  Every record stores the computed values, never
 a bare flag, and is recomputable from the candidate and problem data alone.
 """
@@ -16,9 +21,16 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grids import _grad_stack, fourier_interpolate
+from .grids import (
+    PeriodicGrid,
+    _apply_symbols,
+    _irfft_stack,
+    _pad_spectrum,
+    _rfft_stack,
+    _spectra,
+)
 from .hamiltonians import HamiltonianModel, uniqueness_terms
-from .system import LambdaData, MFGProblem, SolutionPair, _congestion_stack
+from .system import LambdaData, MFGProblem, SolutionPair
 
 __all__ = [
     "CheckRecord",
@@ -109,11 +121,96 @@ class DerivedExponents:
         return r + 2.0 * self.alpha_bar / (2.0 - self.gamma)
 
 
-def _refined_pair(pair: SolutionPair) -> SolutionPair:
-    """Resample both unknowns on a grid with twice the resolution."""
-    n_fine = 2 * pair.u.grid.points_per_dim
-    return SolutionPair(
-        u=fourier_interpolate(pair.u, n_fine), m=fourier_interpolate(pair.m, n_fine)
+# Refined nodes times time slices per block of the refined pass, which bounds
+# its memory: a block's samples and gradients of u and m, 2 (d + 1) arrays of
+# this many values, are alive at a time.  8 slices of a refined 64 x 64 grid
+# fill a block; a d = 1 run with 256 refined nodes and 128 slices fits in one.
+_REFINED_BLOCK_VALUES = 2**15
+
+
+@dataclass(frozen=True)
+class _SpectralPass:
+    """What the refinement and uniqueness checks read of one candidate.
+
+    ``coarse`` and ``refined`` map each statistic of :func:`_slice_stats` to
+    its per-slice values on the run's grid and on the once-refined grid;
+    ``q`` is the congestion momentum Du / m^alpha on the run's grid.
+    """
+
+    dt: float
+    q: np.ndarray
+    coarse: dict
+    refined: dict
+
+
+def _slice_stats(u, m, du, dm, vol: float, problem: MFGProblem):
+    """Per-slice statistics of samples on one grid, and m^alpha there.
+
+    ``u`` and ``m`` have shape (slices, nodes), their gradients ``du`` and
+    ``dm`` (d, slices, nodes).  Integrals are the cell volume times node
+    sums, sup-norms node maxima; a name ending in ``_max`` or ``_sup`` is
+    reduced over slices by its maximum, any other by the trapezoid rule
+    (:func:`_over_slices`).  Each non-integer power is taken once:
+    |Du|^gamma, m^abar and m^alpha.  abar = (gamma-1)*alpha is not required
+    to stay below 1 here, so exponents outside the theorem are reported by
+    :func:`check_exponents` instead of raised.
+    """
+    gamma, alpha = problem.hamiltonian.gamma, problem.alpha
+    abar = (gamma - 1.0) * alpha
+    m_safe = np.maximum(m, problem.m_floor)
+    du_sq = np.sum(du * du, axis=0)
+    dm_sq = np.sum(dm * dm, axis=0)
+    du_pow = du_sq ** (0.5 * gamma)
+    m_abar = m_safe**abar
+    m_alpha = m_safe**alpha
+
+    def integral(f: np.ndarray) -> np.ndarray:
+        return vol * np.sum(f, axis=-1)
+
+    stats = {
+        "momentum_over_density": integral(du_pow / m_abar),
+        "value_l1_max": integral(np.abs(u)),
+        "momentum_weighted": integral(du_pow * m_safe / m_abar),
+        "density_power_max": integral(m_safe * m_alpha),
+        "density_gradient_energy": integral(m_alpha / m_safe * dm_sq),
+        "du_sup": np.sqrt(np.max(du_sq, axis=-1)),
+        "m_sup": np.max(np.abs(m), axis=-1),
+        "dm_sup": np.sqrt(np.max(dm_sq, axis=-1)),
+    }
+    return stats, m_alpha
+
+
+def _spectral_pass(pair: SolutionPair, problem: MFGProblem) -> _SpectralPass:
+    """One forward transform of the stacked (u, m), read on the run's grid and the refined one.
+
+    Both gradients on the run's grid come back through one inverse
+    transform.  The refined grid has twice the nodes per axis; its samples
+    and gradients come from the same spectrum, zero-padded a block of slices
+    at a time (``_REFINED_BLOCK_VALUES``), one inverse transform per block.
+    """
+    grid = pair.u.grid
+    fine = PeriodicGrid(grid.dim, 2 * grid.points_per_dim)
+    ideriv, _ = _spectra(grid.dim, grid.points_per_dim)
+    fine_ideriv, _ = _spectra(fine.dim, fine.points_per_dim)
+    spec = _rfft_stack(np.stack([pair.u.values, pair.m.values]), grid)
+    grads = _irfft_stack(_apply_symbols(ideriv, spec), grid)  # (d, 2, slices, nodes)
+    coarse, m_alpha = _slice_stats(
+        pair.u.values, pair.m.values, grads[:, 0], grads[:, 1], grid.cell_volume, problem
+    )
+    size = max(1, _REFINED_BLOCK_VALUES // fine.num_nodes)
+    blocks = []
+    for start in range(0, spec.shape[1], size):
+        padded = _pad_spectrum(spec[:, start : start + size], grid, fine.points_per_dim)
+        vals = _irfft_stack(_apply_symbols((1.0,) + fine_ideriv, padded), fine)
+        stats, _ = _slice_stats(
+            vals[0, 0], vals[0, 1], vals[1:, 0], vals[1:, 1], fine.cell_volume, problem
+        )
+        blocks.append(stats)
+    return _SpectralPass(
+        dt=pair.u.time.dt,
+        q=grads[:, 0] / m_alpha,
+        coarse=coarse,
+        refined={key: np.concatenate([b[key] for b in blocks]) for key in coarse},
     )
 
 
@@ -169,62 +266,39 @@ def check_value_bounds(
     )
 
 
-def _integral_quantities(pair: SolutionPair, problem: MFGProblem) -> dict:
-    grid = pair.u.grid
-    dt = pair.u.time.dt
-    vol = grid.cell_volume
-    alpha = problem.alpha
-    abar = DerivedExponents(problem.hamiltonian.gamma, alpha).alpha_bar
-    gamma = problem.hamiltonian.gamma
-    u, m = pair.u.values, pair.m.values
-    m_safe = np.maximum(m, problem.m_floor)
-    du = _grad_stack(u, grid)
-    dm = _grad_stack(m, grid)
-    du_norm = np.sqrt(np.sum(du * du, axis=0))
-    dm_sq = np.sum(dm * dm, axis=0)
-
-    def time_integral(slice_integrals: np.ndarray) -> float:
-        return float(np.trapezoid(slice_integrals, dx=dt))
-
-    return {
-        "momentum_over_density": time_integral(
-            vol * np.sum(du_norm**gamma / m_safe**abar, axis=1)
-        ),
-        "value_l1_max": float(np.max(vol * np.sum(np.abs(u), axis=1))),
-        "momentum_weighted": time_integral(
-            vol * np.sum(du_norm**gamma * m_safe ** (1.0 - abar), axis=1)
-        ),
-        "density_power_max": float(np.max(vol * np.sum(m_safe ** (1.0 + alpha), axis=1))),
-        "density_gradient_energy": time_integral(
-            vol * np.sum(m_safe ** (alpha - 1.0) * dm_sq, axis=1)
-        ),
-    }
+def _over_slices(key: str, per_slice: np.ndarray, dt: float) -> float:
+    """Largest slice value of a slice maximum or sup-norm, else the trapezoid time integral."""
+    if key.endswith(("_max", "_sup")):
+        return float(np.max(per_slice))
+    return float(np.trapezoid(per_slice, dx=dt))
 
 
-def check_integral_estimates(
-    pair: SolutionPair, problem: MFGProblem, refined: SolutionPair
-) -> CheckRecord:
+def _refinement_record(name: str, criterion: str, keys, spectral: _SpectralPass) -> CheckRecord:
+    """Each statistic finite on the run's grid and within 2x of its refined value."""
+    values, ok = {}, True
+    for key in keys:
+        c_val = _over_slices(key, spectral.coarse[key], spectral.dt)
+        f_val = _over_slices(key, spectral.refined[key], spectral.dt)
+        ok = ok and _stable(c_val, f_val) and np.isfinite(c_val)
+        values[key] = c_val
+        values[key + "_refined"] = f_val
+    return CheckRecord(name=name, criterion=criterion, passed=bool(ok), values=values)
+
+
+def check_integral_estimates(spectral: _SpectralPass) -> CheckRecord:
     """Finiteness and grid stability of the space-time energy integrals.
 
     Covers the momentum integrals |Du|^gamma / m^abar and
     |Du|^gamma m^(1-abar), the slice bound on int |u|, and the density
-    energy int m^(1+alpha) + int m^(alpha-1) |Dm|^2.  ``refined`` is the
-    candidate resampled on the once-refined grid.
+    energy int m^(1+alpha) + int m^(alpha-1) |Dm|^2, each read from
+    ``spectral`` on the run's grid and on the once-refined one.
     """
-    coarse = _integral_quantities(pair, problem)
-    fine = _integral_quantities(refined, problem)
-    values, ok = {}, True
-    for key, c_val in coarse.items():
-        f_val = fine[key]
-        stable = _stable(c_val, f_val) and np.isfinite(c_val)
-        ok = ok and stable
-        values[key] = c_val
-        values[key + "_refined"] = f_val
-    return CheckRecord(
-        name="integral_estimates",
-        criterion="each energy integral finite and within 2x under one grid refinement",
-        passed=bool(ok),
-        values=values,
+    return _refinement_record(
+        "integral_estimates",
+        "each energy integral finite and within 2x under one grid refinement",
+        ("momentum_over_density", "value_l1_max", "momentum_weighted",
+         "density_power_max", "density_gradient_energy"),
+        spectral,
     )
 
 
@@ -260,7 +334,10 @@ def check_inverse_m(pair: SolutionPair, r_list=(1.0, 2.0, 5.0)) -> CheckRecord:
 
 
 def check_uniqueness_integrand(
-    pair: SolutionPair, problem: MFGProblem, lam_data: LambdaData
+    pair: SolutionPair,
+    problem: MFGProblem,
+    lam_data: LambdaData,
+    spectral: _SpectralPass | None = None,
 ) -> CheckRecord:
     """Pointwise sign structure behind uniqueness, at the candidate's momenta.
 
@@ -269,15 +346,17 @@ def check_uniqueness_integrand(
     (ii)  smallest eigenvalue of D2H at (x, Q) positive,
     (iii) dV/dz along the candidate densities positive.
     The power family has H(x, 0) > 0, so (i) is centered at the
-    zero-momentum value; the raw minimum is reported alongside.  Q is formed
-    with the floored density, so a nonpositive sample is reported by
+    zero-momentum value; the raw minimum is reported alongside.  Q is read
+    from the candidate's ``spectral`` pass, made here when not given.  It is
+    formed with the floored density, so a nonpositive sample is reported by
     :func:`check_inverse_m` rather than raised here.
     """
+    if spectral is None:
+        spectral = _spectral_pass(pair, problem)
     alpha = problem.alpha
     ham = lam_data.hamiltonian
-    du = _grad_stack(pair.u.values, pair.u.grid)
     m = pair.m.values
-    q = _congestion_stack(du, m, alpha, problem.m_floor)
+    q = spectral.q
     qn = np.sqrt(np.sum(q * q, axis=0))
     terms = uniqueness_terms(ham, q, alpha)
     mask = qn > 1e-7
@@ -306,35 +385,16 @@ def check_uniqueness_integrand(
     )
 
 
-def check_gradient_bound(pair: SolutionPair, refined: SolutionPair) -> CheckRecord:
+def check_gradient_bound(spectral: _SpectralPass) -> CheckRecord:
     """Sup-norms of Du, m, Dm: finite and stable under one grid refinement.
 
-    ``refined`` is the candidate resampled on the once-refined grid.
+    Each is read from ``spectral`` on the run's grid and on the once-refined one.
     """
-
-    def sups(p: SolutionPair) -> dict:
-        grid = p.u.grid
-        du = _grad_stack(p.u.values, grid)
-        dm = _grad_stack(p.m.values, grid)
-        return {
-            "du_sup": float(np.max(np.sqrt(np.sum(du * du, axis=0)))),
-            "m_sup": float(np.max(np.abs(p.m.values))),
-            "dm_sup": float(np.max(np.sqrt(np.sum(dm * dm, axis=0)))),
-        }
-
-    coarse = sups(pair)
-    fine = sups(refined)
-    ok, values = True, {}
-    for key, c_val in coarse.items():
-        stable = _stable(c_val, fine[key]) and np.isfinite(c_val)
-        ok = ok and stable
-        values[key] = c_val
-        values[key + "_refined"] = fine[key]
-    return CheckRecord(
-        name="gradient_bounds",
-        criterion="sup-norms of Du, m, Dm finite and within 2x under refinement",
-        passed=bool(ok),
-        values=values,
+    return _refinement_record(
+        "gradient_bounds",
+        "sup-norms of Du, m, Dm finite and within 2x under refinement",
+        ("du_sup", "m_sup", "dm_sup"),
+        spectral,
     )
 
 
@@ -434,14 +494,14 @@ def run_all_checks(
 ) -> EstimateReport:
     if lam_data is None:
         lam_data = LambdaData.from_problem(problem, 0.0)
-    refined = _refined_pair(pair)
+    spectral = _spectral_pass(pair, problem)
     records = [
         check_mass(pair),
         check_value_bounds(pair, problem, lam_data),
-        check_integral_estimates(pair, problem, refined),
+        check_integral_estimates(spectral),
         check_inverse_m(pair),
-        check_uniqueness_integrand(pair, problem, lam_data),
-        check_gradient_bound(pair, refined),
+        check_uniqueness_integrand(pair, problem, lam_data, spectral),
+        check_gradient_bound(spectral),
         check_exponents(problem),
         check_hypotheses(problem, lam_data),
     ]

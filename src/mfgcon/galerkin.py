@@ -14,7 +14,10 @@ of the blocks at every mode count.  The shooting map (A(0), B(0)) ->
 inverts, and :func:`shooting_spectrum` reports its singular values from the
 same factorization.  The blocks are projected from the frozen coefficient
 fields, never from the operator apply, so this path cross-validates the
-monolithic linear solve; it is not the production solver.
+monolithic linear solve; it is not the production solver.  It is also the
+only user of scipy in the package: the sparse LU factorization imports
+``scipy.sparse`` when it runs, so a process that never factors a Galerkin
+system never loads scipy.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .grids import PeriodicGrid, SpaceTimeField
 from .linearized import Perturbation, _base_coefficients
@@ -179,6 +180,10 @@ def _factorized_rows(system: GalerkinSystem):
     diagonal block and the time differences reach the neighbouring slices
     through -I/dt.
     """
+    # the package's only use of scipy, imported when a system is factored
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     k1, n = system.p_blocks.shape[:2]
     dt, k_mat, eye = system.dt, system.stiffness, np.eye(n)
     diag = np.zeros((k1, 2, n, 2, n))  # [slice, row half, row, unknown half, unknown]

@@ -271,25 +271,19 @@ def integrate(f: Field) -> float:
     return float(np.sum(f.values) * f.grid.cell_volume)
 
 
-def fourier_interpolate(f, points_per_dim: int):
-    """Resample a field, or a stack of them, onto a finer grid by zero-padding.
+def _pad_spectrum(spec: np.ndarray, grid: PeriodicGrid, points_per_dim: int) -> np.ndarray:
+    """Half spectra of a stack on ``grid`` zero-padded onto a finer grid.
 
-    ``f`` is a :class:`Field` or a :class:`SpaceTimeField`; the result has
-    the same type on the grid with ``points_per_dim`` nodes per axis.  The
-    whole stack goes through one rfftn and one irfftn.  Each axis's Nyquist
-    coefficient is split evenly between the frequencies +N/2 and -N/2 of the
-    finer grid; on the half-spectrum axis the -N/2 twin is the implicit
-    conjugate.
+    The finer grid has ``points_per_dim`` > N nodes per axis, and the
+    inverse transform there samples the same trigonometric interpolant: each
+    axis's Nyquist coefficient is split evenly between the frequencies +N/2
+    and -N/2 of the finer grid (on the half-spectrum axis the -N/2 twin is
+    the implicit conjugate), and the coefficients are scaled by the ratio of
+    node counts, a power of two, so the scaling is exact.
     """
-    grid = f.grid
     n = grid.points_per_dim
-    if points_per_dim < n:
-        raise ValueError("target grid must be at least as fine")
-    if points_per_dim == n:
-        return f.copy()
-    fine = PeriodicGrid(grid.dim, points_per_dim)
     half = n // 2
-    spec = _rfft_stack(f.values, grid)
+    spec = spec * (points_per_dim // n) ** grid.dim
     if grid.dim == 2:  # the full axis keeps both signs of frequency
         nyquist = 0.5 * spec[..., half : half + 1, :]
         gap = np.zeros(spec.shape[:-2] + (points_per_dim - n - 1, spec.shape[-1]), complex)
@@ -298,5 +292,22 @@ def fourier_interpolate(f, points_per_dim: int):
         )
     spec = np.pad(spec, [(0, 0)] * (spec.ndim - 1) + [(0, points_per_dim // 2 - half)])
     spec[..., half] *= 0.5
-    scale = fine.num_nodes / grid.num_nodes
-    return replace(f, grid=fine, values=_irfft_stack(spec, fine) * scale)
+    return spec
+
+
+def fourier_interpolate(f, points_per_dim: int):
+    """Resample a field, or a stack of them, onto a finer grid by zero-padding.
+
+    ``f`` is a :class:`Field` or a :class:`SpaceTimeField`; the result has
+    the same type on the grid with ``points_per_dim`` nodes per axis.  The
+    whole stack goes through one rfftn, :func:`_pad_spectrum` and one irfftn.
+    """
+    grid = f.grid
+    n = grid.points_per_dim
+    if points_per_dim < n:
+        raise ValueError("target grid must be at least as fine")
+    if points_per_dim == n:
+        return f.copy()
+    fine = PeriodicGrid(grid.dim, points_per_dim)
+    spec = _pad_spectrum(_rfft_stack(f.values, grid), grid, points_per_dim)
+    return replace(f, grid=fine, values=_irfft_stack(spec, fine))

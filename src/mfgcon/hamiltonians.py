@@ -123,9 +123,15 @@ class LegendreBoundaryError(RuntimeError):
     """The brute-force maximizer landed on the sample boundary."""
 
 
-# Bracket width the golden-section refinement of conjugate_radial narrows to.
-_XATOL = 1e-12
+# Tolerance on the values conjugate_radial returns, relative to the largest
+# of them: the golden-section steps stop once the value error is at roundoff.
+_VALUE_RTOL = np.finfo(float).eps
 _INV_PHI = 0.5 * (np.sqrt(5.0) - 1.0)
+
+# Inner profile values per block of duality_table's double transform: the
+# outer grid's 129 radii per pair are conjugated 10 pairs at a time, so no
+# temporary holds more than 10 x 129 x 129 values.
+_DUAL_BLOCK_VALUES = 10 * 129 * 129
 
 
 def conjugate_radial(profile, slope, radius, samples: int = 257) -> np.ndarray:
@@ -134,8 +140,10 @@ def conjugate_radial(profile, slope, radius, samples: int = 257) -> np.ndarray:
     ``slope`` and ``radius`` broadcast to a shape S; ``profile`` maps radii of
     shape S + (k,) to values, row s for entry s, each row convex and even in
     t.  Convexity lets the argmax over ``samples`` grid radii bracket every
-    supremum, and golden-section steps, as many as take the widest bracket to
-    ``_XATOL``, narrow all brackets together.  Raises
+    supremum, and golden-section steps narrow all brackets together.  The
+    value error falls with the square of the bracket width, so the step count
+    comes from a bound on that error, estimated from the samples' second
+    differences, against ``_VALUE_RTOL`` times the largest value.  Raises
     :class:`LegendreBoundaryError`, naming the slope and radius, when a grid
     maximizer sits at t == radius.
     """
@@ -156,7 +164,18 @@ def conjugate_radial(profile, slope, radius, samples: int = 257) -> np.ndarray:
                                     f"for slope {slope.flat[k]}; enlarge the radius")
     lo = np.take_along_axis(ts, np.maximum(i - 1, 0), -1)
     width = np.take_along_axis(ts, i + 1, -1) - lo
-    steps = int(np.ceil(np.log(_XATOL / np.max(width)) / np.log(_INV_PHI)))
+    # The better interior point of a bracket of width w lies within phi^2 w of
+    # the maximizer, so its value is within kappa (phi^2 w)^2 / 2 of the
+    # supremum, kappa the gain's curvature.  On the grid bracket kappa w^2 / 2
+    # is twice the second difference of the samples (an over-estimate for the
+    # one-interval bracket at t = 0), and each step scales w by phi.
+    c = np.maximum(i, 1)
+    second = np.take_along_axis(vals, c - 1, -1) - 2.0 * np.take_along_axis(vals, c, -1)
+    second += np.take_along_axis(vals, c + 1, -1)
+    error = 2.0 * np.max(np.abs(second)) * _INV_PHI**4
+    best = np.max(np.abs(np.take_along_axis(vals, i, -1)))
+    tol = _VALUE_RTOL * max(best, np.finfo(float).tiny)
+    steps = int(np.ceil(np.log(tol / error) / (2.0 * np.log(_INV_PHI)))) if error > tol else 0
     # values at the interior points lo + width * (phi^2, phi) of each bracket;
     # a step keeps the better one, so every bracket shrinks by phi
     f_lo, f_hi = gain(lo + _INV_PHI**2 * width), gain(lo + _INV_PHI * width)
@@ -244,7 +263,8 @@ def duality_table(lagrangian: LagrangianModel, seed: int) -> DualityTable:
     its envelope C1 |v|^g' / g' <= L <= C2 |v|^g' / g' + K2, whose lower
     side also makes L positive.  The double transform is one
     :func:`conjugate_radial` call whose profile, H0 on each pair's row, is a
-    batched :func:`conjugate_radial` call itself.  Then one
+    batched :func:`conjugate_radial` call itself, made on blocks of pairs
+    (``_DUAL_BLOCK_VALUES``) when the outer grid asks for many radii.  Then one
     :func:`legendre_transform` call compares H0 at 16 momenta in [10, 100],
     each at a drawn node, with |p|^gamma / gamma; the ratios must lie in
     [c1 / 2, 2 c2] for the dual envelope constants of :func:`growth_constants`.
@@ -259,11 +279,16 @@ def duality_table(lagrangian: LagrangianModel, seed: int) -> DualityTable:
     consts = growth_constants(lagrangian)
     # the maximizing momentum for speed v has size w gp v (1+v^2)^(gp/2-1)
     p_star = weight[idx] * gp * speeds * (1.0 + speeds**2) ** (0.5 * gp - 1.0)
-    rows = lagrangian.radial(idx[:, None])
 
     def dual(r):
-        v_star = (r / (gp * weight[idx, None])) ** (1.0 / (gp - 1.0))
-        return conjugate_radial(rows, r, 3.0 * v_star + 5.0, samples=129)
+        size = max(1, _DUAL_BLOCK_VALUES // (r.shape[-1] * 129))
+        out = []
+        for start in range(0, r.shape[0], size):
+            rows, sel = r[start : start + size], idx[start : start + size, None]
+            v_star = (rows / (gp * weight[sel])) ** (1.0 / (gp - 1.0))
+            out.append(conjugate_radial(lagrangian.radial(sel), rows, 3.0 * v_star + 5.0,
+                                        samples=129))
+        return np.concatenate(out)
 
     back = conjugate_radial(dual, speeds, 3.0 * p_star + 10.0, samples=129)
     l_val = lagrangian.radial(idx)(speeds[:, None])[:, 0]

@@ -1,7 +1,10 @@
 import os
 import re
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +349,46 @@ def test_galerkin_spectrum_dump(tmp_path):
     sigma = np.loadtxt(out / "galerkin_spectrum.txt")
     assert sigma.shape == (12,)
     assert np.all(sigma > 0.0) and np.all(np.diff(sigma) <= 0.0)
+
+
+def _cli_imports(*argv) -> tuple[int, set]:
+    """Exit code of ``python -m mfgcon.cli argv`` in a fresh process, and the modules it imported."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "mfgcon.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    modules = {line.rsplit("|", 1)[1].strip()
+               for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc.returncode, modules
+
+
+def test_pipeline_loads_scipy_only_for_the_galerkin_dump(tmp_path):
+    # solve, check and mc never factor a Galerkin system, so they leave scipy
+    # unimported; the spectrum dump still imports it and writes its file
+    cfg = tmp_path / "lean.cfg"
+    cfg.write_text(TINY + "\n[output]\ngalerkin_modes = 0\n")
+    out = tmp_path / "o"
+    fields = [str(out / "u.field"), str(out / "m.field")]
+    runs = [
+        ("solve", "--config", str(cfg), "--out", str(out)),
+        ("check", "--config", str(cfg), "--out", str(tmp_path / "chk"), *fields),
+        ("mc", "--config", str(cfg), "--out", str(tmp_path / "mc"), *fields),
+    ]
+    for argv in runs:
+        code, modules = _cli_imports(*argv)
+        assert code == 0, argv
+        assert "mfgcon.estimates" in modules
+        assert not any(name.split(".")[0] == "scipy" for name in modules), argv
+    assert not (out / "galerkin_spectrum.txt").exists()
+
+    spec_cfg = tmp_path / "spec.cfg"
+    spec_cfg.write_text(TINY + "\n[output]\ngalerkin_modes = 6\n")
+    code, modules = _cli_imports("solve", "--config", str(spec_cfg), "--out", str(tmp_path / "s"))
+    assert code == 0
+    assert "scipy.sparse.linalg" in modules
+    assert np.loadtxt(tmp_path / "s" / "galerkin_spectrum.txt").shape == (12,)
 
 
 def test_two_dimensional_config_solve(tmp_path):

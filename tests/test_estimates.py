@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfgcon import estimates
 from mfgcon.continuation import solve_path, trivial_solution
 from mfgcon.estimates import (
     DerivedExponents,
@@ -13,10 +14,10 @@ from mfgcon.estimates import (
     check_uniqueness_integrand,
     check_value_bounds,
     run_all_checks,
-    _refined_pair,
+    _spectral_pass,
 )
-from mfgcon.grids import Field, SpaceTimeField, fourier_interpolate, integrate
-from mfgcon.system import LambdaData, Potential, SolutionPair
+from mfgcon.grids import Field, SpaceTimeField, _grad_stack, fourier_interpolate, integrate
+from mfgcon.system import LambdaData, Potential, SolutionPair, _congestion_stack
 
 from conftest import make_problem
 
@@ -84,7 +85,7 @@ def test_value_bound_degenerate_data(small_problem):
 
 def test_integral_estimates_trivial_pair(small_problem):
     state = trivial_solution(small_problem)
-    rec = check_integral_estimates(state.pair, small_problem, _refined_pair(state.pair))
+    rec = check_integral_estimates(_spectral_pass(state.pair, small_problem))
     assert rec.passed
     assert rec.values["momentum_over_density"] == pytest.approx(0.0, abs=1e-20)
     assert rec.values["momentum_weighted"] == pytest.approx(0.0, abs=1e-20)
@@ -146,7 +147,7 @@ def test_uniqueness_integrand_flags_large_alpha(small_problem):
 
 def test_gradient_bounds_trivial_pair(small_problem):
     state = trivial_solution(small_problem)
-    rec = check_gradient_bound(state.pair, _refined_pair(state.pair))
+    rec = check_gradient_bound(_spectral_pass(state.pair, small_problem))
     assert rec.passed
     assert rec.values["du_sup"] == 0.0
     assert rec.values["dm_sup"] == 0.0
@@ -246,3 +247,95 @@ def test_report_on_solved_state(small_problem, solved):
     text = report.lines()
     assert any("aggregate: pass" in line for line in text)
     assert report["gradient_bounds"].values["du_sup"] > 0.0
+
+
+def _reference_values(pair, problem):
+    """The refinement records' values built field by field: each unknown
+    resampled by ``fourier_interpolate`` and differentiated by ``_grad_stack``
+    on each grid, every power taken as written in the bound."""
+    gamma, alpha = problem.hamiltonian.gamma, problem.alpha
+    abar = (gamma - 1.0) * alpha
+    n_fine = 2 * pair.u.grid.points_per_dim
+    refined = SolutionPair(
+        u=fourier_interpolate(pair.u, n_fine), m=fourier_interpolate(pair.m, n_fine)
+    )
+    values = {}
+    for suffix, p in (("", pair), ("_refined", refined)):
+        grid, dt = p.u.grid, p.u.time.dt
+        u, m = p.u.values, p.m.values
+        m_safe = np.maximum(m, problem.m_floor)
+        du_norm = np.sqrt(np.sum(_grad_stack(u, grid) ** 2, axis=0))
+        dm_norm = np.sqrt(np.sum(_grad_stack(m, grid) ** 2, axis=0))
+
+        def per_slice(f):
+            return grid.cell_volume * np.sum(f, axis=1)
+
+        values.update({
+            "momentum_over_density" + suffix: np.trapezoid(
+                per_slice(du_norm**gamma / m_safe**abar), dx=dt),
+            "value_l1_max" + suffix: np.max(per_slice(np.abs(u))),
+            "momentum_weighted" + suffix: np.trapezoid(
+                per_slice(du_norm**gamma * m_safe ** (1.0 - abar)), dx=dt),
+            "density_power_max" + suffix: np.max(per_slice(m_safe ** (1.0 + alpha))),
+            "density_gradient_energy" + suffix: np.trapezoid(
+                per_slice(m_safe ** (alpha - 1.0) * dm_norm**2), dx=dt),
+            "du_sup" + suffix: np.max(du_norm),
+            "m_sup" + suffix: np.max(np.abs(m)),
+            "dm_sup" + suffix: np.max(dm_norm),
+        })
+    return values
+
+
+@pytest.fixture(scope="module")
+def solved_2d():
+    problem = make_problem(dim=2, n=8, n_t=7)
+    return problem, solve_path(problem)[-1].pair
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_pass_report_matches_the_field_by_field_reference(
+    monkeypatch, small_problem, solved, solved_2d, dim
+):
+    problem, pair = (small_problem, solved.pair) if dim == 1 else solved_2d
+    slices = problem.time.num_slices
+    fine_nodes = (2 * problem.grid.points_per_dim) ** dim
+    # three slices per block, so the refined pass spans several blocks and a short last one
+    monkeypatch.setattr(estimates, "_REFINED_BLOCK_VALUES", 3 * fine_nodes + 1)
+    blocks = -(-slices // 3)
+    assert blocks >= 3 and slices % 3
+
+    calls = []
+
+    def counted(real):
+        def call(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("rfft", "irfft", "rfftn", "irfftn", "fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    report = run_all_checks(pair, problem)
+    # one forward transform, one inverse for both gradients, one inverse per refined block
+    assert len(calls) == 2 + blocks
+    assert all(r.passed for r in report.records)
+
+    want = _reference_values(pair, problem)
+    got = {**report["integral_estimates"].values, **report["gradient_bounds"].values}
+    assert set(got) == set(want)
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+    du = _grad_stack(pair.u.values, problem.grid)
+    q = _congestion_stack(du, pair.m.values, problem.alpha, problem.m_floor)
+    np.testing.assert_allclose(_spectral_pass(pair, problem).q, q, rtol=0.0,
+                               atol=1e-13 * np.max(np.abs(q)))
+
+
+def test_report_outside_the_theorem_does_not_raise():
+    # (gamma-1)*alpha = 1.5 >= 1: the integrals are still computed, and the
+    # exponent record fails instead of the suite raising
+    problem = make_problem(alpha=3.0)
+    report = run_all_checks(constant_pair(problem), problem)
+    assert not report["derived_exponents"].passed
+    assert report["integral_estimates"].passed
+    assert report["integral_estimates"].values["density_power_max"] == pytest.approx(1.0, rel=1e-12)
