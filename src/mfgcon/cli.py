@@ -35,7 +35,7 @@ from .fileio import (
 )
 from .grids import PeriodicGrid
 from .hamiltonians import LegendreBoundaryError, duality_table
-from .montecarlo import l1_distance, sampling_l1_error, simulate_density
+from .montecarlo import NonfiniteDriftError, l1_distance, sampling_l1_error, simulate_density
 from .system import LambdaData, NonpositiveDensityError, SolutionPair
 
 __all__ = ["main", "console_main"]
@@ -159,6 +159,8 @@ def _cmd_mc(args) -> int:
         empirical = simulate_density(problem, lam_data, pair, mc_cfg)
     except NonpositiveDensityError as exc:
         raise FieldFileError(f"{args.m_file}: {exc}") from exc
+    except NonfiniteDriftError as exc:
+        raise FieldFileError(f"{args.u_file}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     write_field(os.path.join(args.out, "empirical.field"), empirical, "empirical")
     dists = l1_distance(empirical, pair.m)

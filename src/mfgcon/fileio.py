@@ -314,7 +314,11 @@ def write_field(path: str, stf: SpaceTimeField, name: str) -> None:
 
 
 def read_field(path: str):
-    """Read a space-time field; returns (field, name)."""
+    """Read a space-time field; returns (field, name).
+
+    Raises FieldFileError for a file that is unreadable, malformed, or holds a
+    value that is not finite.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -344,9 +348,16 @@ def read_field(path: str):
         raise FieldFileError(
             f"payload holds {payload_bytes} bytes, header promises {8 * expected}"
         )
-    payload = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size + 4)
+    values = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size + 4).reshape(n_t + 1, -1)
+    finite = np.isfinite(values)
+    if not finite.all():
+        n_slice, n_node = divmod(int(np.argmin(finite)), grid.num_nodes)
+        raise FieldFileError(
+            f"{path}: value {values[n_slice, n_node]} at slice {n_slice}, node {n_node} "
+            "is not finite"
+        )
     name = raw_name.rstrip(b"\0").decode()
-    return SpaceTimeField(grid, time, payload.reshape(n_t + 1, grid.num_nodes).copy()), name
+    return SpaceTimeField(grid, time, values.copy()), name
 
 
 # ---------------------------------------------------------------------------

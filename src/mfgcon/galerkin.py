@@ -5,19 +5,17 @@ modes gives rows in the coefficient vectors A (density direction) and B
 (value direction) with the solver's own time scheme: the transport rows are
 implicit in A, the value rows in B backward in time.  Half the boundary data
 is initial (A at t = 0), half terminal (B at t = T), so all slices' rows are
-solved at once as one sparse block system (Ascher, Mattheij & Russell,
-*Numerical Solution of Boundary Value Problems for ODEs*, SIAM 1995, ch. 5).
-Single shooting from t = 0 would amplify mode k by (1 + dt 4 pi^2 k^2)^N_t
-(ch. 4 there); the whole-system solve does not, so it stays at the roundoff
-of the blocks at every mode count.  The shooting map (A(0), B(0)) ->
-(A(0), B(T)) is still what the injectivity argument behind uniqueness
-inverts, and :func:`shooting_spectrum` reports its singular values from the
-same factorization.  The blocks are projected from the frozen coefficient
-fields, never from the operator apply, so this path cross-validates the
-monolithic linear solve; it is not the production solver.  It is also the
-only user of scipy in the package: the sparse LU factorization imports
-``scipy.sparse`` when it runs, so a process that never factors a Galerkin
-system never loads scipy.
+solved at once: the system is block tridiagonal in the slice index, and block
+elimination in time order solves it (Ascher, Mattheij & Russell, *Numerical
+Solution of Boundary Value Problems for ODEs*, SIAM 1995, ch. 5).  Single
+shooting from t = 0 would amplify mode k by (1 + dt 4 pi^2 k^2)^N_t (ch. 4
+there); the whole-system solve does not, so it stays at the roundoff of the
+blocks at every mode count.  The shooting map (A(0), B(0)) -> (A(0), B(T)) is
+still what the injectivity argument behind uniqueness inverts, and
+:func:`shooting_spectrum` reports its singular values from the same
+elimination.  The blocks are projected from the frozen coefficient fields,
+never from the operator apply, so this path cross-validates the monolithic
+linear solve; it is not the production solver.
 """
 
 from __future__ import annotations
@@ -172,18 +170,16 @@ def assemble_galerkin_system(
     )
 
 
-def _factorized_rows(system: GalerkinSystem):
-    """LU factors of all the system's rows as one sparse matrix, and its index.
+def _eliminate_rows(system: GalerkinSystem, rhs: np.ndarray) -> np.ndarray:
+    """Solve all slices' rows at once for a (K+1, 2n, p) stack of right-hand sides.
 
-    ``index[j]`` numbers the unknowns (A^j, B^j) and, in the same order, the
-    transport and value rows of slice j, so each slice owns one dense 2n x 2n
-    diagonal block and the time differences reach the neighbouring slices
-    through -I/dt.
+    Slice j's rows, transport then value, against its unknowns (A^j, B^j)
+    form one dense 2n x 2n diagonal block; they reach A^(j-1) and B^(j+1)
+    only through -I/dt.  Block LU in time order: the forward sweep folds
+    slice j-1 into slice j's transport rows, leaving each slice's unknowns as
+    ``y[j] - coupling[j] B^(j+1)``, and the backward pass substitutes B^(j+1).
+    Returns the unknowns in the layout of ``rhs``.
     """
-    # the package's only use of scipy, imported when a system is factored
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
-
     k1, n = system.p_blocks.shape[:2]
     dt, k_mat, eye = system.dt, system.stiffness, np.eye(n)
     diag = np.zeros((k1, 2, n, 2, n))  # [slice, row half, row, unknown half, unknown]
@@ -194,20 +190,19 @@ def _factorized_rows(system: GalerkinSystem):
     diag[:-1, 1, :, 1] = eye / dt + k_mat + system.r_blocks[:-1]
     diag[-1, 1, :, 1] = eye
     diag = diag.reshape(k1, 2 * n, 2 * n)
-    index = np.arange(k1 * 2 * n).reshape(k1, 2 * n)
-    row = np.concatenate([
-        np.broadcast_to(index[:, :, None], diag.shape).ravel(),
-        index[1:, :n].ravel(),   # transport rows on A^(j-1)
-        index[:-1, n:].ravel(),  # value rows on B^(j+1)
-    ])
-    col = np.concatenate([
-        np.broadcast_to(index[:, None, :], diag.shape).ravel(),
-        index[:-1, :n].ravel(),
-        index[1:, n:].ravel(),
-    ])
-    data = np.concatenate([diag.ravel(), np.full(2 * (k1 - 1) * n, -1.0 / dt)])
-    matrix = sp.csc_array((data, (row, col)), shape=(index.size, index.size))
-    return splu(matrix), index
+    next_b = np.zeros((2 * n, n))  # the value rows' -I/dt on B^(j+1); none at the last slice
+    next_b[n:] = -eye / dt
+    coupling = np.zeros((k1, 2 * n, n))
+    y = np.array(rhs, dtype=float)
+    for j in range(k1):
+        if j:  # the transport rows' -I/dt on A^(j-1), eliminated
+            diag[j, :n, n:] += coupling[j - 1, :n] / dt
+            y[j, :n] += y[j - 1, :n] / dt
+        sol = np.linalg.solve(diag[j], np.concatenate([next_b, y[j]], axis=1))
+        coupling[j], y[j] = sol[:, :n], sol[:, n:]
+    for j in range(k1 - 2, -1, -1):
+        y[j] -= coupling[j] @ y[j + 1, n:]
+    return y
 
 
 def shooting_spectrum(system: GalerkinSystem) -> np.ndarray:
@@ -215,15 +210,15 @@ def shooting_spectrum(system: GalerkinSystem) -> np.ndarray:
 
     That map of the homogeneous rows is what the split initial/terminal data
     must invert, and its surjectivity is equivalent to injectivity.  Its
-    inverse (A^0, B^(N_t)) -> (A^0, B^0) takes 2n solves with unit data rows
-    on one factorization, and its singular values are the reciprocals.
+    inverse (A^0, B^(N_t)) -> (A^0, B^0) takes one elimination of all rows
+    with the 2n unit data rows as right-hand sides, and its singular values
+    are the reciprocals.
     """
-    lu, index = _factorized_rows(system)
-    n = system.basis.n_modes
-    data_rows = np.concatenate([index[0, :n], index[-1, n:]])
-    units = np.zeros((index.size, 2 * n))
-    units[data_rows, np.arange(2 * n)] = 1.0
-    inverse = lu.solve(units)[index[0]]
+    k1, n = system.p_blocks.shape[:2]
+    units = np.zeros((k1, 2 * n, 2 * n))
+    units[0, :n, :n] = np.eye(n)
+    units[-1, n:, n:] = np.eye(n)
+    inverse = _eliminate_rows(system, units)[0]
     return 1.0 / np.linalg.svd(inverse, compute_uv=False)[::-1]
 
 
@@ -241,10 +236,9 @@ def solve_linearized_galerkin(
     coefficient paths are ``basis.project`` of the perturbation's slices.
     """
     system = assemble_galerkin_system(problem, lam_data, base, basis)
-    lu, index = _factorized_rows(system)
     r_fp = basis.project(rhs.fp.values)   # (K+1, n)
     r_hjb = basis.project(rhs.hjb.values)
-    coeffs = lu.solve(np.concatenate([r_fp, r_hjb], axis=1).ravel()).reshape(index.shape)
+    coeffs = _eliminate_rows(system, np.concatenate([r_fp, r_hjb], axis=1)[:, :, None])[..., 0]
     n = basis.n_modes
     grid, time = problem.grid, problem.time
     return Perturbation(

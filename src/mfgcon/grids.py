@@ -20,7 +20,7 @@ row-major node order; shaped views are taken internally for the FFTs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "VectorField",
     "SpaceTimeField",
     "integrate",
-    "fourier_interpolate",
 ]
 
 
@@ -232,12 +231,6 @@ def _div_spectrum(comps: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return acc
 
 
-def _grad_stack(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Gradient of a (..., N**d) stack, returned as (d, ..., N**d)."""
-    ideriv, _ = _spectra(grid.dim, grid.points_per_dim)
-    return _irfft_stack(_apply_symbols(ideriv, _rfft_stack(values, grid)), grid)
-
-
 def _grad_lap_stack(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Gradient and Laplacian of a (..., N**d) stack from one forward transform.
 
@@ -293,21 +286,3 @@ def _pad_spectrum(spec: np.ndarray, grid: PeriodicGrid, points_per_dim: int) -> 
     spec = np.pad(spec, [(0, 0)] * (spec.ndim - 1) + [(0, points_per_dim // 2 - half)])
     spec[..., half] *= 0.5
     return spec
-
-
-def fourier_interpolate(f, points_per_dim: int):
-    """Resample a field, or a stack of them, onto a finer grid by zero-padding.
-
-    ``f`` is a :class:`Field` or a :class:`SpaceTimeField`; the result has
-    the same type on the grid with ``points_per_dim`` nodes per axis.  The
-    whole stack goes through one rfftn, :func:`_pad_spectrum` and one irfftn.
-    """
-    grid = f.grid
-    n = grid.points_per_dim
-    if points_per_dim < n:
-        raise ValueError("target grid must be at least as fine")
-    if points_per_dim == n:
-        return f.copy()
-    fine = PeriodicGrid(grid.dim, points_per_dim)
-    spec = _pad_spectrum(_rfft_stack(f.values, grid), grid, points_per_dim)
-    return replace(f, grid=fine, values=_irfft_stack(spec, fine))

@@ -23,11 +23,16 @@ from .grids import SpaceTimeField
 from .system import LambdaData, MFGProblem, SolutionPair, _shared_terms
 
 __all__ = [
+    "NonfiniteDriftError",
     "SDEConfig",
     "simulate_density",
     "l1_distance",
     "sampling_l1_error",
 ]
+
+
+class NonfiniteDriftError(ValueError):
+    """The feedback drift read off a pair is not finite at some node."""
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,9 @@ def simulate_density(
     Euler-Maruyama with the solver step split into ``substeps``; the drift is
     held on the current solver slice and interpolated linearly in space.
     Every returned slice integrates to one exactly.  A pair with a
-    nonpositive density sample raises NonpositiveDensityError.
+    nonpositive density sample raises NonpositiveDensityError, and one whose
+    drift is not finite somewhere (say, a gradient that overflows) raises
+    NonfiniteDriftError before any path is drawn.
 
     The paths are split into batches of ``batch_size`` (the last one takes
     the rest), each with its own generator spawned off ``seed``.  The batches
@@ -184,8 +191,13 @@ def simulate_density(
     reaches the caller unchanged.
     """
     grid, time = problem.grid, problem.time
-    q = _shared_terms(problem, pair).q
-    drift = -(lam_data.hamiltonian.grad(q) + lam_data.b_values[:, None, :])  # (d, K, M)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        q = _shared_terms(problem, pair).q
+        drift = -(lam_data.hamiltonian.grad(q) + lam_data.b_values[:, None, :])  # (d, K, M)
+    finite = np.isfinite(drift).all(axis=0)
+    if not finite.all():
+        n_slice, n_node = divmod(int(np.argmin(finite)), grid.num_nodes)
+        raise NonfiniteDriftError(f"drift not finite at slice {n_slice}, node {n_node}")
 
     n_batches = (cfg.paths + cfg.batch_size - 1) // cfg.batch_size
     children = np.random.SeedSequence(cfg.seed).spawn(n_batches)

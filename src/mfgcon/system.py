@@ -211,11 +211,6 @@ def _check_positive_density(m: np.ndarray) -> None:
         raise NonpositiveDensityError(n_slice, n_node, float(m[n_slice, n_node]))
 
 
-def _congestion_stack(du, m, alpha, m_floor):
-    """Rescaled momentum Q = Du / max(m, floor)^alpha entering every H evaluation."""
-    return du / np.maximum(m, m_floor) ** alpha
-
-
 class _SharedTerms(NamedTuple):
     """Fields both residual rows evaluate at one pair."""
 

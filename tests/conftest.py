@@ -1,9 +1,44 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mfgcon.grids import Field, PeriodicGrid, SpaceTimeField, TimeGrid, VectorField
+from mfgcon.grids import (
+    Field,
+    PeriodicGrid,
+    SpaceTimeField,
+    TimeGrid,
+    VectorField,
+    _apply_symbols,
+    _irfft_stack,
+    _pad_spectrum,
+    _rfft_stack,
+    _spectra,
+)
 from mfgcon.hamiltonians import HamiltonianModel
 from mfgcon.system import MFGProblem, Potential, ResidualBundle
+
+
+def grad_stack(values, grid):
+    """Gradient of a (..., N**d) stack as (d, ..., N**d): one transform each
+    way, the reference for the package's fused spectral kernels."""
+    ideriv, _ = _spectra(grid.dim, grid.points_per_dim)
+    return _irfft_stack(_apply_symbols(ideriv, _rfft_stack(values, grid)), grid)
+
+
+def congestion_stack(du, m, alpha, m_floor):
+    """Rescaled momentum Q = Du / max(m, floor)^alpha, the reference for the
+    package's shared residual terms."""
+    return du / np.maximum(m, m_floor) ** alpha
+
+
+def fourier_interpolate(f, points_per_dim):
+    """A Field or SpaceTimeField resampled onto the finer grid with
+    ``points_per_dim`` nodes per axis by zero-padding its half spectrum."""
+    grid = f.grid
+    fine = PeriodicGrid(grid.dim, points_per_dim)
+    spec = _pad_spectrum(_rfft_stack(f.values, grid), grid, points_per_dim)
+    return replace(f, grid=fine, values=_irfft_stack(spec, fine))
 
 
 def band_limited(grid, rng, k_max=3, amp=1.0):

@@ -25,7 +25,7 @@ from mfgcon.estimates import (
 )
 from mfgcon.fileio import build_problem, lagrangian_from_config, load_config
 from mfgcon.galerkin import FourierBasis, solve_linearized_galerkin
-from mfgcon.grids import SpaceTimeField, fourier_interpolate
+from mfgcon.grids import SpaceTimeField
 from mfgcon.hamiltonians import duality_table
 from mfgcon.linearized import Perturbation, apply_L, bundle_to_vector, solve_linearized
 from mfgcon.montecarlo import SDEConfig, l1_distance, sampling_l1_error, simulate_density
@@ -34,6 +34,7 @@ from mfgcon.system import LambdaData, ResidualBundle, SolutionPair, residual_ful
 from conftest import (
     band_limited_spacetime,
     data_norm,
+    fourier_interpolate,
     random_bundle,
     slice_l2_norms,
     span_tail,

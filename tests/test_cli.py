@@ -295,6 +295,51 @@ def test_bad_field_files_are_usage_errors(workdir, tmp_path, capsys, command, ca
     assert len(err) == 1 and err[0].startswith(f"{command}: ")
 
 
+# One corrupted input per row: the field edited (None: the config's grid
+# instead), the value written at slice 3, node 5, and the exit codes of check
+# and mc.  A finite field whose gradient overflows fails check's estimates but
+# gives mc no drift to move particles with.
+CORRUPTIONS = {
+    "nan_u": ("u", np.nan, 3, 3),
+    "nan_m": ("m", np.nan, 3, 3),
+    "inf_u": ("u", np.inf, 3, 3),
+    "huge_u": ("u", 1e308, 1, 3),
+    "zero_m": ("m", 0.0, 1, 3),
+    "negative_m": ("m", -0.1, 1, 3),
+    "truncated_m": ("m", "truncated", 3, 3),
+    "other_grid": (None, None, 3, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPTIONS))
+def test_corrupted_inputs_end_in_their_exit_codes(workdir, tmp_path, capsys, case):
+    target, value, check_code, mc_code = CORRUPTIONS[case]
+    cfg = workdir["cfg"]
+    fields = {name: os.path.join(workdir["out"], f"{name}.field") for name in "um"}
+    if target is None:
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(TINY.replace("n = 32", "n = 64"))
+    else:
+        bad = str(tmp_path / f"{target}.field")
+        if value == "truncated":
+            open(bad, "wb").write(open(fields[target], "rb").read()[:-3])
+        else:
+            field, name = read_field(fields[target])
+            field.values[3, 5] = value
+            write_field(bad, field, name)
+        fields[target] = bad
+    for command, expected in (("check", check_code), ("mc", mc_code)):
+        capsys.readouterr()
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / command),
+                     fields["u"], fields["m"]])
+        assert code == expected, command
+        if code == 3:
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith(f"{command}: ")
+            if isinstance(value, float):  # the edited file and the slice are named
+                assert fields[target] in err[0] and "slice 3, node " in err[0]
+
+
 def test_legendre_command(workdir, capsys):
     code = main(["legendre", "--config", workdir["cfg"]])
     assert code == 0
@@ -364,31 +409,24 @@ def _cli_imports(*argv) -> tuple[int, set]:
     return proc.returncode, modules
 
 
-def test_pipeline_loads_scipy_only_for_the_galerkin_dump(tmp_path):
-    # solve, check and mc never factor a Galerkin system, so they leave scipy
-    # unimported; the spectrum dump still imports it and writes its file
-    cfg = tmp_path / "lean.cfg"
-    cfg.write_text(TINY + "\n[output]\ngalerkin_modes = 0\n")
+def test_no_command_loads_scipy(tmp_path):
+    # the package depends on numpy alone, the Galerkin spectrum dump included
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(TINY + "\n[output]\ngalerkin_modes = 6\n")
     out = tmp_path / "o"
     fields = [str(out / "u.field"), str(out / "m.field")]
     runs = [
         ("solve", "--config", str(cfg), "--out", str(out)),
         ("check", "--config", str(cfg), "--out", str(tmp_path / "chk"), *fields),
         ("mc", "--config", str(cfg), "--out", str(tmp_path / "mc"), *fields),
+        ("legendre", "--config", str(cfg)),
     ]
     for argv in runs:
         code, modules = _cli_imports(*argv)
         assert code == 0, argv
         assert "mfgcon.estimates" in modules
         assert not any(name.split(".")[0] == "scipy" for name in modules), argv
-    assert not (out / "galerkin_spectrum.txt").exists()
-
-    spec_cfg = tmp_path / "spec.cfg"
-    spec_cfg.write_text(TINY + "\n[output]\ngalerkin_modes = 6\n")
-    code, modules = _cli_imports("solve", "--config", str(spec_cfg), "--out", str(tmp_path / "s"))
-    assert code == 0
-    assert "scipy.sparse.linalg" in modules
-    assert np.loadtxt(tmp_path / "s" / "galerkin_spectrum.txt").shape == (12,)
+    assert np.loadtxt(out / "galerkin_spectrum.txt").shape == (12,)
 
 
 def test_two_dimensional_config_solve(tmp_path):

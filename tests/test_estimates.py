@@ -16,10 +16,10 @@ from mfgcon.estimates import (
     run_all_checks,
     _spectral_pass,
 )
-from mfgcon.grids import Field, SpaceTimeField, _grad_stack, fourier_interpolate, integrate
-from mfgcon.system import LambdaData, Potential, SolutionPair, _congestion_stack
+from mfgcon.grids import Field, SpaceTimeField, integrate
+from mfgcon.system import LambdaData, Potential, SolutionPair
 
-from conftest import make_problem
+from conftest import congestion_stack, fourier_interpolate, grad_stack, make_problem
 
 
 @pytest.fixture(scope="module")
@@ -251,7 +251,7 @@ def test_report_on_solved_state(small_problem, solved):
 
 def _reference_values(pair, problem):
     """The refinement records' values built field by field: each unknown
-    resampled by ``fourier_interpolate`` and differentiated by ``_grad_stack``
+    resampled by ``fourier_interpolate`` and differentiated by ``grad_stack``
     on each grid, every power taken as written in the bound."""
     gamma, alpha = problem.hamiltonian.gamma, problem.alpha
     abar = (gamma - 1.0) * alpha
@@ -264,8 +264,8 @@ def _reference_values(pair, problem):
         grid, dt = p.u.grid, p.u.time.dt
         u, m = p.u.values, p.m.values
         m_safe = np.maximum(m, problem.m_floor)
-        du_norm = np.sqrt(np.sum(_grad_stack(u, grid) ** 2, axis=0))
-        dm_norm = np.sqrt(np.sum(_grad_stack(m, grid) ** 2, axis=0))
+        du_norm = np.sqrt(np.sum(grad_stack(u, grid) ** 2, axis=0))
+        dm_norm = np.sqrt(np.sum(grad_stack(m, grid) ** 2, axis=0))
 
         def per_slice(f):
             return grid.cell_volume * np.sum(f, axis=1)
@@ -325,8 +325,8 @@ def test_one_pass_report_matches_the_field_by_field_reference(
     for key, value in want.items():
         assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
-    du = _grad_stack(pair.u.values, problem.grid)
-    q = _congestion_stack(du, pair.m.values, problem.alpha, problem.m_floor)
+    du = grad_stack(pair.u.values, problem.grid)
+    q = congestion_stack(du, pair.m.values, problem.alpha, problem.m_floor)
     np.testing.assert_allclose(_spectral_pass(pair, problem).q, q, rtol=0.0,
                                atol=1e-13 * np.max(np.abs(q)))
 

@@ -29,8 +29,7 @@ def test_every_exported_name_resolves(name):
 
 
 def test_package_imports_cleanly():
-    # importing the package loads no scipy, whose import costs every process
-    # memory and start-up time; only the Galerkin factorization imports it
+    # the package depends on numpy alone, so importing it loads no scipy
     stars = "; ".join(f"from mfgcon.{name} import *" for name in MODULES)
     lean = ("import sys; scipy = sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'); "
             "assert not scipy, scipy")

@@ -125,6 +125,51 @@ def test_shooting_spectrum_matches_the_marched_map(small_problem, rng):
         assert np.allclose(sigma, expected, rtol=1e-9, atol=0.0)
 
 
+def _dense_rows(system):
+    """All slices' projected rows as one dense matrix, read off the rows in
+    :class:`GalerkinSystem`'s docstring; the unknowns are (A^j, B^j) slice by
+    slice, and each slice's transport rows come before its value rows."""
+    k1, n = system.p_blocks.shape[:2]
+    dt, eye = system.dt, np.eye(n)
+    heat = eye / dt + system.stiffness
+    rows = np.zeros((k1, 2, n, k1, 2, n))  # [slice, half, row, slice, half, unknown]
+    rows[0, 0, :, 0, 0] = eye
+    rows[-1, 1, :, -1, 1] = eye
+    for j in range(1, k1):
+        rows[j, 0, :, j, 0] = heat + system.p_blocks[j]
+        rows[j, 0, :, j, 1] = system.s_blocks[j]
+        rows[j, 0, :, j - 1, 0] = -eye / dt
+    for j in range(k1 - 1):
+        rows[j, 1, :, j, 0] = system.g_blocks[j]
+        rows[j, 1, :, j, 1] = heat + system.r_blocks[j]
+        rows[j, 1, :, j + 1, 1] = -eye / dt
+    return rows.reshape(k1 * 2 * n, k1 * 2 * n)
+
+
+@pytest.mark.parametrize("dim, n, n_t, n_modes", [(1, 32, 16, 8), (2, 8, 8, 9)], ids=["d1", "d2"])
+def test_direct_solve_matches_the_dense_rows(dim, n, n_t, n_modes):
+    problem = make_problem(n=n, n_t=n_t, dim=dim)
+    grid, time = problem.grid, problem.time
+    rng = np.random.default_rng(21)
+    base = SolutionPair(
+        u=band_limited_spacetime(grid, time, rng, amp=0.3),
+        m=SpaceTimeField(grid, time, 1.0 + 0.2 * band_limited_spacetime(grid, time, rng).values / 3),
+    )
+    lam = LambdaData.from_problem(problem, 0.4)
+    basis = FourierBasis.build(grid, n_modes)
+    dense = _dense_rows(assemble_galerkin_system(problem, lam, base, basis))
+    for _ in range(3):
+        rhs = random_bundle(problem, rng)
+        data = np.concatenate([basis.project(rhs.fp.values), basis.project(rhs.hjb.values)], axis=1)
+        expected = np.linalg.solve(dense, data.ravel()).reshape(data.shape)
+        pert = solve_linearized_galerkin(problem, lam, base, basis, rhs)
+        coeffs = np.concatenate([basis.project(pert.f.values), basis.project(pert.v.values)], axis=1)
+        assert np.max(np.abs(coeffs - expected)) <= 1e-12 * np.max(np.abs(expected))
+    zeros = SpaceTimeField.zeros(grid, time)
+    pert = solve_linearized_galerkin(problem, lam, base, basis, ResidualBundle(fp=zeros, hjb=zeros))
+    assert pert.sup_norm() == 0.0
+
+
 @pytest.mark.parametrize("n_modes", [6, 8])
 def test_homogeneous_zero_data_gives_zero_trajectory(small_problem, n_modes):
     state = trivial_solution(small_problem)

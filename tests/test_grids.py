@@ -9,17 +9,15 @@ from mfgcon.grids import (
     VectorField,
     _div_lap_stack,
     _grad_lap_stack,
-    _grad_stack,
     _irfft_stack,
     _rfft_stack,
-    fourier_interpolate,
     integrate,
 )
 
 from mfgcon.linearized import Perturbation, apply_L
 from mfgcon.system import LambdaData, MFGProblem, SolutionPair
 
-from conftest import band_limited, make_problem
+from conftest import band_limited, fourier_interpolate, grad_stack, make_problem
 
 GRID = PeriodicGrid(1, 64)
 X = GRID.coordinates()[0]
@@ -50,7 +48,7 @@ def test_grid_validation():
 def test_gradient_constant_is_zero():
     g, _ = grad_and_lap(np.ones(GRID.num_nodes))
     assert np.max(np.abs(g)) == 0.0
-    assert np.max(np.abs(_grad_stack(np.ones(GRID.num_nodes), GRID))) == 0.0
+    assert np.max(np.abs(grad_stack(np.ones(GRID.num_nodes), GRID))) == 0.0
 
 
 def test_gradient_resolved_mode_exact():
@@ -226,14 +224,14 @@ def test_half_spectrum_stacks_match_complex_reference(dim, n):
     vals = rough_stack(grid, rng, 9)
     comps = np.stack([rough_stack(grid, rng, 9) for _ in range(dim)])
 
-    assert rel_err(_grad_stack(vals, grid), ref.grad(vals)) <= 1e-12
+    assert rel_err(grad_stack(vals, grid), ref.grad(vals)) <= 1e-12
     grad_lap = _grad_lap_stack(vals, grid)
     assert rel_err(grad_lap[:dim], ref.grad(vals)) <= 1e-12
     assert rel_err(grad_lap[dim], ref.lap(vals)) <= 1e-12
     stack = np.concatenate([comps, vals[None]])
     assert rel_err(_div_lap_stack(stack, grid), ref.div(comps) + ref.lap(vals)) <= 1e-12
     # a single field (no batch axis) takes the same path
-    assert rel_err(_grad_stack(vals[0], grid), ref.grad(vals[:1])[:, 0]) <= 1e-12
+    assert rel_err(grad_stack(vals[0], grid), ref.grad(vals[:1])[:, 0]) <= 1e-12
     # the stack transforms are rfftn/irfftn over the grid axes, bit for bit
     axes = tuple(range(-dim, 0))
     spec = np.fft.rfftn(vals.reshape((9,) + grid.shape), axes=axes)

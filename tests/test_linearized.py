@@ -9,7 +9,6 @@ from mfgcon.fileio import build_problem, load_config
 from mfgcon.grids import (
     SpaceTimeField,
     _grad_lap_stack,
-    _grad_stack,
     _irfft_stack,
     _rfft_stack,
     _spectra,
@@ -30,11 +29,16 @@ from mfgcon.system import (
     LambdaData,
     ResidualBundle,
     SolutionPair,
-    _congestion_stack,
     residual_full,
 )
 
-from conftest import band_limited_spacetime, make_problem, random_bundle
+from conftest import (
+    band_limited_spacetime,
+    congestion_stack,
+    grad_stack,
+    make_problem,
+    random_bundle,
+)
 
 REFERENCE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.cfg")
 
@@ -442,16 +446,16 @@ def energy_identity_sides(problem, lam, base, direction):
         np.sum(rows.fp.values[1:] * v[1:]) - np.sum(rows.hjb.values[:-1] * f[:-1])
     )
     alpha = problem.alpha
-    du = _grad_stack(base.u.values, grid)
+    du = grad_stack(base.u.values, grid)
     m = np.maximum(base.m.values, problem.m_floor)
-    q = _congestion_stack(du, base.m.values, alpha, problem.m_floor)
+    q = congestion_stack(du, base.m.values, alpha, problem.m_floor)
     ham = lam.hamiltonian
     h = ham.value(q)
     h0 = ham.value(np.zeros_like(q))
     dph = ham.grad(q)
     a_c, b_c = ham.hess_coeffs(q)
     qn2 = np.sum(q * q, axis=0)
-    dv = _grad_stack(v, grid)
+    dv = grad_stack(v, grid)
     raw = np.sum(q * dph, axis=0) - h - 0.25 * alpha * (a_c + b_c * qn2) * qn2
     s1 = alpha * m ** (alpha - 1.0) * f**2 * raw
     s1_centered = s1 + alpha * m ** (alpha - 1.0) * f**2 * h0

@@ -14,7 +14,7 @@ from mfgcon.montecarlo import (
 )
 from mfgcon.system import LambdaData
 
-from conftest import make_problem
+from conftest import congestion_stack, grad_stack, make_problem
 
 
 @pytest.fixture(scope="module")
@@ -119,14 +119,12 @@ def _two_pass_density(problem, lam, pair, cfg):
     deposits with another, as the simulation did before it shared one
     stencil between the two.  Same generators, same draws.
     """
-    from mfgcon.grids import _grad_stack
     from mfgcon.montecarlo import _sample_initial
-    from mfgcon.system import _congestion_stack
 
     grid, time = problem.grid, problem.time
     n_pts, h, dim = grid.points_per_dim, grid.spacing, grid.dim
-    du = _grad_stack(pair.u.values, grid)
-    q = _congestion_stack(du, pair.m.values, problem.alpha, problem.m_floor)
+    du = grad_stack(pair.u.values, grid)
+    q = congestion_stack(du, pair.m.values, problem.alpha, problem.m_floor)
     drift = -(lam.hamiltonian.grad(q) + lam.b_values[:, None, :])
 
     def corners(pos):

@@ -18,18 +18,17 @@ from mfgcon.system import (
     NonpositiveDensityError,
     Potential,
     SolutionPair,
-    _congestion_stack,
     residual_full,
 )
 
-from conftest import band_limited_spacetime, make_problem
+from conftest import band_limited_spacetime, congestion_stack, make_problem
 
 
 def test_congestion_ratio_values():
     nodes = PeriodicGrid(1, 16).num_nodes
 
     def ratio(du, m, alpha):
-        return _congestion_stack(np.full((1, nodes), du), np.full(nodes, m), alpha, 1e-10)
+        return congestion_stack(np.full((1, nodes), du), np.full(nodes, m), alpha, 1e-10)
 
     assert np.max(np.abs(ratio(0.0, 0.7, 0.5))) == 0.0
     assert np.max(np.abs(ratio(0.3, 1.0, 0.8) - 0.3)) < 1e-15
