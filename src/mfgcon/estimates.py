@@ -187,25 +187,27 @@ def _spectral_pass(pair: SolutionPair, problem: MFGProblem) -> _SpectralPass:
     transform.  The refined grid has twice the nodes per axis; its samples
     and gradients come from the same spectrum, zero-padded a block of slices
     at a time (``_REFINED_BLOCK_VALUES``), one inverse transform per block.
+    Overflow is not warned about: a non-finite statistic fails its check.
     """
     grid = pair.u.grid
     fine = PeriodicGrid(grid.dim, 2 * grid.points_per_dim)
     ideriv, _ = _spectra(grid.dim, grid.points_per_dim)
     fine_ideriv, _ = _spectra(fine.dim, fine.points_per_dim)
-    spec = _rfft_stack(np.stack([pair.u.values, pair.m.values]), grid)
-    grads = _irfft_stack(_apply_symbols(ideriv, spec), grid)  # (d, 2, slices, nodes)
-    coarse, m_alpha = _slice_stats(
-        pair.u.values, pair.m.values, grads[:, 0], grads[:, 1], grid.cell_volume, problem
-    )
-    size = max(1, _REFINED_BLOCK_VALUES // fine.num_nodes)
-    blocks = []
-    for start in range(0, spec.shape[1], size):
-        padded = _pad_spectrum(spec[:, start : start + size], grid, fine.points_per_dim)
-        vals = _irfft_stack(_apply_symbols((1.0,) + fine_ideriv, padded), fine)
-        stats, _ = _slice_stats(
-            vals[0, 0], vals[0, 1], vals[1:, 0], vals[1:, 1], fine.cell_volume, problem
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = _rfft_stack(np.stack([pair.u.values, pair.m.values]), grid)
+        grads = _irfft_stack(_apply_symbols(ideriv, spec), grid)  # (d, 2, slices, nodes)
+        coarse, m_alpha = _slice_stats(
+            pair.u.values, pair.m.values, grads[:, 0], grads[:, 1], grid.cell_volume, problem
         )
-        blocks.append(stats)
+        size = max(1, _REFINED_BLOCK_VALUES // fine.num_nodes)
+        blocks = []
+        for start in range(0, spec.shape[1], size):
+            padded = _pad_spectrum(spec[:, start : start + size], grid, fine.points_per_dim)
+            vals = _irfft_stack(_apply_symbols((1.0,) + fine_ideriv, padded), fine)
+            stats, _ = _slice_stats(
+                vals[0, 0], vals[0, 1], vals[1:, 0], vals[1:, 1], fine.cell_volume, problem
+            )
+            blocks.append(stats)
     return _SpectralPass(
         dt=pair.u.time.dt,
         q=grads[:, 0] / m_alpha,

@@ -152,7 +152,7 @@ _SOLVER_KEYS = {
     "dlambda_max": (float, True),
     "m_positivity_margin": (float, True),
 }
-_MC_KEYS = {"paths": (int, True), "seed": (int, False), "substeps": (int, True)}
+_MC_KEYS = {"paths": (int, True), "seed": (int, False)}
 
 
 def _present(section, keys: dict) -> dict:
@@ -203,6 +203,9 @@ def load_config(path: str) -> RunConfig:
 
     solver_sec = parser["solver"] if "solver" in parser else {}
     mc_sec = parser["mc"] if "mc" in parser else {}
+    # one particle step per solver step; a config may still say so
+    if "substeps" in mc_sec and _get(mc_sec, "substeps", int) != 1:
+        raise ConfigError("'substeps' must be 1: the particle step is the solver step")
     try:
         solver = SolverConfig(**_present(solver_sec, _SOLVER_KEYS))
         mc = SDEConfig(**_present(mc_sec, _MC_KEYS))
@@ -316,45 +319,46 @@ def write_field(path: str, stf: SpaceTimeField, name: str) -> None:
 def read_field(path: str):
     """Read a space-time field; returns (field, name).
 
-    Raises FieldFileError for a file that is unreadable, malformed, or holds a
-    value that is not finite.
+    Raises FieldFileError, naming the file, for a file that is unreadable,
+    malformed, or holds a value that is not finite.
     """
+
+    def error(reason: str) -> FieldFileError:
+        return FieldFileError(f"{path}: {reason}")
+
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise FieldFileError(f"cannot read {path!r}: {exc}") from exc
     if len(blob) < _HEADER.size + 4:
-        raise FieldFileError("file too short for a field header")
+        raise error("file too short for a field header")
     header = blob[: _HEADER.size]
     (magic, version, endian, dim, n, n_t, horizon, raw_name) = _HEADER.unpack(header)
     if magic != _MAGIC:
-        raise FieldFileError("bad magic, not a field file")
+        raise error("bad magic, not a field file")
     if version != _VERSION:
-        raise FieldFileError(f"unsupported format version {version}")
+        raise error(f"unsupported format version {version}")
     if endian != b"<":
-        raise FieldFileError("unsupported endianness tag")
+        raise error("unsupported endianness tag")
     (checksum,) = struct.unpack_from("<I", blob, _HEADER.size)
     if checksum != zlib.crc32(header):
-        raise FieldFileError("header checksum mismatch")
+        raise error("header checksum mismatch")
     try:
         grid = PeriodicGrid(dim, n)
         time = TimeGrid(horizon, n_t)
     except ValueError as exc:
-        raise FieldFileError(f"bad grid in the header: {exc}") from exc
+        raise error(f"bad grid in the header: {exc}") from exc
     expected = (n_t + 1) * grid.num_nodes
     payload_bytes = len(blob) - _HEADER.size - 4
     if payload_bytes != 8 * expected:
-        raise FieldFileError(
-            f"payload holds {payload_bytes} bytes, header promises {8 * expected}"
-        )
+        raise error(f"payload holds {payload_bytes} bytes, header promises {8 * expected}")
     values = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size + 4).reshape(n_t + 1, -1)
     finite = np.isfinite(values)
     if not finite.all():
         n_slice, n_node = divmod(int(np.argmin(finite)), grid.num_nodes)
-        raise FieldFileError(
-            f"{path}: value {values[n_slice, n_node]} at slice {n_slice}, node {n_node} "
-            "is not finite"
+        raise error(
+            f"value {values[n_slice, n_node]} at slice {n_slice}, node {n_node} is not finite"
         )
     name = raw_name.rstrip(b"\0").decode()
     return SpaceTimeField(grid, time, values.copy()), name

@@ -4,11 +4,12 @@ Paths follow dX = drift dt + sqrt(2) dW on the torus with the feedback drift
 -DpH(x, Q) - b read off a solved pair, started from the pair's initial
 density.  The empirical slice densities (periodic cloud-in-cell deposition,
 each normalized to unit mass) are compared against the solved m in L1.
-The paths run in fixed-size batches, each drawing from its own generator
-spawned off one seed, and the batches run at the same time on the usable
-cores.  Each batch deposits into its own array and the arrays are summed in
-batch order, so the densities depend on the seed and the batch size only,
-bit for bit, never on the core count or on scheduling.
+Each solver step is one Euler-Maruyama step.  The paths run in batches of
+a fixed size, each drawing from its own generator spawned off one seed, and
+the batches run at the same time on the usable cores.  Each batch deposits
+into its own array and the arrays are summed in batch order, so the
+densities depend on the seed only, bit for bit, never on the core count or
+on scheduling.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ __all__ = [
 ]
 
 
+# paths per batch, each batch with its own generator
+_BATCH_PATHS = 50_000
+
+
 class NonfiniteDriftError(ValueError):
     """The feedback drift read off a pair is not finite at some node."""
 
@@ -39,16 +44,10 @@ class NonfiniteDriftError(ValueError):
 class SDEConfig:
     paths: int = 100_000
     seed: int = 0
-    substeps: int = 1
-    batch_size: int = 50_000
 
     def __post_init__(self):
         if self.paths < 1:
             raise ValueError("need at least one path")
-        if self.substeps < 1:
-            raise ValueError("substeps must divide the solver step at least once")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least one path, got {self.batch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -56,15 +55,9 @@ class SDEConfig:
 def _sample_initial(m0_values: np.ndarray, grid, rng, n: int) -> np.ndarray:
     """Draw positions from the piecewise-constant density given by node values."""
     h = grid.spacing
-    probs = m0_values / np.sum(m0_values)
-    if grid.dim == 1:
-        cells = rng.choice(m0_values.size, size=n, p=probs)
-        return (cells * h + rng.uniform(0.0, h, size=n))[None, :] % 1.0
-    cells = rng.choice(m0_values.size, size=n, p=probs)
-    ix, iy = np.divmod(cells, grid.points_per_dim)
-    x = ix * h + rng.uniform(0.0, h, size=n)
-    y = iy * h + rng.uniform(0.0, h, size=n)
-    return np.stack([x, y]) % 1.0
+    cells = rng.choice(m0_values.size, size=n, p=m0_values / np.sum(m0_values))
+    lower = np.stack(np.unravel_index(cells, grid.shape)) * h  # (d, n)
+    return (lower + rng.uniform(0.0, h, size=(grid.dim, n))) % 1.0
 
 
 class _Stencil:
@@ -140,10 +133,9 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _simulate_batch(drift, m_init, grid, time, substeps: int, seed, n: int) -> np.ndarray:
+def _simulate_batch(drift, m_init, grid, time, seed, n: int) -> np.ndarray:
     """Unnormalized (K, M) deposits of one batch of n paths drawn from its own generator."""
     deposits = np.zeros((time.num_slices, grid.num_nodes))
-    dt_sub = time.dt / substeps
     rng = np.random.default_rng(seed)
     pos = _sample_initial(m_init, grid, rng, n)
     noise = np.empty_like(pos)
@@ -151,17 +143,14 @@ def _simulate_batch(drift, m_init, grid, time, substeps: int, seed, n: int) -> n
     stencil.locate(pos)
     stencil.deposit(deposits[0])
     for k in range(time.steps):
-        for sub in range(substeps):
-            if sub > 0:
-                stencil.locate(pos)
-            vel = stencil.interpolate(drift[:, k])
-            rng.standard_normal(out=noise)
-            vel *= dt_sub
-            noise *= np.sqrt(2.0 * dt_sub)
-            pos += vel
-            pos += noise
-            # the same bits as pos %= 1.0, without its cost; noise is redrawn next
-            pos -= np.floor(pos, out=noise)
+        vel = stencil.interpolate(drift[:, k])
+        rng.standard_normal(out=noise)
+        vel *= time.dt
+        noise *= np.sqrt(2.0 * time.dt)
+        pos += vel
+        pos += noise
+        # the same bits as pos %= 1.0, without its cost; noise is redrawn next
+        pos -= np.floor(pos, out=noise)
         stencil.locate(pos)
         stencil.deposit(deposits[k + 1])
     return deposits
@@ -175,20 +164,20 @@ def simulate_density(
 ) -> SpaceTimeField:
     """Empirical slice densities of the feedback diffusion under ``pair``.
 
-    Euler-Maruyama with the solver step split into ``substeps``; the drift is
-    held on the current solver slice and interpolated linearly in space.
+    One Euler-Maruyama step per solver step; the drift is read on the
+    current solver slice and interpolated linearly in space.
     Every returned slice integrates to one exactly.  A pair with a
     nonpositive density sample raises NonpositiveDensityError, and one whose
     drift is not finite somewhere (say, a gradient that overflows) raises
     NonfiniteDriftError before any path is drawn.
 
-    The paths are split into batches of ``batch_size`` (the last one takes
+    The paths are split into batches of ``_BATCH_PATHS`` (the last one takes
     the rest), each with its own generator spawned off ``seed``.  The batches
     run on the usable cores: the calling thread and ``workers - 1`` pool
     threads each take every ``workers``-th batch.  Each batch deposits into
     its own array and the arrays are summed in batch order, so the result
-    depends on ``seed`` and ``batch_size`` only.  An exception in any batch
-    reaches the caller unchanged.
+    depends on ``seed`` only.  An exception in any batch reaches the caller
+    unchanged.
     """
     grid, time = problem.grid, problem.time
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -199,9 +188,9 @@ def simulate_density(
         n_slice, n_node = divmod(int(np.argmin(finite)), grid.num_nodes)
         raise NonfiniteDriftError(f"drift not finite at slice {n_slice}, node {n_node}")
 
-    n_batches = (cfg.paths + cfg.batch_size - 1) // cfg.batch_size
+    n_batches = (cfg.paths + _BATCH_PATHS - 1) // _BATCH_PATHS
     children = np.random.SeedSequence(cfg.seed).spawn(n_batches)
-    sizes = [min(cfg.batch_size, cfg.paths - b * cfg.batch_size) for b in range(n_batches)]
+    sizes = [min(_BATCH_PATHS, cfg.paths - b * _BATCH_PATHS) for b in range(n_batches)]
     batches: list = [None] * n_batches
     workers = min(n_batches, _usable_cores())
 
@@ -209,7 +198,7 @@ def simulate_density(
         # one batch at a time, so only ``workers`` batches' particles are alive
         for b in range(first, n_batches, workers):
             batches[b] = _simulate_batch(
-                drift, lam_data.m_init_values, grid, time, cfg.substeps, children[b], sizes[b]
+                drift, lam_data.m_init_values, grid, time, children[b], sizes[b]
             )
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

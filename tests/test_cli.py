@@ -333,11 +333,57 @@ def test_corrupted_inputs_end_in_their_exit_codes(workdir, tmp_path, capsys, cas
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / command),
                      fields["u"], fields["m"]])
         assert code == expected, command
-        if code == 3:
-            err = capsys.readouterr().err.strip().splitlines()
-            assert len(err) == 1 and err[0].startswith(f"{command}: ")
-            if isinstance(value, float):  # the edited file and the slice are named
-                assert fields[target] in err[0] and "slice 3, node " in err[0]
+        err = capsys.readouterr().err.strip().splitlines()
+        if code != 3:  # a failed check, without a warning or a traceback
+            assert err == []
+            continue
+        assert len(err) == 1 and err[0].startswith(f"{command}: ")
+        if target is not None:  # the edited file is named
+            assert fields[target] in err[0]
+        if isinstance(value, float):  # and so is the slice
+            assert "slice 3, node " in err[0]
+
+
+# one or two edits of configs/reference.cfg each, with the exit code of solve
+SOLVE_EDGES = {
+    "horizon_5": ([("t = 0.05", "t = 5")], 0),
+    "m0_near_zero": ([("m0 = 1 + 0.2*cos(1)", "m0 = 1 + 0.999*cos(1)")], 0),
+    "gamma_near_2": ([("gamma = 1.5", "gamma = 1.999"), ("alpha = 0.5", "alpha = 0")], 1),
+    "alpha_2_5": ([("alpha = 0.5", "alpha = 2.5")], 1),
+    "steep_psi": ([("psi = 0.05*cos(1)", "psi = 20*cos(3)")], 1),
+    "strong_b": ([("b_x = 0.1*sin(1)", "b_x = 50*sin(1)")], 1),
+    "tol_below_roundoff": ([("newton_tol = 1e-10", "newton_tol = 1e-16")], 2),
+    "two_nodes": ([("n = 64", "n = 2")], 3),
+    "odd_nodes": ([("n = 64", "n = 63")], 3),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVE_EDGES))
+def test_solve_edge_configs_end_in_their_exit_codes(tmp_path, capsys, case):
+    edits, expected = SOLVE_EDGES[case]
+    text = open(REFERENCE_CFG).read()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == expected
+    err = capsys.readouterr().err.strip().splitlines()
+    if expected == 3:
+        assert len(err) == 1 and err[0].startswith("solve: ")
+        assert not (out / "path.log").exists()
+        return
+    last = (out / "path.log").read_text().splitlines()[-1]
+    if expected == 2:
+        assert len(err) == 1 and err[0].startswith("solve: step underflow")
+        assert last.startswith("horizon_failure at lambda=")
+        return
+    assert err == []
+    record = dict(item.split("=") for item in last.split())
+    assert float(record["lambda"]) == 0.0
+    assert float(record["residual"]) <= 1e-10  # certified at the config's newton_tol
 
 
 def test_legendre_command(workdir, capsys):

@@ -103,9 +103,13 @@ def test_empty_solver_and_mc_sections_keep_the_defaults(tmp_path):
     assert cfg.mc == SDEConfig()
     cfg = load_config(write_cfg(tmp_path, REFERENCE + "\n[solver]\nnewton_max_iters = 7\n", "k.cfg"))
     assert cfg.solver == SolverConfig(newton_max_iters=7)
+    # one particle step per solver step, which a config may still spell out
+    cfg = load_config(write_cfg(tmp_path, REFERENCE + "\n[mc]\nseed = 3\nsubsteps = 1\n", "s.cfg"))
+    assert cfg.mc == SDEConfig(seed=3)
     # a key that is present is still checked
     for section, line in [("solver", "newton_max_iters = 0"), ("solver", "newton_tol = inf"),
-                          ("mc", "paths = -5"), ("mc", "substeps = 1.5")]:
+                          ("mc", "paths = -5"), ("mc", "substeps = 1.5"),
+                          ("mc", "substeps = 2")]:
         key = line.split()[0]
         text = REFERENCE + f"\n[{section}]\n{line}\n"
         with pytest.raises(ConfigError, match=key):
@@ -135,14 +139,21 @@ def test_field_file_detects_corruption(tmp_path):
     blob = bytearray(open(path, "rb").read())
     blob[10] ^= 0xFF  # flip a header bit
     open(path, "wb").write(bytes(blob))
-    with pytest.raises(FieldFileError, match="checksum"):
+    with pytest.raises(FieldFileError, match="checksum") as caught:
         read_field(path)
+    assert str(caught.value).startswith(f"{path}: ")
 
     write_field(path, stf, "m")
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:-16])  # truncate the payload
-    with pytest.raises(FieldFileError, match="payload"):
+    with pytest.raises(FieldFileError, match="payload") as caught:
         read_field(path)
+    assert str(caught.value).startswith(f"{path}: ")
+
+    open(path, "wb").write(blob[:10])  # not even a header
+    with pytest.raises(FieldFileError, match="too short") as caught:
+        read_field(path)
+    assert str(caught.value).startswith(f"{path}: ")
 
     with pytest.raises(FieldFileError):
         read_field(str(tmp_path / "nope.field"))

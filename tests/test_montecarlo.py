@@ -79,14 +79,9 @@ def test_monte_carlo_rate(mc_problem):
         assert 1.0 < ratio < 4.0  # M^(-1/2) scaling within a factor of two
 
 
-def test_substeps_validated():
-    with pytest.raises(ValueError):
-        SDEConfig(paths=10, substeps=0)
+def test_paths_validated():
     with pytest.raises(ValueError):
         SDEConfig(paths=0)
-    for size in (0, -5):
-        with pytest.raises(ValueError):
-            SDEConfig(paths=10, batch_size=size)
 
 
 def test_two_dimensional_uniform_smoke():
@@ -150,21 +145,20 @@ def _two_pass_density(problem, lam, pair, cfg):
         return sum(wt * values[idx] for idx, wt in corners(pos))
 
     deposits = np.zeros((time.num_slices, grid.num_nodes))
-    dt_sub = time.dt / cfg.substeps
-    n_batches = (cfg.paths + cfg.batch_size - 1) // cfg.batch_size
+    batch = montecarlo._BATCH_PATHS
+    n_batches = (cfg.paths + batch - 1) // batch
     children = np.random.SeedSequence(cfg.seed).spawn(n_batches)
     done = 0
     for b in range(n_batches):
-        n = min(cfg.batch_size, cfg.paths - done)
+        n = min(batch, cfg.paths - done)
         done += n
         rng = np.random.default_rng(children[b])
         pos = _sample_initial(lam.m_init_values, grid, rng, n)
         deposit(pos, deposits[0])
         for k in range(time.steps):
-            for _ in range(cfg.substeps):
-                vel = np.stack([interp(drift[a, k], pos) for a in range(dim)])
-                noise = rng.standard_normal(pos.shape)
-                pos = (pos + vel * dt_sub + np.sqrt(2.0 * dt_sub) * noise) % 1.0
+            vel = np.stack([interp(drift[a, k], pos) for a in range(dim)])
+            noise = rng.standard_normal(pos.shape)
+            pos = (pos + vel * time.dt + np.sqrt(2.0 * time.dt) * noise) % 1.0
             deposit(pos, deposits[k + 1])
     return deposits / (cfg.paths * grid.cell_volume)
 
@@ -177,21 +171,22 @@ def drifted(request):
     return problem, LambdaData.from_problem(problem, 0.0), final.pair
 
 
-def test_one_stencil_pass_matches_the_two_pass_reference(drifted):
-    # a drifted solved pair, several batches and substeps, so that every branch
-    # of the shared stencil (deposit, first and later substeps) is exercised
+def test_one_stencil_pass_matches_the_two_pass_reference(drifted, monkeypatch):
+    # a drifted solved pair and several batches, the last one short
     problem, lam, pair = drifted
-    cfg = SDEConfig(paths=5_000, seed=9, substeps=2, batch_size=2_000)
+    monkeypatch.setattr(montecarlo, "_BATCH_PATHS", 2_000)
+    cfg = SDEConfig(paths=5_000, seed=9)
     got = simulate_density(problem, lam, pair, cfg).values
     want = _two_pass_density(problem, lam, pair, cfg)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_densities_do_not_depend_on_the_worker_count(drifted, monkeypatch):
-    # four batches, the last one short, and two substeps per solver step; four
-    # workers are more threads than cores, switching as often as they can
+    # four batches, the last one short; four workers are more threads than
+    # cores, switching as often as they can
     problem, lam, pair = drifted
-    cfg = SDEConfig(paths=7_000, seed=4, substeps=2, batch_size=2_000)
+    monkeypatch.setattr(montecarlo, "_BATCH_PATHS", 2_000)
+    cfg = SDEConfig(paths=7_000, seed=4)
     got = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -211,7 +206,8 @@ def test_batch_exception_reaches_the_caller(mc_problem, monkeypatch, failing):
     # thread's second batch
     state = trivial_solution(mc_problem)
     lam = LambdaData.from_problem(mc_problem, 1.0)
-    cfg = SDEConfig(paths=5_000, seed=4, batch_size=2_000)
+    monkeypatch.setattr(montecarlo, "_BATCH_PATHS", 2_000)
+    cfg = SDEConfig(paths=5_000, seed=4)
     boom = RuntimeError("batch failed")
     sample = montecarlo._sample_initial
 
