@@ -4,7 +4,12 @@ Paths follow dX = drift dt + sqrt(2) dW on the torus with the feedback drift
 -DpH(x, Q) - b read off a solved pair, started from the pair's initial
 density.  The empirical slice densities (periodic cloud-in-cell deposition,
 each normalized to unit mass) are compared against the solved m in L1.
-Each solver step is one Euler-Maruyama step.  The paths run in batches of
+Each solver step is one step of the simplified weak Euler scheme: the move
+is drift dt plus +-sqrt(2 dt) per axis, each sign with probability 1/2.  It
+has the weak order 1 of Gaussian Euler-Maruyama, which is all a comparison
+of densities needs (Kloeden & Platen, *Numerical Solution of Stochastic
+Differential Equations*, 1992, section 14.1), and it draws one random bit
+per path and axis instead of a normal.  The paths run in batches of
 a fixed size, each drawing from its own generator spawned off one seed, and
 the batches run at the same time on the usable cores.  Each batch deposits
 into its own array and the arrays are summed in batch order, so the
@@ -53,76 +58,113 @@ class SDEConfig:
 
 
 def _sample_initial(m0_values: np.ndarray, grid, rng, n: int) -> np.ndarray:
-    """Draw positions from the piecewise-constant density given by node values."""
+    """Draw positions in [0, 1]^d from the piecewise-constant density given by node values.
+
+    The cell counts are one multinomial draw, so the paths come out sorted by
+    cell; each path then gets a uniform offset within its cell.
+    """
     h = grid.spacing
-    cells = rng.choice(m0_values.size, size=n, p=m0_values / np.sum(m0_values))
+    counts = rng.multinomial(n, m0_values / np.sum(m0_values))
+    cells = np.repeat(np.arange(m0_values.size), counts)
     lower = np.stack(np.unravel_index(cells, grid.shape)) * h  # (d, n)
-    return (lower + rng.uniform(0.0, h, size=(grid.dim, n))) % 1.0
+    return lower + rng.uniform(0.0, h, size=(grid.dim, n))
+
+
+# the axes differenced in each multilinear term, in the order of the stencil's monomials
+_TERMS = {1: ((), (0,)), 2: ((), (0,), (1,), (0, 1))}
+
+
+def _cell_coefficients(values: np.ndarray, grid) -> np.ndarray:
+    """Per-cell multilinear coefficients (2^d, ..., M) of node values (..., M).
+
+    Term S of the cell with lower node i is the forward difference of the
+    values along the axes in S, taken at i (periodically), so the value at
+    offsets f in [0, 1]^d within the cell is the sum over S of term S times
+    the product of f_a over a in S.
+    """
+    block = values.reshape(values.shape[:-1] + grid.shape)
+    terms = []
+    for axes in _TERMS[grid.dim]:
+        term = block
+        for axis in axes:
+            term = np.roll(term, -1, axis=axis - grid.dim) - term
+        terms.append(term.reshape(values.shape))
+    return np.stack(terms)
+
+
+def _node_weights(moments: np.ndarray, grid) -> np.ndarray:
+    """Cloud-in-cell node sums (..., M) of per-cell moments (2^d, ..., M).
+
+    The adjoint of :func:`_cell_coefficients`: moment S of a cell sums the
+    product of f_a over a in S over the particles in it, and each forward
+    difference turns into a backward one.
+    """
+    total = np.zeros(moments.shape[1:-1] + grid.shape)
+    for moment, axes in zip(moments, _TERMS[grid.dim]):
+        term = moment.reshape(total.shape)
+        for axis in axes:
+            term = np.roll(term, 1, axis=axis - grid.dim) - term
+        total += term
+    return total.reshape(moments.shape[1:])
 
 
 class _Stencil:
-    """Cloud-in-cell stencil of a batch of n particles on the periodic grid.
+    """Cloud-in-cell stencil of a batch of n particles, kept per cell.
 
-    :meth:`locate` finds each particle's cell once per position: the flat node
-    indices of its 2^d corners (``idx``) and their multilinear weights
-    (``wts``), both (2^d, n).  The deposition at the end of a step and the
-    drift interpolation at the start of the next read the same stencil.  The
-    arrays are reused from step to step, so a step allocates almost nothing.
+    Positions are in grid units (x N) and never wrapped.  :meth:`locate`
+    finds each particle's cell once per position: its flat index (``cell``,
+    n), floor(x) per axis taken modulo N by a bitwise and (N is a power of
+    two), and the monomials of its offsets x - floor(x) within the cell
+    (``monomials``, (2^d - 1, n): f in 1d, then fx, fy, fx fy in 2d).  A
+    coordinate of exactly N (the unit coordinate 1.0) is cell 0 at offset 0.
+    The multilinear weights of the 2^d corners are polynomials in those
+    offsets, so the drift interpolation reads the per-cell coefficients of
+    :func:`_cell_coefficients` and the deposition sums the monomials per cell
+    (:func:`_node_weights` spreads the sums onto the nodes).  The deposition
+    at the end of a step and the interpolation at the start of the next read
+    the same stencil.  The arrays are reused from step to step, so a step
+    allocates almost nothing.
     """
 
     def __init__(self, grid, n: int):
-        corners = 2**grid.dim
+        dim = grid.dim
         self.grid = grid
-        self.idx = np.empty((corners, n), dtype=np.intp)
-        self.wts = np.empty((corners, n))
-        self._frac = np.empty((grid.dim, n))
-        # lower and upper node per axis; in 1d these are the two corners themselves
-        if grid.dim == 1:
-            self._axis = self.idx[:, None, :]
-        else:
-            self._axis = np.empty((2, grid.dim, n), dtype=np.intp)
-        self._term = np.empty((grid.dim, n))
-        self._values = np.empty((grid.dim, n))
+        self.monomials = np.empty((2**dim - 1, n))
+        self._lower = np.empty((dim, n), dtype=np.intp)
+        self.cell = self._lower[0]  # flat cell ix * N + iy, as grid.shape ravels
+        self._term = np.empty((dim, n))
+        self._values = np.empty((dim, n))
 
     def locate(self, pos: np.ndarray) -> None:
-        """Recompute the stencil at positions (d, n) in [0, 1]^d."""
+        """Recompute the stencil at positions (d, n) in grid units."""
         n_pts = self.grid.points_per_dim
-        frac, (lo, hi) = self._frac, self._axis
-        np.divide(pos, self.grid.spacing, out=frac)
-        np.copyto(lo, frac, casting="unsafe")  # truncation is the floor: frac >= 0
-        frac -= lo
-        # positions lie in [0, 1], so each wrap is a single node: n_pts -> 0
-        lo[lo == n_pts] = 0
-        np.add(lo, 1, out=hi)
-        hi[hi == n_pts] = 0
-        if self.grid.dim == 1:
-            np.subtract(1.0, frac[0], out=self.wts[0])
-            self.wts[1] = frac[0]
-            return
-        (ix0, iy0), (ix1, iy1), (wx, wy) = lo, hi, frac
-        ix0 *= n_pts  # flat node ix * n + iy, as grid.shape ravels
-        ix1 *= n_pts
-        for c, (ix, iy) in enumerate(((ix0, iy0), (ix1, iy0), (ix0, iy1), (ix1, iy1))):
-            np.add(ix, iy, out=self.idx[c])
-        ox, oy = 1.0 - frac
-        for c, (a, b) in enumerate(((ox, oy), (wx, oy), (ox, wy), (wx, wy))):
-            np.multiply(a, b, out=self.wts[c])
+        frac, lower = self.monomials[: self.grid.dim], self._lower
+        np.floor(pos, out=frac)
+        np.copyto(lower, frac, casting="unsafe")
+        np.subtract(pos, frac, out=frac)
+        lower &= n_pts - 1
+        if self.grid.dim == 2:
+            lower[0] *= n_pts
+            lower[0] += lower[1]
+            np.multiply(frac[0], frac[1], out=self.monomials[2])
 
-    def interpolate(self, field_stack: np.ndarray) -> np.ndarray:
-        """Linear interpolation of the d rows of (d, M) node values: a reused (d, n) array."""
+    def interpolate(self, coefficients: np.ndarray) -> np.ndarray:
+        """Interpolate (2^d, d, M) coefficients of d node rows: a reused (d, n) array."""
         # the indices are in range; mode "raise" would copy through a temporary
         values, term = self._values, self._term
-        np.take(field_stack, self.idx[0], axis=1, out=values, mode="wrap")
-        values *= self.wts[0]
-        for idx, wts in zip(self.idx[1:], self.wts[1:]):
-            np.take(field_stack, idx, axis=1, out=term, mode="wrap")
-            term *= wts
+        np.take(coefficients[0], self.cell, axis=1, out=values, mode="clip")
+        for table, monomial in zip(coefficients[1:], self.monomials):
+            np.take(table, self.cell, axis=1, out=term, mode="clip")
+            term *= monomial
             values += term
         return values
 
     def deposit(self, out: np.ndarray) -> None:
-        """Accumulate the stencil weights onto the flat nodes of ``out``."""
-        np.add.at(out, self.idx.ravel(), self.wts.ravel())
+        """Write the (2^d, M) cell moments: the particle count, then each monomial's sum."""
+        size = out.shape[1]
+        out[0] = np.bincount(self.cell, minlength=size)
+        for row, monomial in zip(out[1:], self.monomials):
+            row[:] = np.bincount(self.cell, monomial, minlength=size)
 
 
 def _usable_cores() -> int:
@@ -133,27 +175,31 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _simulate_batch(drift, m_init, grid, time, seed, n: int) -> np.ndarray:
-    """Unnormalized (K, M) deposits of one batch of n paths drawn from its own generator."""
-    deposits = np.zeros((time.num_slices, grid.num_nodes))
+def _simulate_batch(coefficients, m_init, grid, time, seed, n: int) -> np.ndarray:
+    """Unnormalized (K, M) deposits of one batch of n paths drawn from its own generator.
+
+    ``coefficients`` (2^d, K - 1, d, M) interpolate (drift dt - sigma) N, so
+    a step adds that plus 2 sigma N times one random bit per axis: a move of
+    drift dt +- sigma, in the stencil's grid units.
+    """
     rng = np.random.default_rng(seed)
     pos = _sample_initial(m_init, grid, rng, n)
-    noise = np.empty_like(pos)
+    pos *= grid.points_per_dim
     stencil = _Stencil(grid, n)
+    moments = np.empty((2**grid.dim, time.num_slices, grid.num_nodes))
+    two_sigma = 2.0 * np.sqrt(2.0 * time.dt) * grid.points_per_dim
+    n_bits = pos.size
+    jump = np.empty_like(pos)
     stencil.locate(pos)
-    stencil.deposit(deposits[0])
+    stencil.deposit(moments[:, 0])
     for k in range(time.steps):
-        vel = stencil.interpolate(drift[:, k])
-        rng.standard_normal(out=noise)
-        vel *= time.dt
-        noise *= np.sqrt(2.0 * time.dt)
-        pos += vel
-        pos += noise
-        # the same bits as pos %= 1.0, without its cost; noise is redrawn next
-        pos -= np.floor(pos, out=noise)
+        pos += stencil.interpolate(coefficients[:, k])
+        bits = np.unpackbits(np.frombuffer(rng.bytes((n_bits + 7) // 8), np.uint8), count=n_bits)
+        np.multiply(bits.reshape(pos.shape), two_sigma, out=jump)
+        pos += jump
         stencil.locate(pos)
-        stencil.deposit(deposits[k + 1])
-    return deposits
+        stencil.deposit(moments[:, k + 1])
+    return _node_weights(moments, grid)
 
 
 def simulate_density(
@@ -164,12 +210,13 @@ def simulate_density(
 ) -> SpaceTimeField:
     """Empirical slice densities of the feedback diffusion under ``pair``.
 
-    One Euler-Maruyama step per solver step; the drift is read on the
-    current solver slice and interpolated linearly in space.
-    Every returned slice integrates to one exactly.  A pair with a
-    nonpositive density sample raises NonpositiveDensityError, and one whose
-    drift is not finite somewhere (say, a gradient that overflows) raises
-    NonfiniteDriftError before any path is drawn.
+    One two-point weak Euler step per solver step (Kloeden & Platen 1992,
+    section 14.1): the drift, read on the current solver slice and
+    interpolated linearly in space, times dt, plus +-sqrt(2 dt) per axis
+    with a fair coin.  Every returned slice integrates to one, to rounding.
+    A pair with a nonpositive density sample raises NonpositiveDensityError,
+    and one whose drift is not finite somewhere (say, a gradient that
+    overflows) raises NonfiniteDriftError before any path is drawn.
 
     The paths are split into batches of ``_BATCH_PATHS`` (the last one takes
     the rest), each with its own generator spawned off ``seed``.  The batches
@@ -188,6 +235,10 @@ def simulate_density(
         n_slice, n_node = divmod(int(np.argmin(finite)), grid.num_nodes)
         raise NonfiniteDriftError(f"drift not finite at slice {n_slice}, node {n_node}")
 
+    # each step's move minus sigma, in grid units: the batches add 2 sigma N times a bit
+    low = np.moveaxis(drift[:, :-1], 0, 1) * time.dt - np.sqrt(2.0 * time.dt)  # (K - 1, d, M)
+    coefficients = _cell_coefficients(low * grid.points_per_dim, grid)
+
     n_batches = (cfg.paths + _BATCH_PATHS - 1) // _BATCH_PATHS
     children = np.random.SeedSequence(cfg.seed).spawn(n_batches)
     sizes = [min(_BATCH_PATHS, cfg.paths - b * _BATCH_PATHS) for b in range(n_batches)]
@@ -198,7 +249,7 @@ def simulate_density(
         # one batch at a time, so only ``workers`` batches' particles are alive
         for b in range(first, n_batches, workers):
             batches[b] = _simulate_batch(
-                drift, lam_data.m_init_values, grid, time, children[b], sizes[b]
+                coefficients, lam_data.m_init_values, grid, time, children[b], sizes[b]
             )
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -4,9 +4,11 @@
 the per-slice sum and sum of squares of the densities that
 :func:`simulate_density` returns on the final pair of the solve.  They are
 held to 1e-12 relative, and moving a single path changes the sum of squares
-by far more, so a change to the draws, their order or the Euler-Maruyama
-step fails here.  The d = 2 case runs in short batches, so several
-generators, a short last batch and the batch-order sum are covered.
+by far more, so a change to the draws, their order or the two-point step
+fails here.  The d = 2 case runs in short batches, so several generators, a
+short last batch and the batch-order sum are covered.  After a deliberate
+change of the sampled law, re-record with ``PYTHONPATH=src python
+tests/test_mc_regression.py``.
 """
 
 import json
@@ -72,3 +74,7 @@ def test_particle_densities_match_recorded_fingerprint(name, tmp_path):
     )
     for key in ("sum", "sum_sq"):
         np.testing.assert_allclose(got[key], expected[key], rtol=1e-12, atol=0.0, err_msg=key)
+
+
+if __name__ == "__main__":
+    record()

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mfgcon.montecarlo import (
     sampling_l1_error,
     simulate_density,
 )
-from mfgcon.system import LambdaData
+from mfgcon.system import LambdaData, SolutionPair
 
 from conftest import congestion_stack, grad_stack, make_problem
 
@@ -111,8 +112,9 @@ def _two_pass_density(problem, lam, pair, cfg):
     """The particle simulation with the cell index and weight computed twice per step.
 
     Each step interpolates the drift with its own floor / wrap pass and
-    deposits with another, as the simulation did before it shared one
-    stencil between the two.  Same generators, same draws.
+    deposits with another, corner by corner, as the simulation did before it
+    shared one per-cell stencil between the two.  Same generators, same
+    draws: the initial positions, then one random sign per path and axis.
     """
     from mfgcon.montecarlo import _sample_initial
 
@@ -157,8 +159,10 @@ def _two_pass_density(problem, lam, pair, cfg):
         deposit(pos, deposits[0])
         for k in range(time.steps):
             vel = np.stack([interp(drift[a, k], pos) for a in range(dim)])
-            noise = rng.standard_normal(pos.shape)
-            pos = (pos + vel * time.dt + np.sqrt(2.0 * time.dt) * noise) % 1.0
+            # one fair sign per path and axis: the generator's bytes, bit by bit
+            bits = np.unpackbits(np.frombuffer(rng.bytes((pos.size + 7) // 8), np.uint8))
+            signs = 2.0 * bits[: pos.size].reshape(pos.shape) - 1.0
+            pos = (pos + vel * time.dt + np.sqrt(2.0 * time.dt) * signs) % 1.0
             deposit(pos, deposits[k + 1])
     return deposits / (cfg.paths * grid.cell_volume)
 
@@ -222,3 +226,63 @@ def test_batch_exception_reaches_the_caller(mc_problem, monkeypatch, failing):
         with pytest.raises(RuntimeError) as caught:
             simulate_density(mc_problem, lam, state.pair, cfg)
         assert caught.value is boom
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_zero_drift_walk_has_the_two_point_law(dim):
+    # with no drift every axis moves +-sigma per step with probability 1/2, so
+    # E[exp(-2 pi i X_k) | X_0] = exp(-2 pi i X_0) cos(2 pi sigma)^k exactly:
+    # 0.136 at T, where the heat kernel gives 0.139
+    problem = make_problem(n=64 if dim == 1 else 32, n_t=64, horizon=0.05, dim=dim, b_amp=0.0)
+    grid, time = problem.grid, problem.time
+    coords = [x.ravel() for x in grid.coordinates()]
+    m0 = np.prod([1.0 + 0.8 * np.cos(2 * np.pi * x) for x in coords], axis=0)
+    lam = replace(LambdaData.from_problem(problem, 0.0), m_init_values=m0)
+    flat = SpaceTimeField(grid, time, np.ones((time.num_slices, grid.num_nodes)))
+    pair = SolutionPair(u=SpaceTimeField.zeros(grid, time), m=flat)
+    paths = 100_000
+    emp = simulate_density(problem, lam, pair, SDEConfig(paths=paths, seed=6)).values
+    factor = np.cos(2 * np.pi * np.sqrt(2.0 * time.dt)) ** np.arange(time.num_slices)
+    for x in coords:
+        mode = grid.cell_volume * (emp @ np.exp(-2j * np.pi * x))
+        # the modulus: cells are sampled from their lower node, a phase of pi h
+        assert abs(abs(mode[0]) - 0.4) <= 4.0 / np.sqrt(paths)
+        assert np.max(np.abs(mode - mode[0] * factor)) <= 4.0 / np.sqrt(paths)
+
+
+# a node, exactly 1.0, the largest float below 1.0, and inside the last cell
+EDGE_POSITIONS = (0.0, 1.0, np.nextafter(1.0, 0.0), 1.0 - 0.25 / 8)
+
+
+def _edge_weights(x, n_pts):
+    """Node weights of one coordinate by the textbook periodic formula."""
+    s = x * n_pts
+    lower, frac = int(np.floor(s)) % n_pts, s - np.floor(s)
+    w = np.zeros(n_pts)
+    w[lower] += 1.0 - frac
+    w[(lower + 1) % n_pts] += frac
+    return w
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stencil_edges_deposit_unit_mass_and_wrap_to_node_zero(dim):
+    # the stencil takes grid units; the deposit and the interpolation of node
+    # values both follow the textbook weights
+    grid = PeriodicGrid(dim, 8)
+    values = np.random.default_rng(1).normal(size=(dim, grid.num_nodes))
+    coefficients = montecarlo._cell_coefficients(values, grid)
+    for point in np.array(np.meshgrid(*[EDGE_POSITIONS] * dim)).reshape(dim, -1).T:
+        stencil = montecarlo._Stencil(grid, 1)
+        stencil.locate(8 * point[:, None])
+        moments = np.empty((2**dim, grid.num_nodes))
+        stencil.deposit(moments)
+        got = montecarlo._node_weights(moments, grid)
+        want = _edge_weights(point[0], 8)
+        if dim == 2:
+            want = np.outer(want, _edge_weights(point[1], 8)).ravel()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=str(point))
+        assert abs(np.sum(got) - 1.0) <= 1e-15
+        # at 1.0 on every axis ``want`` is node 0 alone
+        np.testing.assert_allclose(
+            stencil.interpolate(coefficients)[:, 0], values @ want, rtol=1e-14, atol=1e-14
+        )
