@@ -17,7 +17,7 @@ from .continuation import (
     solve_path,
     trivial_solution,
 )
-from .estimates import DerivedExponents, EstimateReport, run_all_checks
+from .estimates import EstimateReport, run_all_checks
 from .galerkin import (
     FourierBasis,
     assemble_galerkin_system,

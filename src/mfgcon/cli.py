@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from . import galerkin
 from .continuation import HorizonError, solve_path
 from .estimates import run_all_checks
 from .fileio import (
@@ -61,10 +62,8 @@ def _galerkin_basis(problem, n_modes: int):
     mode count fails as a config error instead of after the whole path."""
     if n_modes == 0:
         return None
-    from .galerkin import FourierBasis
-
     try:
-        return FourierBasis.build(problem.grid, n_modes)
+        return galerkin.FourierBasis.build(problem.grid, n_modes)
     except ValueError as exc:
         raise ConfigError(f"galerkin_modes = {n_modes}: {exc}") from exc
 
@@ -102,20 +101,18 @@ def _cmd_solve(args) -> int:
     final = states[-1]
     write_field(os.path.join(args.out, "u.field"), final.pair.u, "u")
     write_field(os.path.join(args.out, "m.field"), final.pair.m, "m")
-    report = run_all_checks(final.pair, problem, LambdaData.from_problem(problem, 0.0))
+    report = run_all_checks(final.pair, problem)
     write_report(os.path.join(args.out, "estimates"), report)
     if cfg.out_formats.get("plots"):
         write_plot_columns(os.path.join(args.out, "u.txt"), final.pair.u)
         write_plot_columns(os.path.join(args.out, "m.txt"), final.pair.m)
     if basis is not None:
-        from .galerkin import assemble_galerkin_system, shooting_spectrum
-
-        system = assemble_galerkin_system(
+        system = galerkin.assemble_galerkin_system(
             problem, LambdaData.from_problem(problem, 0.0), final.pair, basis
         )
         np.savetxt(
             os.path.join(args.out, "galerkin_spectrum.txt"),
-            shooting_spectrum(system),
+            galerkin.shooting_spectrum(system),
             header="singular values of the shooting map at lambda=0",
         )
     if args.verbose or not report.all_pass:
@@ -142,7 +139,7 @@ def _cmd_check(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
     pair = _load_pair(args, problem)
-    report = run_all_checks(pair, problem, LambdaData.from_problem(problem, 0.0))
+    report = run_all_checks(pair, problem)
     os.makedirs(args.out, exist_ok=True)
     write_report(os.path.join(args.out, "estimates"), report)
     print(report_text(report), end="")

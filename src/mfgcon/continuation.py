@@ -94,7 +94,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.newton_tol <= 0.0 or self.m_positivity_margin <= 0.0:
-            raise ValueError("tolerances must be positive")
+            raise ValueError("newton_tol and m_positivity_margin must be positive")
+        if self.newton_max_iters < 1:
+            raise ValueError(f"newton_max_iters must be at least 1, got {self.newton_max_iters}")
         if not 0.0 < self.dlambda_min <= self.dlambda_init <= self.dlambda_max <= 1.0:
             raise ValueError("need 0 < dlambda_min <= dlambda_init <= dlambda_max <= 1")
 
@@ -115,8 +117,11 @@ class ContinuationState:
 
 @dataclass
 class NewtonDiagnostics:
-    iterations: int
     residual_history: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history) - 1
 
 
 class NewtonFailure(RuntimeError):
@@ -187,15 +192,17 @@ def newton_correct(
     sup-norm drops below ``newton_tol``, so the inexact inner solves change
     how fast the residual falls but not the acceptance test.  Each step is
     halved until the residual decreases and the density keeps its positivity
-    margin; running out of damping or iterations, or an inner linear solve
-    that misses its tolerance, raises NewtonFailure.
+    margin; a start below that margin, running out of damping or iterations,
+    or an inner linear solve that misses its tolerance, raises NewtonFailure.
     """
+    if pair.min_density() < config.m_positivity_margin:
+        raise NewtonFailure("start density is below the positivity margin", NewtonDiagnostics())
     current = pair.copy()
     bundle = residual_full(problem, lam_data, current)
     res = bundle.sup_norm()
-    diag = NewtonDiagnostics(iterations=0, residual_history=[res])
+    diag = NewtonDiagnostics(residual_history=[res])
     res_prev = None
-    for it in range(config.newton_max_iters):
+    for _ in range(config.newton_max_iters):
         if res <= config.newton_tol:
             return current, diag
         eta = _forcing_term(res, res_prev, config.newton_tol)
@@ -230,7 +237,6 @@ def newton_correct(
             )
         res_prev = res
         current, bundle, res = accepted
-        diag.iterations = it + 1
         diag.residual_history.append(res)
     if res <= config.newton_tol:
         return current, diag
@@ -355,7 +361,7 @@ def _coarse_problem(problem: MFGProblem) -> MFGProblem:
 
     Coarse node j sits at fine node 2j, so injecting the data fields equals
     sampling their expressions on the coarse grid; m0 is renormalized to unit
-    mass there and k0 recomputed from it.
+    mass there.
     """
     grid, time = problem.grid, problem.time
     coarse = PeriodicGrid(grid.dim, grid.points_per_dim // 2)
@@ -381,7 +387,6 @@ def _coarse_problem(problem: MFGProblem) -> MFGProblem:
         ),
         psi=Field(coarse, inject(problem.psi.values)),
         m0=Field(coarse, m0.values / integrate(m0)),
-        k0=0.0,
     )
 
 

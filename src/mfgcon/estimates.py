@@ -30,12 +30,11 @@ from .grids import (
     _spectra,
 )
 from .hamiltonians import HamiltonianModel, uniqueness_terms
-from .system import LambdaData, MFGProblem, SolutionPair
+from .system import _M_FLOOR, LambdaData, MFGProblem, SolutionPair
 
 __all__ = [
     "CheckRecord",
     "EstimateReport",
-    "DerivedExponents",
     "check_mass",
     "check_value_bounds",
     "check_integral_estimates",
@@ -98,29 +97,6 @@ class EstimateReport:
         return out
 
 
-@dataclass(frozen=True)
-class DerivedExponents:
-    """Reduced congestion exponent and the integrability ladder it induces."""
-
-    gamma: float
-    alpha: float
-
-    def __post_init__(self):
-        if not 1.0 < self.gamma < 2.0:
-            raise ValueError("gamma must lie in (1, 2)")
-        if self.alpha_bar >= 1.0:
-            raise ValueError(
-                f"(gamma-1)*alpha = {self.alpha_bar} must stay below 1"
-            )
-
-    @property
-    def alpha_bar(self) -> float:
-        return (self.gamma - 1.0) * self.alpha
-
-    def q_of(self, r: float) -> float:
-        return r + 2.0 * self.alpha_bar / (2.0 - self.gamma)
-
-
 # Refined nodes times time slices per block of the refined pass, which bounds
 # its memory: a block's samples and gradients of u and m, 2 (d + 1) arrays of
 # this many values, are alive at a time.  8 slices of a refined 64 x 64 grid
@@ -157,7 +133,7 @@ def _slice_stats(u, m, du, dm, vol: float, problem: MFGProblem):
     """
     gamma, alpha = problem.hamiltonian.gamma, problem.alpha
     abar = (gamma - 1.0) * alpha
-    m_safe = np.maximum(m, problem.m_floor)
+    m_safe = np.maximum(m, _M_FLOOR)
     du_sq = np.sum(du * du, axis=0)
     dm_sq = np.sum(dm * dm, axis=0)
     du_pow = du_sq ** (0.5 * gamma)
@@ -238,16 +214,12 @@ def check_mass(pair: SolutionPair) -> CheckRecord:
     )
 
 
-def check_value_bounds(
-    pair: SolutionPair, problem: MFGProblem, lam_data: LambdaData | None = None
-) -> CheckRecord:
+def check_value_bounds(pair: SolutionPair, lam_data: LambdaData) -> CheckRecord:
     """Explicit lower bound on u from the coupling and terminal data sizes.
 
     u(x, t) >= -[(T - t) Vmax + Psimax], with Vmax the largest coupling value
     along the candidate and Psimax the terminal-cost sup-norm.
     """
-    if lam_data is None:
-        lam_data = LambdaData.from_problem(problem, 0.0)
     u, m = pair.u.values, pair.m.values
     v_max = float(np.max(np.abs(lam_data.potential_value(m))))
     psi_max = float(np.max(np.abs(lam_data.psi_values)))
@@ -304,7 +276,11 @@ def check_integral_estimates(spectral: _SpectralPass) -> CheckRecord:
     )
 
 
-def check_inverse_m(pair: SolutionPair, r_list=(1.0, 2.0, 5.0)) -> CheckRecord:
+# The inverse powers r of the density that check_inverse_m integrates.
+_INVERSE_POWERS = (1.0, 2.0, 5.0)
+
+
+def check_inverse_m(pair: SolutionPair) -> CheckRecord:
     """Integrability of 1/m and absence of a blow-up trend across slices."""
     m = pair.m.values
     if np.min(m) <= 0.0:
@@ -321,7 +297,7 @@ def check_inverse_m(pair: SolutionPair, r_list=(1.0, 2.0, 5.0)) -> CheckRecord:
     inv_sup = float(np.max(1.0 / m))
     values = {"inverse_sup": inv_sup, "min_m": float(np.min(m))}
     ok = np.isfinite(inv_sup)
-    for r in r_list:
+    for r in _INVERSE_POWERS:
         per_slice = vol * np.sum(m ** (-float(r)), axis=1)
         values[f"int_m^-{r:g}_max"] = float(np.max(per_slice))
         trend = float(per_slice[-1] / per_slice[0])
@@ -403,21 +379,20 @@ def check_gradient_bound(spectral: _SpectralPass) -> CheckRecord:
 def check_exponents(problem: MFGProblem) -> CheckRecord:
     """The exponent conditions of the theorem, each tested once.
 
-    (gamma-1)*alpha < 1 with its integrability ladder q(r) > r, and
+    abar = (gamma-1)*alpha < 1 with its integrability ladder
+    q(r) = r + 2*abar/(2-gamma) > r, read at r = 2 (NaN when abar >= 1), and
     alpha < 4/gamma, the sufficient condition for the uniqueness inequality
     of the power family.
     """
     gamma, alpha = problem.hamiltonian.gamma, problem.alpha
-    try:
-        q2 = DerivedExponents(gamma, alpha).q_of(2.0)
-    except ValueError:
-        q2 = float("nan")
+    alpha_bar = (gamma - 1.0) * alpha
+    q2 = 2.0 + 2.0 * alpha_bar / (2.0 - gamma) if alpha_bar < 1.0 else float("nan")
     margin = 4.0 / gamma - alpha
     return CheckRecord(
         name="derived_exponents",
         criterion="(gamma-1)*alpha < 1, q(r) = r + 2*abar/(2-gamma) > r, and alpha < 4/gamma",
         passed=bool(q2 > 2.0 and margin > 0.0),
-        values={"alpha_bar": (gamma - 1.0) * alpha, "q_of_2": q2, "alpha_bound_margin": margin},
+        values={"alpha_bar": alpha_bar, "q_of_2": q2, "alpha_bound_margin": margin},
     )
 
 
@@ -491,15 +466,13 @@ def check_hypotheses(problem: MFGProblem, lam_data: LambdaData) -> CheckRecord:
     )
 
 
-def run_all_checks(
-    pair: SolutionPair, problem: MFGProblem, lam_data: LambdaData | None = None
-) -> EstimateReport:
-    if lam_data is None:
-        lam_data = LambdaData.from_problem(problem, 0.0)
+def run_all_checks(pair: SolutionPair, problem: MFGProblem) -> EstimateReport:
+    """Every check of the suite on ``pair`` as a solution of the target data (lam = 0)."""
+    lam_data = LambdaData.from_problem(problem, 0.0)
     spectral = _spectral_pass(pair, problem)
     records = [
         check_mass(pair),
-        check_value_bounds(pair, problem, lam_data),
+        check_value_bounds(pair, lam_data),
         check_integral_estimates(spectral),
         check_inverse_m(pair),
         check_uniqueness_integrand(pair, problem, lam_data, spectral),

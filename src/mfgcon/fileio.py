@@ -19,7 +19,7 @@ import os
 import re
 import struct
 import zlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -61,13 +61,8 @@ _TERM = re.compile(
 
 def parse_field_expression(text: str, dim: int):
     """Parse 'c0 + a*cos(k) + b*sin(k,l)' into a list of (coef, fn, kvec) terms."""
-    cleaned = text.strip()
-    if cleaned in ("0", "zero"):
-        return [(0.0, None, None)]
-    if cleaned in ("1", "uniform"):
-        return [(1.0, None, None)]
     # split on '+' while keeping negative coefficients and signed exponents intact
-    pieces = re.split(r"\s*(?<![eE])\+\s*", cleaned)
+    pieces = re.split(r"\s*(?<![eE])\+\s*", text.strip())
     terms = []
     for piece in pieces:
         m = _TERM.match(piece)
@@ -118,7 +113,6 @@ class RunConfig:
     v2_exponent: float
     psi_terms: list
     m0_terms: list
-    m_floor: float
     solver: SolverConfig
     mc: SDEConfig
     mc_l1_tol: float
@@ -142,26 +136,37 @@ def _get(section, key, cast, default=None, positive=False, name=""):
     return val
 
 
-# Keys of [solver] and [mc] with their type and whether they must be
-# positive.  An absent key keeps the SolverConfig or SDEConfig default.
-_SOLVER_KEYS = {
-    "newton_tol": (float, True),
-    "newton_max_iters": (int, True),
-    "dlambda_init": (float, True),
-    "dlambda_min": (float, True),
-    "dlambda_max": (float, True),
-    "m_positivity_margin": (float, True),
-}
-_MC_KEYS = {"paths": (int, True), "seed": (int, False)}
+def _present(section, config_class) -> dict:
+    """The fields of ``config_class`` that ``section`` sets, cast to the type of their defaults.
 
-
-def _present(section, keys: dict) -> dict:
-    """The keys ``section`` sets, cast and checked."""
+    An absent key keeps the default; the class checks the ranges.
+    """
     return {
-        key: _get(section, key, cast, positive=positive)
-        for key, (cast, positive) in keys.items()
-        if key in section
+        f.name: _get(section, f.name, type(f.default))
+        for f in fields(config_class)
+        if f.name in section
     }
+
+
+# The keys each section may set.  [solver] and [mc] set the fields of the
+# classes they build; b_y is known in d = 1 too, and substeps only says 1.
+_KNOWN_KEYS = {
+    "problem": ("d", "n", "n_t", "t", "gamma", "alpha", "weight", "b_x", "b_y",
+                "v1", "v2", "psi", "m0"),
+    "solver": tuple(f.name for f in fields(SolverConfig)),
+    "mc": tuple(f.name for f in fields(SDEConfig)) + ("substeps", "l1_tol"),
+    "output": ("plots", "galerkin_modes"),
+}
+
+
+def _check_names(parser: configparser.ConfigParser) -> None:
+    """Reject a section or key nothing reads, so that a misspelling is not ignored."""
+    for name in parser.sections():
+        if name not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        unknown = [key for key in parser[name] if key not in _KNOWN_KEYS[name]]
+        if unknown:
+            raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in [{name}]")
 
 
 def load_config(path: str) -> RunConfig:
@@ -169,6 +174,7 @@ def load_config(path: str) -> RunConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file {path!r} not found or unreadable")
+    _check_names(parser)
     if "problem" not in parser:
         raise ConfigError("config needs a [problem] section")
     prob = parser["problem"]
@@ -201,24 +207,26 @@ def load_config(path: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"bad value for 'v2': {prob['v2']!r}") from exc
 
-    solver_sec = parser["solver"] if "solver" in parser else {}
-    mc_sec = parser["mc"] if "mc" in parser else {}
+    for name in ("solver", "mc", "output"):
+        if name not in parser:
+            parser.add_section(name)
+    mc_sec, out_sec = parser["mc"], parser["output"]
     # one particle step per solver step; a config may still say so
     if "substeps" in mc_sec and _get(mc_sec, "substeps", int) != 1:
         raise ConfigError("'substeps' must be 1: the particle step is the solver step")
     try:
-        solver = SolverConfig(**_present(solver_sec, _SOLVER_KEYS))
-        mc = SDEConfig(**_present(mc_sec, _MC_KEYS))
+        solver = SolverConfig(**_present(parser["solver"], SolverConfig))
+        mc = SDEConfig(**_present(mc_sec, SDEConfig))
     except ValueError as exc:  # a range SolverConfig or SDEConfig rejects
         raise ConfigError(str(exc)) from exc
-    out_sec = parser["output"] if "output" in parser else {}
     galerkin_modes = _get(out_sec, "galerkin_modes", int, default=0)
     if galerkin_modes < 0:
         raise ConfigError(f"'galerkin_modes' must be nonnegative, got {galerkin_modes}")
-    out_formats = {
-        "plots": str(out_sec.get("plots", "false")).lower() == "true",
-        "galerkin_modes": galerkin_modes,
-    }
+    try:
+        plots = out_sec.getboolean("plots", fallback=False)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for 'plots': {out_sec['plots']!r}") from exc
+    out_formats = {"plots": plots, "galerkin_modes": galerkin_modes}
 
     return RunConfig(
         dim=dim,
@@ -235,7 +243,6 @@ def load_config(path: str) -> RunConfig:
         v2_exponent=v2_exponent,
         psi_terms=terms("psi", "0"),
         m0_terms=terms("m0", "1"),
-        m_floor=_get(prob, "m_floor", float, default=1e-10, positive=True),
         solver=solver,
         mc=mc,
         mc_l1_tol=_get(mc_sec, "l1_tol", float, default=0.05, positive=True),
@@ -273,7 +280,6 @@ def build_problem(cfg: RunConfig) -> MFGProblem:
             potential=potential,
             psi=realize_field(cfg.psi_terms, grid),
             m0=m0,
-            m_floor=cfg.m_floor,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -45,6 +45,7 @@ from .system import (
     MFGProblem,
     ResidualBundle,
     SolutionPair,
+    _M_FLOOR,
     _hamiltonian_terms,
     _HamiltonianTerms,
 )
@@ -102,7 +103,7 @@ def _base_coefficients(
     alpha = problem.alpha
     m = base.m.values
     q, h_val, dp_h = terms.q, terms.h, terms.dp_h
-    m_safe = np.maximum(m, problem.m_floor)
+    m_safe = np.maximum(m, _M_FLOOR)
     ham = lam_data.hamiltonian
     hess_a, hess_b = ham.hess_coeffs(q)
     q_sq = np.sum(q * q, axis=0)

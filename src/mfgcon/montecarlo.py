@@ -52,22 +52,24 @@ class SDEConfig:
 
     def __post_init__(self):
         if self.paths < 1:
-            raise ValueError("need at least one path")
+            raise ValueError(f"paths must be at least 1, got {self.paths}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _sample_initial(m0_values: np.ndarray, grid, rng, n: int) -> np.ndarray:
-    """Draw positions in [0, 1]^d from the piecewise-constant density given by node values.
+    """Draw positions in [-h/2, 1 - h/2)^d from the piecewise-constant density of node values.
 
-    The cell counts are one multinomial draw, so the paths come out sorted by
-    cell; each path then gets a uniform offset within its cell.
+    Node i's value holds on the cell of width h centred on it, so the draw
+    has no phase bias against the nodal m0.  The cell counts are one
+    multinomial draw, so the paths come out sorted by cell; each path then
+    gets a uniform offset within its cell.
     """
     h = grid.spacing
     counts = rng.multinomial(n, m0_values / np.sum(m0_values))
     cells = np.repeat(np.arange(m0_values.size), counts)
-    lower = np.stack(np.unravel_index(cells, grid.shape)) * h  # (d, n)
-    return lower + rng.uniform(0.0, h, size=(grid.dim, n))
+    nodes = np.stack(np.unravel_index(cells, grid.shape)) * h  # (d, n)
+    return nodes + rng.uniform(-0.5 * h, 0.5 * h, size=(grid.dim, n))
 
 
 # the axes differenced in each multilinear term, in the order of the stencil's monomials
@@ -116,7 +118,8 @@ class _Stencil:
     n), floor(x) per axis taken modulo N by a bitwise and (N is a power of
     two), and the monomials of its offsets x - floor(x) within the cell
     (``monomials``, (2^d - 1, n): f in 1d, then fx, fy, fx fy in 2d).  A
-    coordinate of exactly N (the unit coordinate 1.0) is cell 0 at offset 0.
+    coordinate of exactly N (the unit coordinate 1.0) is cell 0 at offset 0,
+    and one in [-1/2, 0), where initial draws around node 0 fall, is cell N - 1.
     The multilinear weights of the 2^d corners are polynomials in those
     offsets, so the drift interpolation reads the per-cell coefficients of
     :func:`_cell_coefficients` and the deposition sums the monomials per cell

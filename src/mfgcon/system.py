@@ -30,6 +30,12 @@ from .grids import (
 )
 from .hamiltonians import HamiltonianModel
 
+# Floor under m in the powers m^alpha and m^(alpha-1).  It sits far below
+# the default m_positivity_margin (1e-6) that the solver keeps every density
+# above, so it leaves solver states alone; it keeps the powers finite where
+# the estimate suite reads a stored density that reaches zero.
+_M_FLOOR = 1e-10
+
 __all__ = [
     "Potential",
     "MFGProblem",
@@ -80,23 +86,20 @@ class Potential:
             return self.coef * z
         return self.coef * np.power(z, self.exponent)
 
-    def _dv2(self, z: np.ndarray) -> np.ndarray:
+    def value(self, z: np.ndarray) -> np.ndarray:
+        x_part = 0.0 if self.v1 is None else self.v1.values
+        return x_part + self._v2(z)
+
+    def dz(self, z: np.ndarray) -> np.ndarray:
         if self.v2_kind == "arctan":
             return 1.0 / (1.0 + z * z)
         if self.v2_kind == "linear":
             return np.full_like(np.asarray(z, dtype=float), self.coef)
         return self.coef * self.exponent * np.power(z, self.exponent - 1.0)
 
-    def value(self, z: np.ndarray) -> np.ndarray:
-        x_part = 0.0 if self.v1 is None else self.v1.values
-        return x_part + self._v2(z)
-
-    def dz(self, z: np.ndarray) -> np.ndarray:
-        return self._dv2(z)
-
-    def monotonicity_margin(self, z_lo: float, z_hi: float, n: int = 256) -> float:
-        z = np.linspace(z_lo, z_hi, n)
-        return float(np.min(self._dv2(z)))
+    def monotonicity_margin(self, z_lo: float, z_hi: float) -> float:
+        """Smallest dV/dz on 256 points of [z_lo, z_hi]."""
+        return float(np.min(self.dz(np.linspace(z_lo, z_hi, 256))))
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,6 @@ class MFGProblem:
     potential: Potential
     psi: Field
     m0: Field
-    k0: float = 0.0
-    m_floor: float = 1e-10
 
     def __post_init__(self):
         if self.alpha < 0.0:
@@ -123,12 +124,10 @@ class MFGProblem:
         if abs(mass - 1.0) > 1e-12:
             raise ValueError(f"m0 must have unit mass, integral is {mass!r}")
         m_min = float(np.min(self.m0.values))
-        k0 = self.k0 if self.k0 > 0.0 else m_min
-        if not 0.0 < k0 <= m_min:
-            raise ValueError(f"need m0 >= k0 > 0, got k0={k0}, min m0={m_min}")
-        object.__setattr__(self, "k0", k0)
+        if not m_min > 0.0:
+            raise ValueError(f"m0 must be positive, min m0={m_min}")
         m_hi = float(np.max(self.m0.values)) * 2.0 + 1.0
-        if self.potential.monotonicity_margin(0.5 * k0, m_hi) <= 0.0:
+        if self.potential.monotonicity_margin(0.5 * m_min, m_hi) <= 0.0:
             raise ValueError("potential coupling must be strictly increasing in the density")
         if np.ndim(self.hamiltonian.weight) and (
             np.asarray(self.hamiltonian.weight).size != self.grid.num_nodes
@@ -225,7 +224,7 @@ def _shared_terms(problem: MFGProblem, pair: SolutionPair) -> _SharedTerms:
     _check_positive_density(m)
     d = problem.grid.dim
     du_lap = _grad_lap_stack(pair.u.values, problem.grid)
-    m_pow = np.maximum(m, problem.m_floor) ** problem.alpha
+    m_pow = np.maximum(m, _M_FLOOR) ** problem.alpha
     du = du_lap[:d]
     return _SharedTerms(du=du, lap_u=du_lap[d], q=du / m_pow, m_pow=m_pow)
 

@@ -29,7 +29,7 @@ from mfgcon.grids import SpaceTimeField
 from mfgcon.hamiltonians import duality_table
 from mfgcon.linearized import Perturbation, apply_L, bundle_to_vector, solve_linearized
 from mfgcon.montecarlo import SDEConfig, l1_distance, sampling_l1_error, simulate_density
-from mfgcon.system import LambdaData, ResidualBundle, SolutionPair, residual_full
+from mfgcon.system import _M_FLOOR, LambdaData, ResidualBundle, SolutionPair, residual_full
 
 from conftest import (
     band_limited_spacetime,
@@ -83,8 +83,7 @@ def test_criterion_1_explicit_endpoint(reference):
 def test_criterion_2_end_to_end(reference):
     states = reference["states"]
     final = states[-1]
-    rep = run_all_checks(final.pair, reference["problem"],
-                         LambdaData.from_problem(reference["problem"], 0.0))
+    rep = run_all_checks(final.pair, reference["problem"])
     ok = (
         final.lam == 0.0
         and final.residual_norm <= 1e-8
@@ -272,7 +271,7 @@ def test_criterion_8_positivity_structure(reference):
     problem = reference["problem"]
     final = reference["states"][-1]
     min_m = min(state.min_density() for state in reference["states"])
-    floor_untouched = min_m > problem.m_floor
+    floor_untouched = min_m > _M_FLOOR
     rec = check_inverse_m(final.pair)
     inv_sup = rec.values["inverse_sup"]
     fine = fourier_interpolate(final.pair.m, 2 * problem.grid.points_per_dim)

@@ -355,6 +355,14 @@ SOLVE_EDGES = {
     "tol_below_roundoff": ([("newton_tol = 1e-10", "newton_tol = 1e-16")], 2),
     "two_nodes": ([("n = 64", "n = 2")], 3),
     "odd_nodes": ([("n = 64", "n = 63")], 3),
+    "misspelled_key": ([("newton_tol = 1e-10", "newton_tolerance = 1e-10")], 3),
+    # the modes above the coarse grid's Nyquist frequency alias there, so the
+    # lifted coarse density dips below zero and the path is marched again on
+    # the config grid
+    "aliased_2d": ([("d = 1", "d = 2"), ("n = 64", "n = 32"), ("n_t = 64", "n_t = 16"),
+                    ("m0 = 1 + 0.2*cos(1)",
+                     "m0 = 1.2 + 1.8*cos(1) + 1.6*cos(2) + 1.4*cos(3) + 1.2*cos(4) + 1.0*cos(5)"
+                     " + 0.8*cos(6) + 0.6*cos(7) + 0.4*cos(8) + 0.2*cos(9)")], 0),
 }
 
 
@@ -384,6 +392,8 @@ def test_solve_edge_configs_end_in_their_exit_codes(tmp_path, capsys, case):
     record = dict(item.split("=") for item in last.split())
     assert float(record["lambda"]) == 0.0
     assert float(record["residual"]) <= 1e-10  # certified at the config's newton_tol
+    n = re.search(r"^n = (\d+)$", text, re.M).group(1)
+    assert record["grid"] == ("x".join([n, n]) if "d = 2" in text else n)
 
 
 def test_legendre_command(workdir, capsys):
@@ -543,7 +553,7 @@ def test_nested_solve_falls_back_to_the_config_grid(tmp_path, monkeypatch):
 
     def coarse_only(problem, *args, **kwargs):
         if problem.grid.points_per_dim == 32:
-            raise continuation.NewtonFailure("fine grid", continuation.NewtonDiagnostics(0))
+            raise continuation.NewtonFailure("fine grid", continuation.NewtonDiagnostics())
         return real(problem, *args, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_correct", coarse_only)

@@ -4,7 +4,6 @@ import pytest
 from mfgcon import estimates
 from mfgcon.continuation import solve_path, trivial_solution
 from mfgcon.estimates import (
-    DerivedExponents,
     check_exponents,
     check_gradient_bound,
     check_hypotheses,
@@ -17,7 +16,7 @@ from mfgcon.estimates import (
     _spectral_pass,
 )
 from mfgcon.grids import Field, SpaceTimeField, integrate
-from mfgcon.system import LambdaData, Potential, SolutionPair
+from mfgcon.system import _M_FLOOR, LambdaData, Potential, SolutionPair
 
 from conftest import congestion_stack, fourier_interpolate, grad_stack, make_problem
 
@@ -29,12 +28,15 @@ def solved(small_problem):
 
 
 def test_derived_exponents():
-    der = DerivedExponents(gamma=1.5, alpha=0.5)
-    assert der.alpha_bar == pytest.approx(0.25, abs=1e-15)
-    assert der.q_of(2.0) == pytest.approx(3.0, abs=1e-12)
-    assert der.q_of(5.0) > 5.0
-    with pytest.raises(ValueError):
-        DerivedExponents(gamma=1.9, alpha=1.2)  # (gamma-1)*alpha >= 1
+    rec = check_exponents(make_problem(gamma=1.5, alpha=0.5))
+    assert rec.passed
+    assert rec.values["alpha_bar"] == pytest.approx(0.25, abs=1e-15)
+    assert rec.values["q_of_2"] == pytest.approx(3.0, abs=1e-12)
+    # (gamma-1)*alpha >= 1 leaves the integrability ladder undefined
+    rec = check_exponents(make_problem(gamma=1.9, alpha=1.2))
+    assert not rec.passed
+    assert rec.values["alpha_bar"] == pytest.approx(1.08, abs=1e-12)
+    assert np.isnan(rec.values["q_of_2"])
 
 
 def test_mass_check_trivial_and_corrupted(small_problem):
@@ -52,7 +54,7 @@ def test_mass_check_trivial_and_corrupted(small_problem):
 def test_value_bound_on_trivial_pair(small_problem):
     state = trivial_solution(small_problem)
     lam = LambdaData.from_problem(small_problem, 1.0)
-    rec = check_value_bounds(state.pair, small_problem, lam)
+    rec = check_value_bounds(state.pair, lam)
     # u = (1 - pi/4)(t - T) sits above -(T - t) * arctan(1) since 1 - pi/4 < pi/4;
     # the terminal slice attains the bound exactly, so the margin is zero there
     assert rec.passed
@@ -77,7 +79,7 @@ def test_value_bound_degenerate_data(small_problem):
         m_init_values=np.ones(small_problem.grid.num_nodes),
         potential=Potential(v2_kind="linear", coef=1e-15),
     )
-    rec = check_value_bounds(pair, small_problem, tiny)
+    rec = check_value_bounds(pair, tiny)
     assert rec.passed
     assert abs(rec.values["v_max"]) < 1e-12
     assert rec.values["margin"] >= -1e-8
@@ -234,8 +236,7 @@ def test_report_fails_hypotheses_outside_the_theorem():
 
 
 def test_report_on_solved_state(small_problem, solved):
-    lam = LambdaData.from_problem(small_problem, 0.0)
-    report = run_all_checks(solved.pair, small_problem, lam)
+    report = run_all_checks(solved.pair, small_problem)
     assert report.all_pass
     names = [r.name for r in report.records]
     assert "mass_conservation" in names
@@ -263,7 +264,7 @@ def _reference_values(pair, problem):
     for suffix, p in (("", pair), ("_refined", refined)):
         grid, dt = p.u.grid, p.u.time.dt
         u, m = p.u.values, p.m.values
-        m_safe = np.maximum(m, problem.m_floor)
+        m_safe = np.maximum(m, _M_FLOOR)
         du_norm = np.sqrt(np.sum(grad_stack(u, grid) ** 2, axis=0))
         dm_norm = np.sqrt(np.sum(grad_stack(m, grid) ** 2, axis=0))
 
@@ -326,7 +327,7 @@ def test_one_pass_report_matches_the_field_by_field_reference(
         assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
     du = grad_stack(pair.u.values, problem.grid)
-    q = congestion_stack(du, pair.m.values, problem.alpha, problem.m_floor)
+    q = congestion_stack(du, pair.m.values, problem.alpha, _M_FLOOR)
     np.testing.assert_allclose(_spectral_pass(pair, problem).q, q, rtol=0.0,
                                atol=1e-13 * np.max(np.abs(q)))
 

@@ -43,7 +43,7 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 def test_parse_field_terms():
     assert parse_field_expression("0", 1) == [(0.0, None, None)]
-    assert parse_field_expression("uniform", 1) == [(1.0, None, None)]
+    assert parse_field_expression("1", 1) == [(1.0, None, None)]
     terms = parse_field_expression("1 + 0.2*cos(1) + -0.3*sin(2)", 1)
     assert terms == [(1.0, None, None), (0.2, "cos", (1,)), (-0.3, "sin", (2,))]
     terms2d = parse_field_expression("0.5*cos(1,2)", 2)
@@ -103,9 +103,11 @@ def test_empty_solver_and_mc_sections_keep_the_defaults(tmp_path):
     assert cfg.mc == SDEConfig()
     cfg = load_config(write_cfg(tmp_path, REFERENCE + "\n[solver]\nnewton_max_iters = 7\n", "k.cfg"))
     assert cfg.solver == SolverConfig(newton_max_iters=7)
-    # one particle step per solver step, which a config may still spell out
-    cfg = load_config(write_cfg(tmp_path, REFERENCE + "\n[mc]\nseed = 3\nsubsteps = 1\n", "s.cfg"))
-    assert cfg.mc == SDEConfig(seed=3)
+    # one particle step per solver step, which a config may still spell out,
+    # and b_y, a known key that a d = 1 run does not read
+    text = REFERENCE + "b_y = 0.1*sin(1)\n\n[mc]\nseed = 3\nsubsteps = 1\n"
+    cfg = load_config(write_cfg(tmp_path, text, "s.cfg"))
+    assert cfg.mc == SDEConfig(seed=3) and len(cfg.b_terms) == 1
     # a key that is present is still checked
     for section, line in [("solver", "newton_max_iters = 0"), ("solver", "newton_tol = inf"),
                           ("mc", "paths = -5"), ("mc", "substeps = 1.5"),
@@ -114,6 +116,24 @@ def test_empty_solver_and_mc_sections_keep_the_defaults(tmp_path):
         text = REFERENCE + f"\n[{section}]\n{line}\n"
         with pytest.raises(ConfigError, match=key):
             load_config(write_cfg(tmp_path, text, f"{key}.cfg"))
+
+
+@pytest.mark.parametrize("extra, name", [
+    ("\n[solver]\nnewton_tolerance = 1e-6\n", "newton_tolerance"),
+    ("\n[plot]\nplots = true\n", "plot"),
+    ("m_floor = 1e-10\n", "m_floor"),  # a fixed constant, no longer a key
+], ids=["misspelled_key", "unknown_section", "m_floor"])
+def test_unknown_sections_and_keys_are_errors(tmp_path, extra, name):
+    with pytest.raises(ConfigError, match=rf"unknown .*\b{name}\b"):
+        load_config(write_cfg(tmp_path, REFERENCE + extra))
+
+
+def test_plots_reads_any_boolean_spelling(tmp_path):
+    for value, plots in [("yes", True), ("True", True), ("0", False)]:
+        cfg = load_config(write_cfg(tmp_path, REFERENCE + f"\n[output]\nplots = {value}\n"))
+        assert cfg.out_formats["plots"] is plots
+    with pytest.raises(ConfigError, match="plots"):
+        load_config(write_cfg(tmp_path, REFERENCE + "\n[output]\nplots = maybe\n", "bad.cfg"))
 
 
 def test_field_file_round_trip(tmp_path):

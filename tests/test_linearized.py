@@ -447,8 +447,8 @@ def energy_identity_sides(problem, lam, base, direction):
     )
     alpha = problem.alpha
     du = grad_stack(base.u.values, grid)
-    m = np.maximum(base.m.values, problem.m_floor)
-    q = congestion_stack(du, base.m.values, alpha, problem.m_floor)
+    m = np.maximum(base.m.values, system._M_FLOOR)
+    q = congestion_stack(du, base.m.values, alpha, system._M_FLOOR)
     ham = lam.hamiltonian
     h = ham.value(q)
     h0 = ham.value(np.zeros_like(q))

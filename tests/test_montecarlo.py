@@ -13,7 +13,7 @@ from mfgcon.montecarlo import (
     sampling_l1_error,
     simulate_density,
 )
-from mfgcon.system import LambdaData, SolutionPair
+from mfgcon.system import _M_FLOOR, LambdaData, SolutionPair
 
 from conftest import congestion_stack, grad_stack, make_problem
 
@@ -121,7 +121,7 @@ def _two_pass_density(problem, lam, pair, cfg):
     grid, time = problem.grid, problem.time
     n_pts, h, dim = grid.points_per_dim, grid.spacing, grid.dim
     du = grad_stack(pair.u.values, grid)
-    q = congestion_stack(du, pair.m.values, problem.alpha, problem.m_floor)
+    q = congestion_stack(du, pair.m.values, problem.alpha, _M_FLOOR)
     drift = -(lam.hamiltonian.grad(q) + lam.b_values[:, None, :])
 
     def corners(pos):
@@ -245,13 +245,14 @@ def test_zero_drift_walk_has_the_two_point_law(dim):
     factor = np.cos(2 * np.pi * np.sqrt(2.0 * time.dt)) ** np.arange(time.num_slices)
     for x in coords:
         mode = grid.cell_volume * (emp @ np.exp(-2j * np.pi * x))
-        # the modulus: cells are sampled from their lower node, a phase of pi h
-        assert abs(abs(mode[0]) - 0.4) <= 4.0 / np.sqrt(paths)
+        # the cells are centred on their nodes, so slice 0 has m0's real 0.4
+        assert abs(mode[0] - 0.4) <= 4.0 / np.sqrt(paths)
         assert np.max(np.abs(mode - mode[0] * factor)) <= 4.0 / np.sqrt(paths)
 
 
-# a node, exactly 1.0, the largest float below 1.0, and inside the last cell
-EDGE_POSITIONS = (0.0, 1.0, np.nextafter(1.0, 0.0), 1.0 - 0.25 / 8)
+# a node, exactly 1.0, the largest float below 1.0, inside the last cell, and
+# -h/2, the lowest initial draw
+EDGE_POSITIONS = (0.0, 1.0, np.nextafter(1.0, 0.0), 1.0 - 0.25 / 8, -0.5 / 8)
 
 
 def _edge_weights(x, n_pts):
