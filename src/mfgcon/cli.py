@@ -52,7 +52,8 @@ def _state_line(state) -> str:
     grid, time = state.pair.u.grid, state.pair.u.time
     return (
         f"lambda={state.lam:.6f} residual={state.residual_norm:.3e} "
-        f"newton_iters={state.newton_iters} min_m={state.min_density():.6e} "
+        f"newton_iters={state.newton_iters} theta={state.theta:.3e} "
+        f"min_m={state.min_density():.6e} "
         f"dlambda={state.step:.4f} grid={'x'.join(map(str, grid.shape))} n_t={time.steps}"
     )
 

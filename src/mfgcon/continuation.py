@@ -11,10 +11,15 @@ evaluations and the tangent one linear solve with the constant lam = 1
 coefficients.  Every later step extrapolates the secant of the last two
 accepted states.  An inexact damped Newton corrector with Eisenstat-Walker
 forcing terms (SIAM J. Sci. Comput. 17, 1996) brings the guess to the
-certified tolerance.  The step halves on failure, grows when the first Newton
-iteration contracted the residual strongly, and never leaves a last step
-shorter than half the current one.  Every accepted state carries the residual
-certificate Newton accepted it on.
+certified tolerance.  Each step is sized from the first contraction
+theta = r_1 / r_0 of the correction before it (Deuflhard, *Newton Methods
+for Nonlinear Problems*, Springer 2004, sec. 5.1; den Heijer & Rheinboldt,
+SIAM J. Numer. Anal. 18, 1981): the predictor's error is O(dl^2) and theta
+scales with it, so the next step is dl sqrt(THETA_TARGET / theta).  A
+correction is abandoned as soon as one of its iterations leaves the
+residual above THETA_MAX times the last one, and the step is retried
+shorter.  Every
+accepted state carries the residual certificate Newton accepted it on.
 
 On a fine enough d = 2 grid the march runs one level down, as in the nested
 iteration of full multigrid (Brandt, "Multi-level adaptive solutions to
@@ -23,12 +28,15 @@ every other node, with n_t halved when even, the path is marched there, and
 its lam = 0 state, interpolated back, starts one Newton correction on the
 target grid.  By the mesh-independence principle (Allgower, Boehmer, Potra &
 Rheinboldt, SIAM J. Numer. Anal. 23, 1986) that correction needs only a few
-iterations.  When the coarse path stalls or the correction fails, the path is
-marched on the target grid from lam = 1 as if no level had been nested.
+iterations.  Data with modes the coarse grid cannot hold would alias there,
+so such a path is marched on the target grid alone, and so is one whose
+coarse path stalls or whose correction fails, from lam = 1 as if no level
+had been nested.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,12 +69,20 @@ __all__ = [
 # Eisenstat-Walker choice 2: eta = GAMMA (r_k / r_{k-1})^2, capped at ETA_MAX.
 _EW_GAMMA = 0.9
 _ETA_MAX = 0.1
-# The step grows by STEP_GROWTH when the first Newton iteration cut the
-# residual by at least 1 / EASY_CONTRACTION.
-_STEP_GROWTH = 1.5
-_EASY_CONTRACTION = 0.01
+# The step after a correction is dl sqrt(THETA_TARGET / theta), where theta
+# is that correction's first contraction r_1 / r_0.  The first forcing term
+# puts a floor near ETA_MAX under theta, so THETA_TARGET sits well above it:
+# at a target of 0.1, alpha_2_5 of tests/test_cli.py took 26,641 steps.
+_THETA_TARGET = 0.3
+# A march correction stops as soon as one iteration leaves the residual
+# above this multiple of the last one and above newton_tol (Deuflhard's
+# restricted monotonicity test), instead of running out its iterations.
+_THETA_MAX = 0.9
+# Range of the step factor after an accepted and after a rejected step.
+_GROWTH_RANGE = (0.25, 4.0)
+_RETRY_RANGE = (0.1, 0.5)
 # Roundoff allowance on lam: nine steps of 0.1 from 1 leave
-# 0.10000000000000014, which must still fit in a dlambda_max of 0.1.
+# 0.10000000000000014, which a step of 0.1 must still take to 0.
 _LAMBDA_ROUNDOFF = 1e-12
 # Relative tolerance of the lam = 1 tangent solve.  With terminal cost
 # 2 cos(2 pi x) on N = n_t = 32, the Krylov loop's residual estimate after
@@ -81,15 +97,20 @@ _TANGENT_RTOL = 1e-9
 # and 45, to save at most 0.02 s per solve.
 _NEST_DIM = 2
 _NEST_MIN_POINTS = 32
+# ... and only when no data coefficient at a frequency the coarse grid cannot
+# hold exceeds this fraction of its field's largest: there the m0 of
+# aliased_2d in tests/test_cli.py reads 0.17, and every grid2d field of the
+# benchmark at most 2e-16.
+_ALIAS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     newton_tol: float = 1e-10
     newton_max_iters: int = 12
-    dlambda_init: float = 0.1
+    dlambda_init: float = 1.0
     dlambda_min: float = 1e-4
-    dlambda_max: float = 0.25
+    dlambda_max: float = 1.0
     m_positivity_margin: float = 1e-6
 
     def __post_init__(self):
@@ -110,6 +131,7 @@ class ContinuationState:
     residual_norm: float
     newton_iters: int
     step: float
+    theta: float = 0.0  # first contraction of its correction, 0 without an iteration
 
     def min_density(self) -> float:
         return self.pair.min_density()
@@ -123,22 +145,34 @@ class NewtonDiagnostics:
     def iterations(self) -> int:
         return len(self.residual_history) - 1
 
+    @property
+    def contraction(self) -> float:
+        """First contraction r_1 / r_0, or 0 when no iteration was taken."""
+        hist = self.residual_history
+        return hist[1] / hist[0] if len(hist) > 1 else 0.0
+
 
 class NewtonFailure(RuntimeError):
-    def __init__(self, message: str, diagnostics: NewtonDiagnostics):
+    """A correction gave up; ``reason`` names the test that ended it: "contraction",
+    "iteration budget", "line search", "inner solve" or "start density"."""
+
+    def __init__(self, message: str, diagnostics: NewtonDiagnostics, reason: str):
         self.diagnostics = diagnostics
+        self.reason = reason
         super().__init__(message)
 
 
 class HorizonError(RuntimeError):
     """The step size underflowed; the path left the tractable short-time regime."""
 
-    def __init__(self, states: list, failed_lambda: float):
+    def __init__(self, states: list, failed_lambda: float, reason: str):
         self.states = states
         self.failed_lambda = failed_lambda
+        self.reason = reason
         last = states[-1].lam if states else float("nan")
         super().__init__(
-            f"continuation stalled at lambda={failed_lambda:.4f}; last accepted lambda={last:.4f}"
+            f"continuation stalled at lambda={failed_lambda:.4f}; last accepted lambda="
+            f"{last:.4f}; the last correction ended on its {reason} test"
         )
 
 
@@ -184,6 +218,7 @@ def newton_correct(
     lam_data: LambdaData,
     pair: SolutionPair,
     config: SolverConfig = SolverConfig(),
+    theta_max: float | None = None,
 ) -> tuple[SolutionPair, NewtonDiagnostics]:
     """Inexact damped Newton iteration on the full residual.
 
@@ -193,10 +228,14 @@ def newton_correct(
     how fast the residual falls but not the acceptance test.  Each step is
     halved until the residual decreases and the density keeps its positivity
     margin; a start below that margin, running out of damping or iterations,
-    or an inner linear solve that misses its tolerance, raises NewtonFailure.
+    an inner linear solve that misses its tolerance, or, when ``theta_max``
+    is given, an iteration that leaves the residual above ``newton_tol`` and
+    above ``theta_max`` times the last one, raises NewtonFailure.
     """
     if pair.min_density() < config.m_positivity_margin:
-        raise NewtonFailure("start density is below the positivity margin", NewtonDiagnostics())
+        raise NewtonFailure(
+            "start density is below the positivity margin", NewtonDiagnostics(), "start density"
+        )
     current = pair.copy()
     bundle = residual_full(problem, lam_data, current)
     res = bundle.sup_norm()
@@ -209,7 +248,7 @@ def newton_correct(
         try:
             w: Perturbation = solve_linearized(problem, lam_data, current, bundle, rtol=eta)
         except LinearSolveError as exc:
-            raise NewtonFailure(f"inner linear solve failed: {exc}", diag) from exc
+            raise NewtonFailure(f"inner linear solve failed: {exc}", diag, "inner solve") from exc
         step = 1.0
         accepted = None
         for _ in range(40):
@@ -234,15 +273,23 @@ def newton_correct(
             raise NewtonFailure(
                 "line search could not decrease the residual while keeping m positive",
                 diag,
+                "line search",
             )
         res_prev = res
         current, bundle, res = accepted
         diag.residual_history.append(res)
+        if theta_max is not None and config.newton_tol < res and theta_max * res_prev < res:
+            raise NewtonFailure(
+                f"residual contracted by {res / res_prev:.3f} > {theta_max} (residual {res:.3e})",
+                diag,
+                "contraction",
+            )
     if res <= config.newton_tol:
         return current, diag
     raise NewtonFailure(
         f"no convergence in {config.newton_max_iters} iterations (residual {res:.3e})",
         diag,
+        "iteration budget",
     )
 
 
@@ -311,6 +358,13 @@ def _secant_guess(states: list, lam_next: float, margin: float) -> SolutionPair:
     )
 
 
+def _step_factor(theta: float, low: float, high: float) -> float:
+    """sqrt(THETA_TARGET / theta) clipped to [low, high]; ``high`` when theta is 0."""
+    if theta == 0.0:
+        return high
+    return min(max(math.sqrt(_THETA_TARGET / theta), low), high)
+
+
 def _march(
     problem: MFGProblem, config: SolverConfig, on_state=None
 ) -> list[ContinuationState]:
@@ -323,21 +377,23 @@ def _march(
     del at_one  # its Hamiltonian terms would otherwise stay alive for the whole path
     dl = config.dlambda_init
     lam = 1.0
+    retried = False
     while lam > 0.0:
         lam_next = lam - dl
-        if lam_next < 0.5 * dl:
-            lam_next = 0.0 if lam <= config.dlambda_max + _LAMBDA_ROUNDOFF else 0.5 * lam
+        if lam_next <= _LAMBDA_ROUNDOFF:
+            lam_next = 0.0
         lam_data = LambdaData.from_problem(problem, lam_next)
         if len(states) == 1:
             guess = _tangent_guess(states[0], tangent, lam_next, config.m_positivity_margin)
         else:
             guess = _secant_guess(states, lam_next, config.m_positivity_margin)
         try:
-            pair, diag = newton_correct(problem, lam_data, guess, config)
-        except NewtonFailure:
-            dl *= 0.5
+            pair, diag = newton_correct(problem, lam_data, guess, config, theta_max=_THETA_MAX)
+        except NewtonFailure as failure:
+            dl *= _step_factor(failure.diagnostics.contraction, *_RETRY_RANGE)
             if dl < config.dlambda_min:
-                raise HorizonError(states, lam_next)
+                raise HorizonError(states, lam_next, failure.reason)
+            retried = True
             continue
         state = ContinuationState(
             lam=lam_next,
@@ -345,14 +401,15 @@ def _march(
             residual_norm=diag.residual_history[-1],
             newton_iters=diag.iterations,
             step=lam - lam_next,
+            theta=diag.contraction,
         )
         states.append(state)
         if on_state is not None:
             on_state(state)
         lam = lam_next
-        hist = diag.residual_history
-        if len(hist) < 2 or hist[1] <= _EASY_CONTRACTION * hist[0]:
-            dl = min(dl * _STEP_GROWTH, config.dlambda_max)
+        low, high = _GROWTH_RANGE
+        dl = min(dl * _step_factor(state.theta, low, 1.0 if retried else high), config.dlambda_max)
+        retried = False
     return states
 
 
@@ -411,6 +468,30 @@ def _lift(pair: SolutionPair, problem: MFGProblem) -> SolutionPair:
     return SolutionPair(u=u, m=m)
 
 
+def _coarse_holds_the_data(problem: MFGProblem) -> bool:
+    """Whether the coarse grid of :func:`_coarse_problem` resolves every data field.
+
+    The fields are m0, psi, the components of b, and v1 and the Hamiltonian
+    weight where they are fields.  A coefficient of the half spectrum at
+    |k_a| >= N/4 on some axis, the coarse Nyquist frequency included, aliases
+    on the coarse grid; each must be at most ``_ALIAS_TOL`` times its field's
+    largest coefficient.
+    """
+    grid = problem.grid
+    n = grid.points_per_dim
+    fields = [problem.m0.values, problem.psi.values, *problem.b.values]
+    if problem.potential.v1 is not None:
+        fields.append(problem.potential.v1.values)
+    if np.ndim(problem.hamiltonian.weight):
+        fields.append(problem.hamiltonian.weight)
+    spec = np.abs(_rfft_stack(np.stack(fields), grid)).reshape(len(fields), -1)
+    high = np.arange(n // 2 + 1) >= n // 4  # the half-spectrum axis
+    if grid.dim == 2:
+        high = (np.abs(np.fft.fftfreq(n, 1.0 / n)) >= n // 4)[:, None] | high[None, :]
+    tail = np.max(spec[:, high.ravel()], axis=1)
+    return bool(np.all(tail <= _ALIAS_TOL * np.max(spec, axis=1)))
+
+
 def solve_path(
     problem: MFGProblem,
     config: SolverConfig = SolverConfig(),
@@ -423,28 +504,36 @@ def solve_path(
     first step from the Euler tangent at lam = 1 (see :func:`_tangent_guess`;
     the tangent is solved once per path and reused when that step is
     retried) and every later step from the secant of the last two accepted
-    states (see :func:`_secant_guess`).  The step starts at
-    ``dlambda_init``, halves when Newton fails and grows by 1.5x, up to
-    ``dlambda_max``, when the first Newton iteration cut the residual at
-    least a hundredfold; ``dlambda_init == dlambda_max`` pins it.  A step
-    that would leave less than half of itself ends the path instead when the
-    rest fits in ``dlambda_max``, and otherwise takes half of what is left,
-    so the path never ends on a sliver.  Underflow of the step below
+    states (see :func:`_secant_guess`).  The first step is ``dlambda_init``,
+    1 by default, so an easy path goes to lam = 0 at once.  After a
+    correction whose first contraction was theta the step is multiplied by
+    sqrt(THETA_TARGET / theta), clipped to [1/4, 4], and by at most 1 right
+    after a rejection, and no step exceeds ``dlambda_max``.  A march
+    correction fails as soon as an iteration leaves the residual above
+    THETA_MAX times the last one, or on any other :class:`NewtonFailure`; the step is then
+    multiplied by the same square root clipped to [0.1, 1/2], or halved when
+    the failed correction took no iteration.  Underflow of the step below
     ``dlambda_min`` raises :class:`HorizonError` carrying the states
-    accepted so far.
+    accepted so far and the test that ended the last correction.
 
-    In d = 2 with at least 32 nodes per axis the path is marched on the
-    coarse problem of :func:`_coarse_problem`, and its lam = 0 state, lifted
-    by :func:`_lift`, starts one Newton correction at lam = 0 on the
-    problem's grids.  The states returned are then the coarse path's,
-    followed by that corrected state (``step`` 0), so the last one always
-    lives on the problem's grids; every state carries the certificate of its
-    own grid.  If the coarse path raises :class:`HorizonError` or the
-    correction :class:`NewtonFailure`, the path is marched again on the
-    problem's grids from lam = 1, and its states alone are returned.
+    In d = 2 with at least 32 nodes per axis, when :func:`_coarse_holds_the_data`,
+    the path is marched on the coarse problem of :func:`_coarse_problem`, and
+    its lam = 0 state, lifted by :func:`_lift`, starts one Newton correction
+    at lam = 0 on the problem's grids, with no contraction test.  The states
+    returned are then the coarse path's, followed by that corrected state
+    (``step`` 0), so the last one always lives on the problem's grids; every
+    state carries the certificate of its own grid.  If the coarse path
+    raises :class:`HorizonError` or the correction :class:`NewtonFailure`
+    (a lifted density that dips below the margin among them), the path is
+    marched again on the problem's grids from lam = 1, and its states alone
+    are returned.
     """
     grid = problem.grid
-    if grid.dim == _NEST_DIM and grid.points_per_dim >= _NEST_MIN_POINTS:
+    if (
+        grid.dim == _NEST_DIM
+        and grid.points_per_dim >= _NEST_MIN_POINTS
+        and _coarse_holds_the_data(problem)
+    ):
         try:
             states = _march(_coarse_problem(problem), config, on_state)
             pair, diag = newton_correct(
@@ -462,6 +551,7 @@ def solve_path(
                 residual_norm=diag.residual_history[-1],
                 newton_iters=diag.iterations,
                 step=0.0,
+                theta=diag.contraction,
             )
             if on_state is not None:
                 on_state(state)

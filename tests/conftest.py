@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mfgcon import linearized
 from mfgcon.grids import (
     Field,
     PeriodicGrid,
@@ -111,6 +112,27 @@ def slice_l2_norms(pert):
     Galerkin coefficients when the perturbation lies in the basis span."""
     vol = pert.v.grid.cell_volume
     return np.sqrt(vol * np.sum(pert.v.values**2 + pert.f.values**2, axis=1))
+
+
+def count_krylov_work(monkeypatch, limit=None) -> dict:
+    """Count Krylov solves and their operator applies from here on; the apply
+    past ``limit``, if given, fails the test instead of running on."""
+    counts = {"solves": 0, "applies": 0}
+    real = linearized._right_preconditioned_apply
+
+    def counting_operator(*args):
+        counts["solves"] += 1
+        apply = real(*args)
+
+        def counted(y):
+            counts["applies"] += 1
+            assert limit is None or counts["applies"] <= limit, f"more than {limit} applies"
+            return apply(y)
+
+        return counted
+
+    monkeypatch.setattr(linearized, "_right_preconditioned_apply", counting_operator)
+    return counts
 
 
 def make_problem(

@@ -1,9 +1,11 @@
-"""The benchmark's span hooks must still find every mfgcon name they wrap.
+"""The benchmark must still find every mfgcon name and config key it uses.
 
 ``perfbench/spans.py`` skips a hooked name that no longer exists, so a rename
 in ``src/`` would silently read as a zero counter.  This test loads the
 tracer without writing anything under ``perfbench/``, installs it on a fresh
-import of mfgcon and checks that every hook it asked for was installed.
+import of mfgcon and checks that every hook it asked for was installed.  A
+key that ``perfbench/workloads.py`` writes and ``src/`` no longer reads would
+fail every benchmark operation, so the workload configs are loaded here too.
 """
 
 import importlib
@@ -13,20 +15,29 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from mfgcon import continuation
+from mfgcon.fileio import build_problem, load_config
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Hooks of code that was deleted on purpose; their counters read zero.
 RETIRED = {"assemble_L", "shooting_matrix"}
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
+def _load(name: str):
+    """``perfbench/<name>.py`` as a module, with no bytecode written there.
+
+    The module sits in ``sys.modules`` while it runs, as its dataclasses need.
+    """
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     was, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.modules[spec.name] = module
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = was
+        del sys.modules[spec.name]
     return module
 
 
@@ -52,7 +63,7 @@ def fresh_mfgcon():
 
 
 def test_every_mfgcon_hook_is_installed(fresh_mfgcon):
-    spans = _load_spans()
+    spans = _load("spans")
     mods = {name: fresh_mfgcon(f"mfgcon.{name}") for name in spans.LAYERS}
     tracer = spans.Tracer()
     requested = []
@@ -81,3 +92,18 @@ def test_every_mfgcon_hook_is_installed(fresh_mfgcon):
     # the solve hook reads apply_L for the achieved linear residual
     assert callable(getattr(mods["linearized"], "apply_L", None))
 
+
+
+def test_every_workload_config_loads(tmp_path):
+    workloads = _load("workloads")
+    assert set(workloads.WORKLOADS) == {"ref1d", "stiff1d", "grid2d"}
+    for name, workload in workloads.WORKLOADS.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(workloads.seeded_input(workload, 0).config_text)
+        cfg = load_config(str(path))
+        problem = build_problem(cfg)
+        # run.setup_once evaluates the residual at 1 - dlambda_init
+        assert 0.0 < cfg.solver.dlambda_init <= cfg.solver.dlambda_max
+        assert problem.grid.points_per_dim == workload.n
+        if name == "grid2d":  # its path stays nested, with 16x16 records
+            assert continuation._coarse_holds_the_data(problem)

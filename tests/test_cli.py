@@ -22,6 +22,8 @@ from mfgcon.fileio import (
 )
 from mfgcon.grids import SpaceTimeField, TimeGrid
 
+from conftest import count_krylov_work
+
 TINY = """
 [problem]
 d = 1
@@ -86,10 +88,13 @@ def test_solve_artifacts(workdir):
     last = dict(kv.split("=") for kv in log[-1].split())
     assert float(last["lambda"]) == 0.0
     assert float(last["residual"]) <= 1e-8
-    # a d = 1 path is not nested: every record names the config grid
+    # a d = 1 path is not nested: every record names the config grid; each
+    # names the first contraction of its correction, 0 at lambda = 1
     for line in log:
         record = dict(kv.split("=") for kv in line.split())
         assert (record["grid"], record["n_t"]) == ("32", "16")
+        assert 0.0 <= float(record["theta"]) < 1.0
+    assert float(first["theta"]) == 0.0 < float(last["theta"])
 
 
 def test_check_round_trip(workdir):
@@ -345,30 +350,32 @@ def test_corrupted_inputs_end_in_their_exit_codes(workdir, tmp_path, capsys, cas
 
 
 # one or two edits of configs/reference.cfg each, with the exit code of solve
+# and a bound on the operator applies of its path at today's count, so that a
+# step controller that regresses on hard data fails here, and fails fast
 SOLVE_EDGES = {
-    "horizon_5": ([("t = 0.05", "t = 5")], 0),
-    "m0_near_zero": ([("m0 = 1 + 0.2*cos(1)", "m0 = 1 + 0.999*cos(1)")], 0),
-    "gamma_near_2": ([("gamma = 1.5", "gamma = 1.999"), ("alpha = 0.5", "alpha = 0")], 1),
-    "alpha_2_5": ([("alpha = 0.5", "alpha = 2.5")], 1),
-    "steep_psi": ([("psi = 0.05*cos(1)", "psi = 20*cos(3)")], 1),
-    "strong_b": ([("b_x = 0.1*sin(1)", "b_x = 50*sin(1)")], 1),
-    "tol_below_roundoff": ([("newton_tol = 1e-10", "newton_tol = 1e-16")], 2),
-    "two_nodes": ([("n = 64", "n = 2")], 3),
-    "odd_nodes": ([("n = 64", "n = 63")], 3),
-    "misspelled_key": ([("newton_tol = 1e-10", "newton_tolerance = 1e-10")], 3),
-    # the modes above the coarse grid's Nyquist frequency alias there, so the
-    # lifted coarse density dips below zero and the path is marched again on
-    # the config grid
+    "horizon_5": ([("t = 0.05", "t = 5")], 0, 27),
+    "m0_near_zero": ([("m0 = 1 + 0.2*cos(1)", "m0 = 1 + 0.999*cos(1)")], 0, 34),
+    "gamma_near_2": ([("gamma = 1.5", "gamma = 1.999"), ("alpha = 0.5", "alpha = 0")], 1, 46),
+    "alpha_2_5": ([("alpha = 0.5", "alpha = 2.5")], 1, 57),
+    "steep_psi": ([("psi = 0.05*cos(1)", "psi = 20*cos(3)")], 1, 137),
+    "strong_b": ([("b_x = 0.1*sin(1)", "b_x = 50*sin(1)")], 1, 1794),
+    "tol_below_roundoff": ([("newton_tol = 1e-10", "newton_tol = 1e-16")], 2, 62),
+    "two_nodes": ([("n = 64", "n = 2")], 3, 0),
+    "odd_nodes": ([("n = 64", "n = 63")], 3, 0),
+    "misspelled_key": ([("newton_tol = 1e-10", "newton_tolerance = 1e-10")], 3, 0),
+    # m0's modes 8 and 9 would alias on the 16x16 coarse grid, so the path
+    # is marched on the config grid alone
     "aliased_2d": ([("d = 1", "d = 2"), ("n = 64", "n = 32"), ("n_t = 64", "n_t = 16"),
                     ("m0 = 1 + 0.2*cos(1)",
                      "m0 = 1.2 + 1.8*cos(1) + 1.6*cos(2) + 1.4*cos(3) + 1.2*cos(4) + 1.0*cos(5)"
-                     " + 0.8*cos(6) + 0.6*cos(7) + 0.4*cos(8) + 0.2*cos(9)")], 0),
+                     " + 0.8*cos(6) + 0.6*cos(7) + 0.4*cos(8) + 0.2*cos(9)")], 0, 32),
 }
 
 
 @pytest.mark.parametrize("case", list(SOLVE_EDGES))
-def test_solve_edge_configs_end_in_their_exit_codes(tmp_path, capsys, case):
-    edits, expected = SOLVE_EDGES[case]
+def test_solve_edge_configs_end_in_their_exit_codes(tmp_path, capsys, monkeypatch, case):
+    edits, expected, applies = SOLVE_EDGES[case]
+    count_krylov_work(monkeypatch, limit=applies)
     text = open(REFERENCE_CFG).read()
     for old, new in edits:
         assert old in text
@@ -383,7 +390,7 @@ def test_solve_edge_configs_end_in_their_exit_codes(tmp_path, capsys, case):
         assert len(err) == 1 and err[0].startswith("solve: ")
         assert not (out / "path.log").exists()
         return
-    last = (out / "path.log").read_text().splitlines()[-1]
+    *records, last = (out / "path.log").read_text().splitlines()
     if expected == 2:
         assert len(err) == 1 and err[0].startswith("solve: step underflow")
         assert last.startswith("horizon_failure at lambda=")
@@ -392,8 +399,11 @@ def test_solve_edge_configs_end_in_their_exit_codes(tmp_path, capsys, case):
     record = dict(item.split("=") for item in last.split())
     assert float(record["lambda"]) == 0.0
     assert float(record["residual"]) <= 1e-10  # certified at the config's newton_tol
+    # no path here is nested: every record names the config grid
     n = re.search(r"^n = (\d+)$", text, re.M).group(1)
-    assert record["grid"] == ("x".join([n, n]) if "d = 2" in text else n)
+    grid = "x".join([n, n]) if "d = 2" in text else n
+    assert {dict(item.split("=") for item in line.split())["grid"] for line in records} == {grid}
+    assert record["grid"] == grid
 
 
 def test_legendre_command(workdir, capsys):
@@ -525,8 +535,9 @@ def test_failed_linear_solve_ends_in_horizon_failure(tmp_path, monkeypatch):
     with pytest.raises(HorizonError) as err:
         solve_path(build_problem(load_config(str(cfg))))
     assert [s.lam for s in err.value.states] == [1.0]
+    assert err.value.reason == "inner solve" and "inner solve" in str(err.value)
     failure = err.value.__context__
-    assert isinstance(failure, NewtonFailure)
+    assert isinstance(failure, NewtonFailure) and failure.reason == "inner solve"
     assert isinstance(failure.__cause__, linearized.LinearSolveError)
     assert re.fullmatch(
         r"inner linear solve failed: Krylov solve did not converge: relative residual "
@@ -553,7 +564,9 @@ def test_nested_solve_falls_back_to_the_config_grid(tmp_path, monkeypatch):
 
     def coarse_only(problem, *args, **kwargs):
         if problem.grid.points_per_dim == 32:
-            raise continuation.NewtonFailure("fine grid", continuation.NewtonDiagnostics())
+            raise continuation.NewtonFailure(
+                "fine grid", continuation.NewtonDiagnostics(), "inner solve"
+            )
         return real(problem, *args, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_correct", coarse_only)

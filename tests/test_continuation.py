@@ -8,6 +8,7 @@ import pytest
 from mfgcon import continuation, linearized, system
 from mfgcon.continuation import (
     _TANGENT_RTOL,
+    _THETA_MAX,
     ContinuationState,
     HorizonError,
     NewtonFailure,
@@ -23,7 +24,11 @@ from mfgcon.hamiltonians import HamiltonianModel
 from mfgcon.linearized import _KRYLOV_RTOL
 from mfgcon.system import LambdaData, SolutionPair, residual_full
 
-from conftest import make_problem
+from conftest import count_krylov_work, make_problem
+
+
+# the step caps of configs/reference.cfg, which keep a path on several steps
+CAPPED = SolverConfig(dlambda_init=0.1, dlambda_max=0.25)
 
 
 def test_solver_config_validation():
@@ -175,7 +180,7 @@ REFERENCE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "r
 
 
 def test_secant_guess_beats_the_last_accepted_pair(small_problem):
-    cfg = SolverConfig()
+    cfg = CAPPED
     states = solve_path(small_problem, cfg)
     assert len(states) >= 4
     # the first step has one accepted state and starts along the Euler tangent
@@ -221,7 +226,7 @@ def test_predictor_falls_back_when_extrapolated_density_dips(small_problem, monk
 
     monkeypatch.setattr(continuation, "_trivial_start", skewed_start)
     starts, _ = _record_newton_starts(monkeypatch)
-    states = solve_path(small_problem)
+    states = solve_path(small_problem, CAPPED)
     assert states[-1].lam == 0.0
     lam0, lam1, lam2 = states[0].lam, states[1].lam, states[2].lam
     s = (lam2 - lam1) / (lam1 - lam0)
@@ -263,37 +268,19 @@ def test_first_solve_far_from_the_solution_is_loose(small_problem, monkeypatch):
     assert len(rtols) == diag.iterations
 
 
-def _count_krylov_work(monkeypatch) -> dict:
-    """Count Krylov solves and their operator applies from here on."""
-    counts = {"solves": 0, "applies": 0}
-    real = linearized._right_preconditioned_apply
-
-    def counting_operator(*args):
-        counts["solves"] += 1
-        apply = real(*args)
-
-        def counted(y):
-            counts["applies"] += 1
-            return apply(y)
-
-        return counted
-
-    monkeypatch.setattr(linearized, "_right_preconditioned_apply", counting_operator)
-    return counts
-
-
 def test_reference_solve_work_stays_bounded(monkeypatch):
-    # the tangent first step, the secant predictor and the forcing terms hold
-    # this config to 12 Newton iterations plus the tangent solve: 13 Krylov
-    # solves on the right-preconditioned operator, with 32 applies in all; a
-    # closing true-residual apply per solve would make 45
-    counts = _count_krylov_work(monkeypatch)
+    # the tangent first step, the secant predictor, the forcing terms and the
+    # contraction step control hold this config to 10 Newton iterations plus
+    # the tangent solve: 11 Krylov solves on the right-preconditioned
+    # operator, with 28 applies in all; a closing true-residual apply per
+    # solve would make 39
+    counts = count_krylov_work(monkeypatch)
     cfg = load_config(REFERENCE_CFG)
     states = solve_path(build_problem(cfg), cfg.solver)
     assert states[-1].lam == 0.0
-    assert sum(s.newton_iters for s in states) <= 12
-    assert 0 < counts["solves"] <= 13
-    assert 0 < counts["applies"] <= 32
+    assert sum(s.newton_iters for s in states) <= 10
+    assert 0 < counts["solves"] <= 11
+    assert 0 < counts["applies"] <= 28
 
 
 def _stiff_config_text(shift: int) -> str:
@@ -322,7 +309,7 @@ def test_stiff_path_work_does_not_depend_on_a_torus_shift(tmp_path, monkeypatch)
     # the roundoff floor of its stopping test breaks this: with the tangent
     # at 1e-10, scipy's gmres took 106 applies on one of these shifts and 105
     # on the other
-    counts = _count_krylov_work(monkeypatch)
+    counts = count_krylov_work(monkeypatch)
     work = []
     for shift in (15, 26):
         counts.update(solves=0, applies=0)
@@ -337,8 +324,8 @@ def test_stiff_path_work_does_not_depend_on_a_torus_shift(tmp_path, monkeypatch)
 def test_reference_path_evaluates_each_linearization_once(monkeypatch):
     # every Newton solve takes q, H(q) and D_pH(q) from the residual of its
     # right-hand side; only the tangent, whose right-hand side is a difference
-    # of two residuals, evaluates them again, so 20 residuals make 21 calls
-    # where one per solve on top would make 33
+    # of two residuals, evaluates them again, so 17 residuals make 18 calls
+    # where one per solve on top would make 28
     counts = {"residual": 0, "shared": 0, "value": 0, "grad": 0}
 
     def counted(owner, name, key):
@@ -357,7 +344,7 @@ def test_reference_path_evaluates_each_linearization_once(monkeypatch):
     cfg = load_config(REFERENCE_CFG)
     states = solve_path(build_problem(cfg), cfg.solver)
     assert states[-1].lam == 0.0
-    assert counts["residual"] == 20
+    assert counts["residual"] == 17
     assert counts["shared"] <= counts["residual"] + 1
     assert counts["value"] == counts["grad"] == counts["shared"]
 
@@ -367,12 +354,12 @@ def _record_newton_starts(monkeypatch):
     starts, failures = [], []
     real = continuation.newton_correct
 
-    def recording(problem, lam_data, pair, config):
+    def recording(problem, lam_data, pair, config, **kwargs):
         starts.append(pair)
         try:
-            return real(problem, lam_data, pair, config)
-        except NewtonFailure:
-            failures.append(lam_data.lam)
+            return real(problem, lam_data, pair, config, **kwargs)
+        except NewtonFailure as failure:
+            failures.append((lam_data.lam, failure))
             raise
 
     monkeypatch.setattr(continuation, "newton_correct", recording)
@@ -423,30 +410,61 @@ def test_first_step_falls_back_when_the_tangent_density_dips(small_problem, monk
 
 
 def test_stiff_terminal_data_solves_without_a_rejected_step(monkeypatch):
-    # psi = 2 cos(2 pi x) on N = 32, n_t = 32: from the lam = 1 pair itself the
-    # first step was rejected and the path took 51 linear solves
+    # psi = 2 cos(2 pi x) on N = 32, n_t = 32 (the benchmark's stiff1d) under
+    # the reference caps: from the lam = 1 pair itself the first step was
+    # rejected and the path took 51 linear solves; the tangent, the secant and
+    # the contraction step control take 5 steps, 15 Newton solves and the
+    # tangent's
     problem = make_problem(n=32, n_t=32, horizon=0.05, psi_amp=2.0)
     rtols = _record_rtols(monkeypatch)
     _, failures = _record_newton_starts(monkeypatch)
-    states = solve_path(problem)
+    states = solve_path(problem, CAPPED)
     assert states[-1].lam == 0.0
     assert failures == []
-    assert len(rtols) <= 22
+    assert len(states) - 1 <= 5
+    assert len(rtols) <= 16
 
 
 def test_rejected_step_is_retried_at_half_the_size(monkeypatch):
-    # one pinned step of 1 is too far for the stiff terminal data: Newton runs
-    # out of iterations at lam = 0, the step halves, and two steps of 0.5 land
+    # the default first step of 1 is too far for the stiff terminal data: at
+    # lam = 0 the first Newton iteration contracts the residual by 0.94 only,
+    # so the correction stops there instead of after 12 iterations, and the
+    # step is retried at half the size; the accepted retry does not let the
+    # next step grow, and two steps of 0.5 land
     problem = make_problem(n=32, n_t=32, horizon=0.05, psi_amp=2.0)
     starts, failures = _record_newton_starts(monkeypatch)
-    cfg = SolverConfig(dlambda_init=1.0, dlambda_max=1.0)
+    cfg = SolverConfig()
     states = solve_path(problem, cfg)
-    assert failures == [0.0]
+    assert [(lam, f.reason) for lam, f in failures] == [(0.0, "contraction")]
+    hist = failures[0][1].diagnostics.residual_history
+    assert len(hist) == 2 and hist[1] > _THETA_MAX * hist[0] > cfg.newton_tol
     assert len(starts) == 3
     assert [s.lam for s in states] == [1.0, 0.5, 0.0]
     assert [s.step for s in states[1:]] == [0.5, 0.5]
+    assert 0.1 <= states[1].step / 1.0 <= 0.5
     for state in states:
         assert state.residual_norm <= cfg.newton_tol
+
+
+def test_contraction_test_stops_a_correction_after_its_first_slow_iteration(monkeypatch):
+    # from the lam = 1 pair of the stiff data, a correction at lam = 0 without
+    # the test runs for several iterations; with it, the first iteration that
+    # contracts by more than THETA_MAX ends it, and earlier ones passed
+    problem = make_problem(n=32, n_t=32, horizon=0.05, psi_amp=2.0)
+    start = trivial_solution(problem).pair
+    lam = LambdaData.from_problem(problem, 0.0)
+    cfg = SolverConfig()
+    with pytest.raises(NewtonFailure) as free:
+        newton_correct(problem, lam, start, cfg)
+    assert free.value.reason != "contraction"
+    assert free.value.diagnostics.iterations > 1
+    with pytest.raises(NewtonFailure) as tested:
+        newton_correct(problem, lam, start, cfg, theta_max=_THETA_MAX)
+    assert tested.value.reason == "contraction"
+    hist = tested.value.diagnostics.residual_history
+    ratios = [b / a for a, b in zip(hist, hist[1:])]
+    assert ratios[-1] > _THETA_MAX and all(r <= _THETA_MAX for r in ratios[:-1])
+    assert hist == free.value.diagnostics.residual_history[: len(hist)]
 
 
 def test_line_search_accepts_a_damped_step(monkeypatch):
@@ -493,21 +511,29 @@ def test_line_search_accepts_a_damped_step(monkeypatch):
 
 
 @pytest.mark.parametrize("stiff", [False, True])
-def test_adaptive_steps_stay_capped_and_end_evenly(small_problem, stiff):
-    # the small problem ends by splitting 0.275 in two, the stiff one by
-    # absorbing a remainder that fits in dlambda_max
+def test_adaptive_steps_follow_the_first_contraction(small_problem, stiff):
+    # each step is the last one times sqrt(THETA_TARGET / theta) of the
+    # correction that ended it, clipped to [1/4, 4] and to dlambda_max; only
+    # the last step is cut short, by lam = 0
     problem = make_problem(n=32, n_t=32, horizon=0.05, psi_amp=2.0) if stiff else small_problem
-    cfg = SolverConfig()
-    steps = [s.step for s in solve_path(problem, cfg)[1:]]
-    assert max(steps) <= cfg.dlambda_max
-    assert steps[-1] >= 0.5 * steps[-2]
+    states = solve_path(problem, CAPPED)
+    assert states[1].step == pytest.approx(CAPPED.dlambda_init, rel=1e-12)
+    for prev, state in zip(states[1:], states[2:]):
+        factor = math.sqrt(continuation._THETA_TARGET / prev.theta)
+        want = min(prev.step * min(max(factor, 0.25), 4.0), CAPPED.dlambda_max)
+        if state.lam > 0.0:
+            assert state.step == pytest.approx(want, rel=1e-12)
+        else:
+            assert state.step <= want * (1.0 + 1e-12)
+    assert all(0.0 < s.theta < _THETA_MAX for s in states[1:])
+    assert len(states) > 3
 
 
 def test_fixed_steps_stay_pinned(small_problem):
-    # dlambda_init == dlambda_max pins the step; a third step would leave 0.1,
-    # less than half of it, and the 0.4 left exceeds dlambda_max, so it splits
+    # dlambda_init == dlambda_max pins the step while Newton contracts well
+    # within THETA_TARGET, and the last step takes what is left
     states = solve_path(small_problem, SolverConfig(dlambda_init=0.3, dlambda_max=0.3))
-    assert [s.lam for s in states] == pytest.approx([1.0, 0.7, 0.4, 0.2, 0.0], abs=1e-12)
+    assert [s.lam for s in states] == pytest.approx([1.0, 0.7, 0.4, 0.1, 0.0], abs=1e-12)
 
 
 @pytest.mark.parametrize("dim, dl", [(1, 0.1), (1, 0.2), (2, 0.25)], ids=["0.1", "0.2", "2d-0.25"])
@@ -621,17 +647,20 @@ def test_nested_path_matches_the_direct_march(tmp_path, n_t, coarse_n_t):
 
 @pytest.mark.parametrize("failing", ["coarse path", "fine correction"])
 def test_nested_path_falls_back_to_the_target_grid(tmp_path, monkeypatch, failing):
-    problem, cfg = _nested_problem(tmp_path, 8)
+    # under the reference caps the direct march's first correction is at 0.9,
+    # and the nested path's fine correction at 0
+    problem, _ = _nested_problem(tmp_path, 8)
+    cfg = CAPPED
     real = continuation.newton_correct
     fine_calls = []
 
-    def failing_newton(prob, lam_data, pair, config):
+    def failing_newton(prob, lam_data, pair, config, **kwargs):
         on_target = prob.grid == problem.grid
         if on_target:
             fine_calls.append(lam_data.lam)
         if (failing == "coarse path" and not on_target) or fine_calls == [0.0]:
-            raise NewtonFailure("injected", continuation.NewtonDiagnostics())
-        return real(prob, lam_data, pair, config)
+            raise NewtonFailure("injected", continuation.NewtonDiagnostics(), "inner solve")
+        return real(prob, lam_data, pair, config, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_correct", failing_newton)
     accepted = []

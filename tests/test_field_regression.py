@@ -1,11 +1,13 @@
 """Final-state fingerprints of two solves, held to a recorded reference.
 
 ``data/field_regression.json`` was written by :func:`record` with the
-tangent-first-step, secant-after continuation, its endgame rule and its
-inexact Newton corrector.  On the reference config the final fields match
-those of the secant-only path, whose steps ended 0.425 -> 0.175 -> 0, to
-within 1.4e-14, and so those of the earlier plain corrector, which took ten
-equal steps, to within 1.5e-14.  A change that alters the path
+tangent-first-step, secant-after continuation, its step control from the
+first Newton contraction and its inexact Newton corrector.  On the reference
+config the final fields match those of the earlier step rule, which grew the
+step 1.5x after a hundredfold contraction and ended on
+0.275 -> 0.1375 -> 0, to within 1.4e-14; those matched the secant-only path
+to within 1.4e-14, and the earlier plain corrector, which took ten equal
+steps, to within 1.5e-14.  A change that alters the path
 (step sequence, Newton counts) or the final fields by more than roundoff
 fails here; one that changes the path on purpose re-records the file and
 shows the fields did not move.
