@@ -21,17 +21,18 @@ residual above THETA_MAX times the last one, and the step is retried
 shorter.  Every
 accepted state carries the residual certificate Newton accepted it on.
 
-On a fine enough d = 2 grid the march runs one level down, as in the nested
-iteration of full multigrid (Brandt, "Multi-level adaptive solutions to
-boundary-value problems", Math. Comp. 31, 1977): the problem is injected onto
-every other node, with n_t halved when even, the path is marched there, and
-its lam = 0 state, interpolated back, starts one Newton correction on the
-target grid.  By the mesh-independence principle (Allgower, Boehmer, Potra &
-Rheinboldt, SIAM J. Numer. Anal. 23, 1986) that correction needs only a few
-iterations.  Data with modes the coarse grid cannot hold would alias there,
-so such a path is marched on the target grid alone, and so is one whose
-coarse path stalls or whose correction fails, from lam = 1 as if no level
-had been nested.
+A path on a fine enough grid is solved one level down first, as in the
+nested iteration of full multigrid (Brandt, "Multi-level adaptive solutions
+to boundary-value problems", Math. Comp. 31, 1977): the problem is injected
+onto every other node, with n_t halved when even, its path is solved there
+by the same rule, so levels nest until the coarse grid would keep too few
+nodes, and the coarse lam = 0 state, interpolated back, starts one Newton
+correction on the grid above.  By the mesh-independence principle
+(Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986) that
+correction needs only a few iterations.  Data with modes the coarse grid
+cannot hold would alias there, so such a path is marched on its own grid,
+and so is one whose coarse path stalls or whose correction fails, from
+lam = 1 as if no level had been nested.
 """
 
 from __future__ import annotations
@@ -91,12 +92,12 @@ _LAMBDA_ROUNDOFF = 1e-12
 # takes a third; 1e-9 sits clear of that floor.  The tangent only predicts
 # the first Newton start, so this changes no certificate.
 _TANGENT_RTOL = 1e-9
-# Nest one coarse level under d = 2 paths on at least this many nodes per
-# axis.  d = 1 paths are marched directly: halving configs/reference.cfg
-# takes 13 coarse + 2 fine Newton iterations and 46 + 8 applies, against 12
-# and 45, to save at most 0.02 s per solve.
-_NEST_DIM = 2
-_NEST_MIN_POINTS = 32
+# Nest a coarse level under a path when the coarse grid keeps at least this
+# many nodes per time slice.  Halving configs/reference.cfg's data once, at
+# n_t = N, is break-even on N = 32, whose coarse grid keeps 16 (10.4 -> 10.1
+# ms; 16.6 -> 16.8 ms with psi = 2 cos), and saves 31% on N = 64 and 57% on
+# N = 128 (in-process medians of 9).
+_NEST_MIN_COARSE_NODES = 32
 # ... and only when no data coefficient at a frequency the coarse grid cannot
 # hold exceeds this fraction of its field's largest: there the m0 of
 # aliased_2d in tests/test_cli.py reads 0.17, and every grid2d field of the
@@ -516,26 +517,25 @@ def solve_path(
     ``dlambda_min`` raises :class:`HorizonError` carrying the states
     accepted so far and the test that ended the last correction.
 
-    In d = 2 with at least 32 nodes per axis, when :func:`_coarse_holds_the_data`,
-    the path is marched on the coarse problem of :func:`_coarse_problem`, and
+    When the coarse grid of :func:`_coarse_problem` keeps at least
+    ``_NEST_MIN_COARSE_NODES`` nodes per slice and :func:`_coarse_holds_the_data`,
+    the path of the coarse problem is solved first, by this same rule, and
     its lam = 0 state, lifted by :func:`_lift`, starts one Newton correction
     at lam = 0 on the problem's grids, with no contraction test.  The states
-    returned are then the coarse path's, followed by that corrected state
-    (``step`` 0), so the last one always lives on the problem's grids; every
-    state carries the certificate of its own grid.  If the coarse path
-    raises :class:`HorizonError` or the correction :class:`NewtonFailure`
-    (a lifted density that dips below the margin among them), the path is
-    marched again on the problem's grids from lam = 1, and its states alone
-    are returned.
+    returned are then the coarse path's, coarsest grid first, followed by
+    that corrected state (``step`` 0), so the last one always lives on the
+    problem's grids; every state carries the certificate of its own grid.
+    If the coarse path raises :class:`HorizonError` or the correction
+    :class:`NewtonFailure` (a lifted density that dips below the margin
+    among them), the path is marched again on the problem's grids from
+    lam = 1, and its states alone are returned.
     """
-    grid = problem.grid
     if (
-        grid.dim == _NEST_DIM
-        and grid.points_per_dim >= _NEST_MIN_POINTS
+        problem.grid.num_nodes >> problem.grid.dim >= _NEST_MIN_COARSE_NODES
         and _coarse_holds_the_data(problem)
     ):
         try:
-            states = _march(_coarse_problem(problem), config, on_state)
+            states = solve_path(_coarse_problem(problem), config, on_state)
             pair, diag = newton_correct(
                 problem,
                 LambdaData.from_problem(problem, 0.0),

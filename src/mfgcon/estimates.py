@@ -215,24 +215,31 @@ def check_mass(pair: SolutionPair) -> CheckRecord:
 
 
 def check_value_bounds(pair: SolutionPair, lam_data: LambdaData) -> CheckRecord:
-    """Explicit lower bound on u from the coupling and terminal data sizes.
+    """Explicit two-sided bound on u from the coupling and terminal data sizes.
 
-    u(x, t) >= -[(T - t) Vmax + Psimax], with Vmax the largest coupling value
-    along the candidate and Psimax the terminal-cost sup-norm.
+    |u(x, t)| <= (T - t) Vmax + Psimax, with Vmax the largest coupling value
+    along the candidate and Psimax the terminal-cost sup-norm.  The upper
+    half holds because the congestion term m^alpha H(x, 0) of the value rows
+    is nonnegative.  ``margin`` and ``upper_margin`` are the smallest gaps
+    to the lower and the upper bound; at t = T, where u = psi up to the
+    terminal residual, the gap on the side where |psi| peaks is 0, which the
+    1e-8 allowance covers.
     """
     u, m = pair.u.values, pair.m.values
     v_max = float(np.max(np.abs(lam_data.potential_value(m))))
     psi_max = float(np.max(np.abs(lam_data.psi_values)))
     times = pair.u.time.times()
     horizon = pair.u.time.horizon
-    lower = -((horizon - times) * v_max + psi_max)
-    margin = float(np.min(u - lower[:, None]))
+    bound = ((horizon - times) * v_max + psi_max)[:, None]
+    margin = float(np.min(u + bound))
+    upper_margin = float(np.min(bound - u))
     return CheckRecord(
         name="value_lower_bound",
-        criterion="u >= -[(T - t) Vmax + Psimax] - 1e-8, and sup|u| finite",
-        passed=bool(margin >= -1e-8 and np.isfinite(u).all()),
+        criterion="|u| <= (T - t) Vmax + Psimax + 1e-8 on both sides, and sup|u| finite",
+        passed=bool(min(margin, upper_margin) >= -1e-8 and np.isfinite(u).all()),
         values={
             "margin": margin,
+            "upper_margin": upper_margin,
             "v_max": v_max,
             "psi_max": psi_max,
             "u_sup": float(np.max(np.abs(u))),

@@ -114,19 +114,27 @@ def slice_l2_norms(pert):
     return np.sqrt(vol * np.sum(pert.v.values**2 + pert.f.values**2, axis=1))
 
 
-def count_krylov_work(monkeypatch, limit=None) -> dict:
-    """Count Krylov solves and their operator applies from here on; the apply
-    past ``limit``, if given, fails the test instead of running on."""
-    counts = {"solves": 0, "applies": 0}
+def count_krylov_work(monkeypatch, limits=None) -> dict:
+    """Count Krylov solves and their operator applies from here on, per grid:
+    ``counts[(N, n_t)]`` holds the solves and applies of the problems on N
+    nodes per axis and n_t time steps.  ``limits``, if given, maps each grid
+    to its apply bound; an apply past it, or on a grid it does not name,
+    fails the test instead of running on."""
+    counts = {}
     real = linearized._right_preconditioned_apply
 
-    def counting_operator(*args):
-        counts["solves"] += 1
-        apply = real(*args)
+    def counting_operator(problem, *args):
+        grid = (problem.grid.points_per_dim, problem.time.steps)
+        tally = counts.setdefault(grid, {"solves": 0, "applies": 0})
+        limit = None if limits is None else limits.get(grid, 0)
+        tally["solves"] += 1
+        apply = real(problem, *args)
 
         def counted(y):
-            counts["applies"] += 1
-            assert limit is None or counts["applies"] <= limit, f"more than {limit} applies"
+            tally["applies"] += 1
+            assert limit is None or tally["applies"] <= limit, (
+                f"more than {limit} applies on the {grid} grid"
+            )
             return apply(y)
 
         return counted

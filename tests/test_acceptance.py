@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from mfgcon import linearized
-from mfgcon.continuation import SolverConfig, newton_correct, solve_path, trivial_solution
+from mfgcon.continuation import (
+    SolverConfig,
+    _lift,
+    newton_correct,
+    solve_path,
+    trivial_solution,
+)
 from mfgcon.estimates import (
     check_exponents,
     check_inverse_m,
@@ -65,7 +71,9 @@ def reference():
 
 
 def state_at(states, lam):
-    return min(states, key=lambda s: abs(s.lam - lam))
+    """The accepted state nearest ``lam``; on a tie the later one, so lam = 0
+    names the final state on the config grid rather than a coarse one."""
+    return min(reversed(states), key=lambda s: abs(s.lam - lam))
 
 
 def test_criterion_1_explicit_endpoint(reference):
@@ -241,16 +249,19 @@ def test_criterion_7_uniqueness(reference):
     for lam_target in (0.5, 0.0):
         anchor = state_at(reference["states"], lam_target)
         lam = LambdaData.from_problem(problem, anchor.lam)
-        rec = check_uniqueness_integrand(anchor.pair, problem, lam)
+        base = anchor.pair
+        if base.u.grid != problem.grid:  # a state of the nested path's coarse level
+            base = _lift(base, problem)
+        rec = check_uniqueness_integrand(base, problem, lam)
         assert rec.passed, f"uniqueness integrand failed at lambda={anchor.lam}"
         solutions = []
         for _ in range(2):
             start = SolutionPair(
                 u=SpaceTimeField(problem.grid, problem.time,
-                                 anchor.pair.u.values
+                                 base.u.values
                                  + 1e-3 * band_limited_spacetime(problem.grid, problem.time, rng).values),
                 m=SpaceTimeField(problem.grid, problem.time,
-                                 anchor.pair.m.values
+                                 base.m.values
                                  + 1e-3 * band_limited_spacetime(problem.grid, problem.time, rng).values),
             )
             pair, _ = newton_correct(problem, lam, start, cfg)

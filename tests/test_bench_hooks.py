@@ -105,5 +105,5 @@ def test_every_workload_config_loads(tmp_path):
         # run.setup_once evaluates the residual at 1 - dlambda_init
         assert 0.0 < cfg.solver.dlambda_init <= cfg.solver.dlambda_max
         assert problem.grid.points_per_dim == workload.n
-        if name == "grid2d":  # its path stays nested, with 16x16 records
+        if name == "grid2d":  # its path stays nested, with 8x8 and 16x16 records
             assert continuation._coarse_holds_the_data(problem)

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import struct
@@ -88,8 +89,8 @@ def test_solve_artifacts(workdir):
     last = dict(kv.split("=") for kv in log[-1].split())
     assert float(last["lambda"]) == 0.0
     assert float(last["residual"]) <= 1e-8
-    # a d = 1 path is not nested: every record names the config grid; each
-    # names the first contraction of its correction, 0 at lambda = 1
+    # a path on 32 nodes is not nested, since its coarse grid would keep 16:
+    # every record names the config grid; each names the first contraction of its correction, 0 at lambda = 1
     for line in log:
         record = dict(kv.split("=") for kv in line.split())
         assert (record["grid"], record["n_t"]) == ("32", "16")
@@ -339,6 +340,10 @@ def test_corrupted_inputs_end_in_their_exit_codes(workdir, tmp_path, capsys, cas
                      fields["u"], fields["m"]])
         assert code == expected, command
         err = capsys.readouterr().err.strip().splitlines()
+        if case == "huge_u" and command == "check":  # u exceeds its explicit upper bound
+            report = json.loads((tmp_path / "check" / "estimates.json").read_text())
+            record = next(r for r in report["records"] if r["name"] == "value_lower_bound")
+            assert not record["passed"] and record["values"]["upper_margin"] < -1e300
         if code != 3:  # a failed check, without a warning or a traceback
             assert err == []
             continue
@@ -350,32 +355,38 @@ def test_corrupted_inputs_end_in_their_exit_codes(workdir, tmp_path, capsys, cas
 
 
 # one or two edits of configs/reference.cfg each, with the exit code of solve
-# and a bound on the operator applies of its path at today's count, so that a
-# step controller that regresses on hard data fails here, and fails fast
+# and a bound on the operator applies of its path on each grid (N, n_t),
+# coarsest first, at today's counts, so that a step controller that regresses
+# on hard data fails here, and fails fast.  The d = 1 paths nest one level:
+# 32 nodes and 32 steps under the config's 64 and 64
 SOLVE_EDGES = {
-    "horizon_5": ([("t = 0.05", "t = 5")], 0, 27),
-    "m0_near_zero": ([("m0 = 1 + 0.2*cos(1)", "m0 = 1 + 0.999*cos(1)")], 0, 34),
-    "gamma_near_2": ([("gamma = 1.5", "gamma = 1.999"), ("alpha = 0.5", "alpha = 0")], 1, 46),
-    "alpha_2_5": ([("alpha = 0.5", "alpha = 2.5")], 1, 57),
-    "steep_psi": ([("psi = 0.05*cos(1)", "psi = 20*cos(3)")], 1, 137),
-    "strong_b": ([("b_x = 0.1*sin(1)", "b_x = 50*sin(1)")], 1, 1794),
-    "tol_below_roundoff": ([("newton_tol = 1e-10", "newton_tol = 1e-16")], 2, 62),
-    "two_nodes": ([("n = 64", "n = 2")], 3, 0),
-    "odd_nodes": ([("n = 64", "n = 63")], 3, 0),
-    "misspelled_key": ([("newton_tol = 1e-10", "newton_tolerance = 1e-10")], 3, 0),
+    "horizon_5": ([("t = 0.05", "t = 5")], 0, {(32, 32): 26, (64, 64): 8}),
+    "m0_near_zero": ([("m0 = 1 + 0.2*cos(1)", "m0 = 1 + 0.999*cos(1)")], 0,
+                     {(32, 32): 34, (64, 64): 7}),
+    "gamma_near_2": ([("gamma = 1.5", "gamma = 1.999"), ("alpha = 0.5", "alpha = 0")], 1,
+                     {(32, 32): 46, (64, 64): 9}),
+    "alpha_2_5": ([("alpha = 0.5", "alpha = 2.5")], 1, {(32, 32): 59, (64, 64): 10}),
+    "steep_psi": ([("psi = 0.05*cos(1)", "psi = 20*cos(3)")], 1, {(32, 32): 161, (64, 64): 34}),
+    "strong_b": ([("b_x = 0.1*sin(1)", "b_x = 50*sin(1)")], 1, {(32, 32): 1668, (64, 64): 403}),
+    # the coarse march stalls, and so does the fallback march on the config grid
+    "tol_below_roundoff": ([("newton_tol = 1e-10", "newton_tol = 1e-16")], 2,
+                           {(32, 32): 70, (64, 64): 62}),
+    "two_nodes": ([("n = 64", "n = 2")], 3, {}),
+    "odd_nodes": ([("n = 64", "n = 63")], 3, {}),
+    "misspelled_key": ([("newton_tol = 1e-10", "newton_tolerance = 1e-10")], 3, {}),
     # m0's modes 8 and 9 would alias on the 16x16 coarse grid, so the path
     # is marched on the config grid alone
     "aliased_2d": ([("d = 1", "d = 2"), ("n = 64", "n = 32"), ("n_t = 64", "n_t = 16"),
                     ("m0 = 1 + 0.2*cos(1)",
                      "m0 = 1.2 + 1.8*cos(1) + 1.6*cos(2) + 1.4*cos(3) + 1.2*cos(4) + 1.0*cos(5)"
-                     " + 0.8*cos(6) + 0.6*cos(7) + 0.4*cos(8) + 0.2*cos(9)")], 0, 32),
+                     " + 0.8*cos(6) + 0.6*cos(7) + 0.4*cos(8) + 0.2*cos(9)")], 0, {(32, 16): 32}),
 }
 
 
 @pytest.mark.parametrize("case", list(SOLVE_EDGES))
 def test_solve_edge_configs_end_in_their_exit_codes(tmp_path, capsys, monkeypatch, case):
     edits, expected, applies = SOLVE_EDGES[case]
-    count_krylov_work(monkeypatch, limit=applies)
+    count_krylov_work(monkeypatch, limits=applies)
     text = open(REFERENCE_CFG).read()
     for old, new in edits:
         assert old in text
@@ -399,11 +410,13 @@ def test_solve_edge_configs_end_in_their_exit_codes(tmp_path, capsys, monkeypatc
     record = dict(item.split("=") for item in last.split())
     assert float(record["lambda"]) == 0.0
     assert float(record["residual"]) <= 1e-10  # certified at the config's newton_tol
-    # no path here is nested: every record names the config grid
+    # the records name the grids the work was counted on, coarsest first, and
+    # the last one the config grid
+    dim = 2 if "d = 2" in text else 1
+    grids = [dict(item.split("=") for item in line.split())["grid"] for line in records + [last]]
+    assert list(dict.fromkeys(grids)) == ["x".join([str(n)] * dim) for n, _ in applies]
     n = re.search(r"^n = (\d+)$", text, re.M).group(1)
-    grid = "x".join([n, n]) if "d = 2" in text else n
-    assert {dict(item.split("=") for item in line.split())["grid"] for line in records} == {grid}
-    assert record["grid"] == grid
+    assert record["grid"] == "x".join([n] * dim)
 
 
 def test_legendre_command(workdir, capsys):
@@ -503,7 +516,7 @@ def test_two_dimensional_config_solve(tmp_path):
     assert code == 0
     u, _ = read_field(str(out / "u.field"))
     assert u.grid.dim == 2 and u.grid.num_nodes == 64
-    # below 32 nodes per axis the path is not nested
+    # an 8x8 path is not nested, since its coarse grid would keep 16 nodes
     for line in (out / "path.log").read_text().strip().splitlines():
         record = dict(kv.split("=") for kv in line.split())
         assert (record["grid"], record["n_t"]) == ("8x8", "6")
@@ -554,10 +567,30 @@ def test_failed_linear_solve_ends_in_horizon_failure(tmp_path, monkeypatch):
 NESTED2D = FLAT2D.replace("n = 8", "n = 32").replace("n_t = 6", "n_t = 8")
 
 
+def test_nested_solve_logs_the_coarsest_grid_first(tmp_path):
+    # 32x32 nests 16x16, which nests 8x8: the 8x8 path, then the lifted
+    # lam = 0 corrections on 16x16 and 32x32, each certified on its own grid
+    cfg = tmp_path / "nested.cfg"
+    cfg.write_text(NESTED2D)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    log = (out / "path.log").read_text().strip().splitlines()
+    records = [dict(kv.split("=") for kv in line.split()) for line in log]
+    grids = [(r["grid"], r["n_t"]) for r in records]
+    assert grids[-2:] == [("16x16", "4"), ("32x32", "8")]
+    assert set(grids[:-2]) == {("8x8", "2")}
+    assert float(records[0]["lambda"]) == 1.0
+    assert [float(r["lambda"]) for r in records[-3:]] == [0.0, 0.0, 0.0]
+    assert all(float(r["residual"]) <= 1e-10 for r in records)
+    stf, _ = read_field(str(out / "u.field"))
+    assert stf.grid.shape == (32, 32) and stf.time.steps == 8
+
+
 def test_nested_solve_falls_back_to_the_config_grid(tmp_path, monkeypatch):
-    # every Newton correction on the config grid fails: the coarse path is
-    # certified and logged on its own grid, the fallback march from lambda = 1
-    # underflows, and the fields written are on the config grid
+    # every Newton correction on the config grid fails: the 8x8 path and the
+    # 16x16 correction are certified and logged on their own grids, coarsest
+    # first, the fallback march from lambda = 1 underflows, and the fields
+    # written are on the config grid
     from mfgcon import continuation
 
     real = continuation.newton_correct
@@ -579,8 +612,9 @@ def test_nested_solve_falls_back_to_the_config_grid(tmp_path, monkeypatch):
     records = [dict(kv.split("=") for kv in line.split()) for line in log[:-1]]
     grids = [(r["grid"], r["n_t"]) for r in records]
     assert grids[-1] == ("32x32", "8") and float(records[-1]["lambda"]) == 1.0
-    assert set(grids[:-1]) == {("16x16", "4")}
-    assert float(records[-2]["lambda"]) == 0.0
+    assert grids[-2] == ("16x16", "4") and float(records[-2]["lambda"]) == 0.0
+    assert set(grids[:-2]) == {("8x8", "2")}
+    assert float(records[0]["lambda"]) == 1.0 and float(records[-3]["lambda"]) == 0.0
     for name in ("u.field", "m.field"):
         stf, _ = read_field(str(out / name))
         assert stf.grid.shape == (32, 32) and stf.time.steps == 8

@@ -269,38 +269,64 @@ def test_first_solve_far_from_the_solution_is_loose(small_problem, monkeypatch):
 
 
 def test_reference_solve_work_stays_bounded(monkeypatch):
-    # the tangent first step, the secant predictor, the forcing terms and the
-    # contraction step control hold this config to 10 Newton iterations plus
-    # the tangent solve: 11 Krylov solves on the right-preconditioned
-    # operator, with 28 applies in all; a closing true-residual apply per
-    # solve would make 39
+    # the path nests one level: 32 nodes and 32 steps under the config's 64
+    # and 64.  The tangent first step, the secant predictor, the forcing terms
+    # and the contraction step control hold the coarse path to 11 Newton
+    # iterations plus the tangent solve: 12 Krylov solves with 28 applies in
+    # all.  The lifted lam = 0 state then takes 2 Newton iterations, 2 solves
+    # and 6 applies on the config grid, where the path marched directly took
+    # 10 iterations, 11 solves and 28 applies
     counts = count_krylov_work(monkeypatch)
     cfg = load_config(REFERENCE_CFG)
     states = solve_path(build_problem(cfg), cfg.solver)
     assert states[-1].lam == 0.0
-    assert sum(s.newton_iters for s in states) <= 10
-    assert 0 < counts["solves"] <= 11
-    assert 0 < counts["applies"] <= 28
+    *coarse, final = states
+    assert sum(s.newton_iters for s in coarse) <= 11 and final.newton_iters <= 2
+    assert list(counts) == [(32, 32), (64, 64)]
+    assert 0 < counts[32, 32]["solves"] <= 12 and 0 < counts[32, 32]["applies"] <= 28
+    assert 0 < counts[64, 64]["solves"] <= 2 and 0 < counts[64, 64]["applies"] <= 6
+
+
+# Data fields of configs/reference.cfg and of the 2-D benchmark data: a
+# constant plus terms (a, b, k) that read a cos(2 pi k.x) + b sin(2 pi k.x).
+REFERENCE_WAVES = {
+    "b_x": (0.0, [(0.0, 0.1, (1,))]),
+    "v1": (0.0, [(0.05, 0.0, (1,))]),
+    "psi": (0.0, [(0.05, 0.0, (1,))]),
+    "m0": (1.0, [(0.2, 0.0, (1,))]),
+}
+GRID2D_WAVES = {
+    "b_x": (0.0, [(0.0, 0.1, (1, 0))]),
+    "b_y": (0.0, [(0.0, 0.05, (0, 1))]),
+    "v1": (0.0, [(0.05, 0.0, (1, 1))]),
+    "psi": (0.0, [(0.05, 0.0, (1, 0))]),
+    "m0": (1.0, [(0.2, 0.0, (1, 0)), (0.1, 0.0, (0, 1))]),
+}
+
+
+def _translated_config(text: str, n: int, shift: tuple, waves: dict) -> str:
+    """``text`` with each field of ``waves`` translated by ``shift`` nodes of
+    ``n`` per axis and evaluated afresh: every term becomes
+    A cos(2 pi k.x) + B sin(2 pi k.x) at x + shift / n."""
+    for key, (const, terms) in waves.items():
+        parts = [repr(const)] if const else []
+        for a, b, k in terms:
+            phi = 2.0 * math.pi * sum(ki * si for ki, si in zip(k, shift)) / n
+            c, s = math.cos(phi), math.sin(phi)
+            arg = ",".join(map(str, k))
+            parts.append(f"{a * c + b * s!r}*cos({arg}) + {b * c - a * s!r}*sin({arg})")
+        line = f"{key} = {' + '.join(parts)}"
+        text = re.sub(rf"^{key} = .*$", line, text, count=1, flags=re.M)
+    return text
 
 
 def _stiff_config_text(shift: int) -> str:
     """configs/reference.cfg with psi = 2 cos(2 pi x) on N = n_t = 32 and every
-    data field translated by ``shift`` nodes, evaluated afresh:
-    A cos(2 pi x) + B sin(2 pi x) at x + shift / 32."""
-    phi = 2.0 * math.pi * shift / 32
-    c, s = math.cos(phi), math.sin(phi)
-
-    def wave(a, b):
-        return f"{a * c + b * s!r}*cos(1) + {b * c - a * s!r}*sin(1)"
-
-    lines = {
-        "n": "32", "n_t": "32", "b_x": wave(0.0, 0.1), "v1": wave(0.05, 0.0),
-        "psi": wave(2.0, 0.0), "m0": "1 + " + wave(0.2, 0.0),
-    }
-    text = open(REFERENCE_CFG).read()
-    for key, value in lines.items():
-        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
-    return text
+    data field translated by ``shift`` nodes."""
+    text = open(REFERENCE_CFG).read().replace("n = 64", "n = 32").replace("n_t = 64", "n_t = 32")
+    return _translated_config(
+        text, 32, (shift,), {**REFERENCE_WAVES, "psi": (0.0, [(2.0, 0.0, (1,))])}
+    )
 
 
 def test_stiff_path_work_does_not_depend_on_a_torus_shift(tmp_path, monkeypatch):
@@ -312,41 +338,54 @@ def test_stiff_path_work_does_not_depend_on_a_torus_shift(tmp_path, monkeypatch)
     counts = count_krylov_work(monkeypatch)
     work = []
     for shift in (15, 26):
-        counts.update(solves=0, applies=0)
+        counts.clear()
         path = tmp_path / f"stiff{shift}.cfg"
         path.write_text(_stiff_config_text(shift))
         cfg = load_config(str(path))
         assert solve_path(build_problem(cfg), cfg.solver)[-1].lam == 0.0
-        work.append(dict(counts))
+        work.append({grid: dict(tally) for grid, tally in counts.items()})
     assert work[0] == work[1]
 
 
 def test_reference_path_evaluates_each_linearization_once(monkeypatch):
-    # every Newton solve takes q, H(q) and D_pH(q) from the residual of its
-    # right-hand side; only the tangent, whose right-hand side is a difference
-    # of two residuals, evaluates them again, so 17 residuals make 18 calls
-    # where one per solve on top would make 28
-    counts = {"residual": 0, "shared": 0, "value": 0, "grad": 0}
+    # on each grid, every Newton solve takes q, H(q) and D_pH(q) from the
+    # residual of its right-hand side; only the tangent of the coarse path,
+    # whose right-hand side is a difference of two residuals, evaluates them
+    # again.  So 18 residuals on the 32-node grid make 19 calls, where one per
+    # solve on top would make 30, and the 3 residuals of the correction on
+    # the config grid make 3.  Marched directly, the path took 17 and 18
+    counts = {}
 
-    def counted(owner, name, key):
+    def counted(owner, name, key, grid_of):
         real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            counts[key] += 1
+            tally = counts.setdefault(grid_of(*args), dict.fromkeys(
+                ("residual", "shared", "value", "grad"), 0))
+            tally[key] += 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(continuation, "residual_full", "residual")
-    counted(system, "_shared_terms", "shared")
-    counted(HamiltonianModel, "value", "value")
-    counted(HamiltonianModel, "grad", "grad")
+    def of_problem(problem, *args):
+        return problem.grid.points_per_dim, problem.time.steps
+
+    def of_momentum(model, q):  # q is (d, slices, nodes), and d = 1 here
+        return q.shape[-1], q.shape[-2] - 1
+
+    counted(continuation, "residual_full", "residual", of_problem)
+    counted(system, "_shared_terms", "shared", of_problem)
+    counted(HamiltonianModel, "value", "value", of_momentum)
+    counted(HamiltonianModel, "grad", "grad", of_momentum)
     cfg = load_config(REFERENCE_CFG)
     states = solve_path(build_problem(cfg), cfg.solver)
     assert states[-1].lam == 0.0
-    assert counts["residual"] == 17
-    assert counts["shared"] <= counts["residual"] + 1
-    assert counts["value"] == counts["grad"] == counts["shared"]
+    assert list(counts) == [(32, 32), (64, 64)]
+    coarse, fine = counts[32, 32], counts[64, 64]
+    assert coarse["residual"] == 18 and coarse["shared"] == coarse["residual"] + 1
+    assert fine["residual"] == fine["shared"] == 3
+    for tally in (coarse, fine):
+        assert tally["value"] == tally["grad"] == tally["shared"]
 
 
 def _record_newton_starts(monkeypatch):
@@ -558,7 +597,7 @@ def test_pinned_steps_end_on_a_full_step(small_problem, dim, dl):
     assert max(du, dm) <= 1e-6
 
 
-# the perfbench grid2d data on 32x32 nodes, the smallest grid with a nested path
+# the perfbench grid2d data on 32x32 nodes, whose path nests 16x16 and 8x8
 NESTED_2D = """
 [problem]
 d = 2
@@ -630,19 +669,95 @@ def test_lift_is_exact_on_band_limited_fields_linear_in_time(n_t, coarse_n_t):
 
 @pytest.mark.parametrize("n_t, coarse_n_t", [(8, 4), (7, 7)])
 def test_nested_path_matches_the_direct_march(tmp_path, n_t, coarse_n_t):
+    # the 32x32 path nests two levels: the 8x8 path, then one correction on
+    # 16x16 and one on 32x32; each level halves an even n_t
+    level_n_t = (coarse_n_t // 2 if coarse_n_t % 2 == 0 else coarse_n_t, coarse_n_t)
     problem, cfg = _nested_problem(tmp_path, n_t)
     states = solve_path(problem, cfg)
     direct = continuation._march(problem, cfg)
-    *coarse, final = states
-    for s in coarse:
-        assert s.pair.u.grid.shape == (16, 16) and s.pair.u.time.steps == coarse_n_t
+    *coarsest, middle, final = states
+    for s in coarsest:
+        assert s.pair.u.grid.shape == (8, 8) and s.pair.u.time.steps == level_n_t[0]
         assert s.residual_norm <= cfg.newton_tol
-    assert coarse[0].lam == 1.0 and coarse[-1].lam == 0.0
-    assert final.lam == 0.0 and final.step == 0.0
+    assert coarsest[0].lam == 1.0 and coarsest[-1].lam == 0.0
+    for s, shape, steps in ((middle, (16, 16), level_n_t[1]), (final, (32, 32), n_t)):
+        assert s.pair.u.grid.shape == shape and s.pair.m.time.steps == steps
+        assert s.lam == 0.0 and s.step == 0.0
+        assert s.newton_iters <= 3
+        assert s.residual_norm <= cfg.newton_tol
     assert final.pair.u.grid == problem.grid and final.pair.m.time == problem.time
-    assert final.newton_iters <= 3
-    assert final.residual_norm <= cfg.newton_tol
-    assert _sup_gap(final.pair, direct[-1].pair) <= 1e-12
+    assert _sup_gap(final.pair, direct[-1].pair) <= 1e-13
+
+
+def test_reference_path_nests_one_level_in_one_dimension():
+    # 64 nodes keep 32 on the coarse grid; 32 would keep 16, so the coarse
+    # path is marched
+    cfg = load_config(REFERENCE_CFG)
+    problem = build_problem(cfg)
+    *coarse, final = solve_path(problem, cfg.solver)
+    assert all(s.pair.u.grid.num_nodes == s.pair.u.time.steps == 32 for s in coarse)
+    assert coarse[0].lam == 1.0 and coarse[-1].lam == 0.0 < coarse[-1].step
+    assert final.pair.u.grid == problem.grid and final.pair.u.time == problem.time
+    assert final.step == 0.0 and final.residual_norm <= cfg.solver.newton_tol
+    direct = continuation._march(problem, cfg.solver)
+    assert _sup_gap(final.pair, direct[-1].pair) <= 1e-13
+
+
+@pytest.mark.parametrize("data", ["reference", "grid2d"])
+def test_nested_work_does_not_depend_on_an_odd_torus_shift(tmp_path, monkeypatch, data):
+    # an odd shift on the config grid is a half-node shift on every coarse
+    # grid, whose injected data are then other samples of the same fields,
+    # not a translation of them; the work on no grid may change with it.  The
+    # 2-D case is the benchmark's grid2d config, under the reference caps
+    if data == "reference":
+        text, n, waves, shifts = open(REFERENCE_CFG).read(), 64, REFERENCE_WAVES, [(0,), (53,)]
+    else:
+        text = NESTED_2D.format(n_t=64) + "\n[solver]\ndlambda_init = 0.1\ndlambda_max = 0.25\n"
+        n, waves, shifts = 32, GRID2D_WAVES, [(0, 0), (21, 25)]
+    counts = count_krylov_work(monkeypatch)
+    work = []
+    for shift in shifts:
+        counts.clear()
+        path = tmp_path / "shifted.cfg"
+        path.write_text(_translated_config(text, n, shift, waves))
+        cfg = load_config(str(path))
+        assert solve_path(build_problem(cfg), cfg.solver)[-1].lam == 0.0
+        work.append({grid: dict(tally) for grid, tally in counts.items()})
+    assert work[0] == work[1]
+    assert len(work[0]) == (2 if data == "reference" else 3)
+
+
+def test_failed_middle_correction_marches_that_level(tmp_path, monkeypatch):
+    # the 16x16 correction of the 8x8 path fails: the 16x16 path is marched
+    # from lam = 1, and its lam = 0 state still starts the 32x32 correction
+    problem, _ = _nested_problem(tmp_path, 8)
+    cfg = CAPPED
+    real = continuation.newton_correct
+    middle_calls = []
+
+    def failing_newton(prob, lam_data, pair, config, **kwargs):
+        if prob.grid.points_per_dim == 16:
+            middle_calls.append(lam_data.lam)
+            if middle_calls == [0.0]:
+                raise NewtonFailure("injected", continuation.NewtonDiagnostics(), "inner solve")
+        return real(prob, lam_data, pair, config, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_correct", failing_newton)
+    accepted = []
+    states = solve_path(problem, cfg, on_state=accepted.append)
+    assert middle_calls[:2] == [0.0, 0.9]
+    *middle, final = states
+    assert all(s.pair.u.grid.shape == (16, 16) and s.pair.u.time.steps == 4 for s in middle)
+    assert middle[0].lam == 1.0 and middle[-1].lam == 0.0 < middle[-1].step
+    assert final.pair.u.grid == problem.grid and final.pair.u.time == problem.time
+    assert final.lam == final.step == 0.0 and final.residual_norm <= cfg.newton_tol
+    # the 8x8 states were reported before the 16x16 march's
+    early = accepted[: len(accepted) - len(states)]
+    assert early and all(s.pair.u.grid.shape == (8, 8) for s in early)
+    assert all(a is b for a, b in zip(accepted[len(early):], states))
+    monkeypatch.setattr(continuation, "newton_correct", real)
+    direct = continuation._march(problem, cfg)
+    assert _sup_gap(final.pair, direct[-1].pair) <= 1e-13
 
 
 @pytest.mark.parametrize("failing", ["coarse path", "fine correction"])

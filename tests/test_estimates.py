@@ -62,10 +62,29 @@ def test_value_bound_on_trivial_pair(small_problem):
     assert rec.values["margin"] >= 0.0
     slope_gap = np.pi / 4.0 - (1.0 - np.pi / 4.0)
     assert slope_gap > 0.0
+    # and below (T - t) * arctan(1), which it also meets at the terminal slice
+    assert rec.values["upper_margin"] == 0.0
+
+
+def test_value_bound_fails_above_the_upper_bound(small_problem):
+    # one interior node 1e-6 above (T - t) Vmax + Psimax fails the record
+    # while the lower margin stays what it was
+    state = trivial_solution(small_problem)
+    lam = LambdaData.from_problem(small_problem, 1.0)
+    clean = check_value_bounds(state.pair, lam)
+    time = small_problem.time
+    u = state.pair.u.values.copy()
+    bound = (time.horizon - time.times()[3]) * clean.values["v_max"] + clean.values["psi_max"]
+    u[3, 5] = bound + 1e-6
+    pair = SolutionPair(u=SpaceTimeField(small_problem.grid, time, u), m=state.pair.m)
+    rec = check_value_bounds(pair, lam)
+    assert not rec.passed
+    assert rec.values["margin"] == clean.values["margin"]
+    assert rec.values["upper_margin"] == pytest.approx(-1e-6, rel=1e-6)
 
 
 def test_value_bound_degenerate_data(small_problem):
-    # vanishing coupling and terminal cost collapse the bound to u >= -1e-8
+    # vanishing coupling and terminal cost collapse the bound to |u| <= 1e-8
     state = trivial_solution(small_problem)
     pair = SolutionPair(
         u=SpaceTimeField.zeros(small_problem.grid, small_problem.time),
@@ -83,6 +102,7 @@ def test_value_bound_degenerate_data(small_problem):
     assert rec.passed
     assert abs(rec.values["v_max"]) < 1e-12
     assert rec.values["margin"] >= -1e-8
+    assert rec.values["upper_margin"] >= -1e-8
 
 
 def test_integral_estimates_trivial_pair(small_problem):

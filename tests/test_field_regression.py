@@ -2,9 +2,12 @@
 
 ``data/field_regression.json`` was written by :func:`record` with the
 tangent-first-step, secant-after continuation, its step control from the
-first Newton contraction and its inexact Newton corrector.  On the reference
-config the final fields match those of the earlier step rule, which grew the
-step 1.5x after a hundredfold contraction and ended on
+first Newton contraction and its inexact Newton corrector, and with the
+reference path nested on 32 nodes: its coarse path and the lam = 0
+correction on the config grid.  Its final fields match those of the same
+path marched on the config grid alone to within 9.3e-15 in every
+``FIELD_KEYS`` entry; that march's fields matched those of the earlier step
+rule, which grew the step 1.5x after a hundredfold contraction and ended on
 0.275 -> 0.1375 -> 0, to within 1.4e-14; those matched the secant-only path
 to within 1.4e-14, and the earlier plain corrector, which took ten equal
 steps, to within 1.5e-14.  A change that alters the path
