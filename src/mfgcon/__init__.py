@@ -24,14 +24,7 @@ from .galerkin import (
     shooting_spectrum,
     solve_linearized_galerkin,
 )
-from .grids import (
-    Field,
-    PeriodicGrid,
-    SpaceTimeField,
-    TimeGrid,
-    VectorField,
-    integrate,
-)
+from .grids import PeriodicGrid, SpaceTimeField, TimeGrid, integrate
 from .hamiltonians import (
     HamiltonianModel,
     LagrangianModel,

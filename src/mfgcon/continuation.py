@@ -43,11 +43,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import (
-    Field,
     PeriodicGrid,
     SpaceTimeField,
     TimeGrid,
-    VectorField,
     _irfft_stack,
     _pad_spectrum,
     _rfft_stack,
@@ -79,9 +77,8 @@ _THETA_TARGET = 0.3
 # above this multiple of the last one and above newton_tol (Deuflhard's
 # restricted monotonicity test), instead of running out its iterations.
 _THETA_MAX = 0.9
-# Range of the step factor after an accepted and after a rejected step.
+# Range of the step factor after an accepted step.
 _GROWTH_RANGE = (0.25, 4.0)
-_RETRY_RANGE = (0.1, 0.5)
 # Roundoff allowance on lam: nine steps of 0.1 from 1 leave
 # 0.10000000000000014, which a step of 0.1 must still take to 0.
 _LAMBDA_ROUNDOFF = 1e-12
@@ -391,7 +388,7 @@ def _march(
         try:
             pair, diag = newton_correct(problem, lam_data, guess, config, theta_max=_THETA_MAX)
         except NewtonFailure as failure:
-            dl *= _step_factor(failure.diagnostics.contraction, *_RETRY_RANGE)
+            dl *= 0.5
             if dl < config.dlambda_min:
                 raise HorizonError(states, lam_next, failure.reason)
             retried = True
@@ -431,7 +428,7 @@ def _coarse_problem(problem: MFGProblem) -> MFGProblem:
 
     weight = problem.hamiltonian.weight
     v1 = problem.potential.v1
-    m0 = Field(coarse, inject(problem.m0.values))
+    m0 = inject(problem.m0)
     return replace(
         problem,
         grid=coarse,
@@ -439,12 +436,10 @@ def _coarse_problem(problem: MFGProblem) -> MFGProblem:
         hamiltonian=replace(
             problem.hamiltonian, weight=inject(weight) if np.ndim(weight) else weight
         ),
-        b=VectorField(coarse, inject(problem.b.values)),
-        potential=replace(
-            problem.potential, v1=None if v1 is None else Field(coarse, inject(v1.values))
-        ),
-        psi=Field(coarse, inject(problem.psi.values)),
-        m0=Field(coarse, m0.values / integrate(m0)),
+        b=inject(problem.b),
+        potential=replace(problem.potential, v1=None if v1 is None else inject(v1)),
+        psi=inject(problem.psi),
+        m0=m0 / integrate(m0, coarse),
     )
 
 
@@ -480,9 +475,9 @@ def _coarse_holds_the_data(problem: MFGProblem) -> bool:
     """
     grid = problem.grid
     n = grid.points_per_dim
-    fields = [problem.m0.values, problem.psi.values, *problem.b.values]
+    fields = [problem.m0, problem.psi, *problem.b]
     if problem.potential.v1 is not None:
-        fields.append(problem.potential.v1.values)
+        fields.append(problem.potential.v1)
     if np.ndim(problem.hamiltonian.weight):
         fields.append(problem.hamiltonian.weight)
     spec = np.abs(_rfft_stack(np.stack(fields), grid)).reshape(len(fields), -1)
@@ -511,11 +506,10 @@ def solve_path(
     sqrt(THETA_TARGET / theta), clipped to [1/4, 4], and by at most 1 right
     after a rejection, and no step exceeds ``dlambda_max``.  A march
     correction fails as soon as an iteration leaves the residual above
-    THETA_MAX times the last one, or on any other :class:`NewtonFailure`; the step is then
-    multiplied by the same square root clipped to [0.1, 1/2], or halved when
-    the failed correction took no iteration.  Underflow of the step below
-    ``dlambda_min`` raises :class:`HorizonError` carrying the states
-    accepted so far and the test that ended the last correction.
+    THETA_MAX times the last one, or on any other :class:`NewtonFailure`;
+    the step is then halved.  Underflow of the step below ``dlambda_min``
+    raises :class:`HorizonError` carrying the states accepted so far and the
+    test that ended the last correction.
 
     When the coarse grid of :func:`_coarse_problem` keeps at least
     ``_NEST_MIN_COARSE_NODES`` nodes per slice and :func:`_coarse_holds_the_data`,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .continuation import SolverConfig
 from .estimates import EstimateReport
-from .grids import Field, PeriodicGrid, SpaceTimeField, TimeGrid, VectorField, integrate
+from .grids import PeriodicGrid, SpaceTimeField, TimeGrid, integrate
 from .hamiltonians import HamiltonianModel, LagrangianModel
 from .montecarlo import SDEConfig
 from .system import MFGProblem, Potential
@@ -83,7 +83,8 @@ def parse_field_expression(text: str, dim: int):
     return terms
 
 
-def realize_field(terms, grid: PeriodicGrid) -> Field:
+def realize_field(terms, grid: PeriodicGrid) -> np.ndarray:
+    """The node values on ``grid`` of a parsed term list, shape (N**d,)."""
     coords = grid.coordinates()
     out = np.zeros(grid.shape)
     for coef, fn, kvec in terms:
@@ -92,7 +93,7 @@ def realize_field(terms, grid: PeriodicGrid) -> Field:
             continue
         phase = 2.0 * np.pi * sum(k * c for k, c in zip(kvec, coords))
         out = out + coef * (np.cos(phase) if fn == "cos" else np.sin(phase))
-    return Field(grid, out.ravel())
+    return out.ravel()
 
 
 @dataclass
@@ -257,15 +258,15 @@ def build_problem(cfg: RunConfig) -> MFGProblem:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     weight = realize_field(cfg.weight_terms, grid)
-    if np.min(weight.values) <= 0.0:
+    if np.min(weight) <= 0.0:
         raise ConfigError("Hamiltonian weight must be positive everywhere")
     m0 = realize_field(cfg.m0_terms, grid)
-    if np.min(m0.values) <= 0.0:
+    if np.min(m0) <= 0.0:
         raise ConfigError("m0 must be positive everywhere")
-    m0 = Field(grid, m0.values / integrate(m0))
+    m0 = m0 / integrate(m0, grid)
     v1 = realize_field(cfg.v1_terms, grid)
     try:
-        ham = HamiltonianModel(cfg.gamma, weight.values)
+        ham = HamiltonianModel(cfg.gamma, weight)
         potential = Potential(
             v1=v1, v2_kind=cfg.v2_kind, coef=cfg.v2_coef, exponent=cfg.v2_exponent
         )
@@ -274,9 +275,7 @@ def build_problem(cfg: RunConfig) -> MFGProblem:
             time=time,
             alpha=cfg.alpha,
             hamiltonian=ham,
-            b=VectorField(
-                grid, np.stack([realize_field(t, grid).values for t in cfg.b_terms])
-            ),
+            b=np.stack([realize_field(t, grid) for t in cfg.b_terms]),
             potential=potential,
             psi=realize_field(cfg.psi_terms, grid),
             m0=m0,
@@ -288,7 +287,7 @@ def build_problem(cfg: RunConfig) -> MFGProblem:
 
 def lagrangian_from_config(cfg: RunConfig, grid: PeriodicGrid) -> LagrangianModel:
     gamma_prime = cfg.gamma / (cfg.gamma - 1.0)
-    return LagrangianModel(gamma_prime, realize_field(cfg.weight_terms, grid).values)
+    return LagrangianModel(gamma_prime, realize_field(cfg.weight_terms, grid))
 
 
 # ---------------------------------------------------------------------------

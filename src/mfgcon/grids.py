@@ -14,8 +14,9 @@ field a single forward transform per evaluation: _grad_lap_stack returns
 gradient and Laplacian from one spectrum, and _div_lap_stack forms
 Laplacian plus flux divergence in spectral space before one inverse.
 
-Fields store their node samples as flat float64 arrays of length N**d in
-row-major node order; shaped views are taken internally for the FFTs.
+A field is a flat float64 array of its node values, of length N**d in
+row-major node order ((d, N**d) for a vector field); shaped views are taken
+internally for the FFTs.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import numpy as np
 __all__ = [
     "PeriodicGrid",
     "TimeGrid",
-    "Field",
-    "VectorField",
     "SpaceTimeField",
     "integrate",
 ]
@@ -103,41 +102,6 @@ class TimeGrid:
 
 
 @dataclass
-class Field:
-    """Scalar node samples on a periodic grid (flat array of length N**d)."""
-
-    grid: PeriodicGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(self.grid.num_nodes)
-
-    @classmethod
-    def constant(cls, grid: PeriodicGrid, value: float) -> "Field":
-        return cls(grid, np.full(grid.num_nodes, float(value)))
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-
-@dataclass
-class VectorField:
-    """d scalar components on one grid, stored as a (d, N**d) array."""
-
-    grid: PeriodicGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(
-            self.grid.dim, self.grid.num_nodes
-        )
-
-    @classmethod
-    def zero(cls, grid: PeriodicGrid) -> "VectorField":
-        return cls(grid, np.zeros((grid.dim, grid.num_nodes)))
-
-
-@dataclass
 class SpaceTimeField:
     """Time-indexed stack of fields: values has shape (N_t + 1, N**d)."""
 
@@ -153,9 +117,6 @@ class SpaceTimeField:
     @classmethod
     def zeros(cls, grid: PeriodicGrid, time: TimeGrid) -> "SpaceTimeField":
         return cls(grid, time, np.zeros((time.num_slices, grid.num_nodes)))
-
-    def slice(self, n: int) -> Field:
-        return Field(self.grid, self.values[n])
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
@@ -259,9 +220,10 @@ def _div_lap_stack(stack: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def integrate(f: Field) -> float:
-    """Integral over the torus: h^d times the node sum (spectrally accurate)."""
-    return float(np.sum(f.values) * f.grid.cell_volume)
+def integrate(values: np.ndarray, grid: PeriodicGrid) -> float:
+    """Integral over the torus of node values on ``grid``: h^d times the node
+    sum (spectrally accurate)."""
+    return float(np.sum(values) * grid.cell_volume)
 
 
 def _pad_spectrum(spec: np.ndarray, grid: PeriodicGrid, points_per_dim: int) -> np.ndarray:

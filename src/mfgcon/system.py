@@ -19,11 +19,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .grids import (
-    Field,
     PeriodicGrid,
     SpaceTimeField,
     TimeGrid,
-    VectorField,
     _div_lap_stack,
     _grad_lap_stack,
     integrate,
@@ -64,9 +62,10 @@ class Potential:
     """Separable coupling V(x, z) = v1(x) + v2(z) with v2 strictly increasing.
 
     Built-in v2 choices: arctan(z), linear coef*z, and power coef*z**exponent.
+    v1 holds the node values of v1(x), shape (N**d,), or is None for v1 = 0.
     """
 
-    v1: Optional[Field] = None
+    v1: Optional[np.ndarray] = None
     v2_kind: str = "arctan"
     coef: float = 1.0
     exponent: float = 2.0
@@ -87,7 +86,7 @@ class Potential:
         return self.coef * np.power(z, self.exponent)
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        x_part = 0.0 if self.v1 is None else self.v1.values
+        x_part = 0.0 if self.v1 is None else self.v1
         return x_part + self._v2(z)
 
     def dz(self, z: np.ndarray) -> np.ndarray:
@@ -104,29 +103,41 @@ class Potential:
 
 @dataclass(frozen=True)
 class MFGProblem:
-    """All data of the congestion system on one space-time grid."""
+    """All data of the congestion system on one space-time grid.
+
+    The data fields are float arrays of node values on ``grid``, like the
+    Hamiltonian weight: the drift ``b`` has shape (d, N**d), the terminal
+    cost ``psi`` and the initial density ``m0`` have shape (N**d,).
+    """
 
     grid: PeriodicGrid
     time: TimeGrid
     alpha: float
     hamiltonian: HamiltonianModel
-    b: VectorField
+    b: np.ndarray
     potential: Potential
-    psi: Field
-    m0: Field
+    psi: np.ndarray
+    m0: np.ndarray
 
     def __post_init__(self):
         if self.alpha < 0.0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.b.grid != self.grid or self.psi.grid != self.grid or self.m0.grid != self.grid:
+        nodes = (self.grid.num_nodes,)
+        v1 = self.potential.v1
+        if (
+            np.shape(self.b) != (self.grid.dim,) + nodes
+            or np.shape(self.psi) != nodes
+            or np.shape(self.m0) != nodes
+            or (v1 is not None and np.shape(v1) != nodes)
+        ):
             raise ValueError("data fields must live on the problem grid")
-        mass = integrate(self.m0)
+        mass = integrate(self.m0, self.grid)
         if abs(mass - 1.0) > 1e-12:
             raise ValueError(f"m0 must have unit mass, integral is {mass!r}")
-        m_min = float(np.min(self.m0.values))
+        m_min = float(np.min(self.m0))
         if not m_min > 0.0:
             raise ValueError(f"m0 must be positive, min m0={m_min}")
-        m_hi = float(np.max(self.m0.values)) * 2.0 + 1.0
+        m_hi = float(np.max(self.m0)) * 2.0 + 1.0
         if self.potential.monotonicity_margin(0.5 * m_min, m_hi) <= 0.0:
             raise ValueError("potential coupling must be strictly increasing in the density")
         if np.ndim(self.hamiltonian.weight) and (
@@ -173,9 +184,9 @@ class LambdaData:
         return cls(
             lam=lam,
             hamiltonian=HamiltonianModel.blend(problem.hamiltonian, lam),
-            b_values=(1.0 - lam) * problem.b.values,
-            psi_values=(1.0 - lam) * problem.psi.values,
-            m_init_values=(1.0 - lam) * problem.m0.values + lam,
+            b_values=(1.0 - lam) * problem.b,
+            psi_values=(1.0 - lam) * problem.psi,
+            m_init_values=(1.0 - lam) * problem.m0 + lam,
             potential=problem.potential,
         )
 

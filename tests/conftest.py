@@ -5,11 +5,9 @@ import pytest
 
 from mfgcon import linearized
 from mfgcon.grids import (
-    Field,
     PeriodicGrid,
     SpaceTimeField,
     TimeGrid,
-    VectorField,
     _apply_symbols,
     _irfft_stack,
     _pad_spectrum,
@@ -33,17 +31,19 @@ def congestion_stack(du, m, alpha, m_floor):
     return du / np.maximum(m, m_floor) ** alpha
 
 
-def fourier_interpolate(f, points_per_dim):
-    """A Field or SpaceTimeField resampled onto the finer grid with
-    ``points_per_dim`` nodes per axis by zero-padding its half spectrum."""
-    grid = f.grid
-    fine = PeriodicGrid(grid.dim, points_per_dim)
-    spec = _pad_spectrum(_rfft_stack(f.values, grid), grid, points_per_dim)
-    return replace(f, grid=fine, values=_irfft_stack(spec, fine))
+def fourier_interpolate(f, points_per_dim, grid=None):
+    """A SpaceTimeField, or node values on ``grid``, resampled onto the finer
+    grid with ``points_per_dim`` nodes per axis by zero-padding its half
+    spectrum."""
+    if grid is not None:
+        fine = PeriodicGrid(grid.dim, points_per_dim)
+        return _irfft_stack(_pad_spectrum(_rfft_stack(f, grid), grid, points_per_dim), fine)
+    fine_values = fourier_interpolate(f.values, points_per_dim, f.grid)
+    return replace(f, grid=PeriodicGrid(f.grid.dim, points_per_dim), values=fine_values)
 
 
 def band_limited(grid, rng, k_max=3, amp=1.0):
-    """Random trig polynomial with frequencies up to k_max per axis."""
+    """Node values of a random trig polynomial with frequencies up to k_max per axis."""
     coords = grid.coordinates()
     out = np.zeros(grid.shape)
     if grid.dim == 1:
@@ -54,7 +54,7 @@ def band_limited(grid, rng, k_max=3, amp=1.0):
     for kvec in freqs:
         phase = 2 * np.pi * sum(k * c for k, c in zip(kvec, coords))
         out = out + amp * rng.normal() * np.cos(phase) + amp * rng.normal() * np.sin(phase)
-    return Field(grid, out.ravel())
+    return out.ravel()
 
 
 def band_limited_spacetime(grid, time, rng, k_max=3, amp=1.0):
@@ -63,7 +63,7 @@ def band_limited_spacetime(grid, time, rng, k_max=3, amp=1.0):
     base = band_limited(grid, rng, k_max, amp)
     second = band_limited(grid, rng, k_max, amp)
     for j in range(time.num_slices):
-        rows.append(profile[j] * base.values + (1 - profile[j]) * second.values)
+        rows.append(profile[j] * base + (1 - profile[j]) * second)
     return SpaceTimeField(grid, time, np.stack(rows))
 
 
@@ -164,17 +164,16 @@ def make_problem(
     ham = HamiltonianModel(gamma, weight)
     b_vals = np.zeros((dim, grid.num_nodes))
     b_vals[0] = b_amp * np.sin(phase).ravel()
-    pot = Potential(v1=Field(grid, (v1_amp * np.cos(phase)).ravel()), v2_kind=v2_kind)
-    m0 = Field(grid, (1.0 + m0_amp * np.cos(phase)).ravel())
+    pot = Potential(v1=(v1_amp * np.cos(phase)).ravel(), v2_kind=v2_kind)
     return MFGProblem(
         grid=grid,
         time=time,
         alpha=alpha,
         hamiltonian=ham,
-        b=VectorField(grid, b_vals),
+        b=b_vals,
         potential=pot,
-        psi=Field(grid, (psi_amp * np.cos(phase)).ravel()),
-        m0=m0,
+        psi=(psi_amp * np.cos(phase)).ravel(),
+        m0=(1.0 + m0_amp * np.cos(phase)).ravel(),
     )
 
 

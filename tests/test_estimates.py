@@ -15,7 +15,7 @@ from mfgcon.estimates import (
     run_all_checks,
     _spectral_pass,
 )
-from mfgcon.grids import Field, SpaceTimeField, integrate
+from mfgcon.grids import PeriodicGrid, SpaceTimeField, integrate
 from mfgcon.system import _M_FLOOR, LambdaData, Potential, SolutionPair
 
 from conftest import congestion_stack, fourier_interpolate, grad_stack, make_problem
@@ -93,7 +93,7 @@ def test_value_bound_degenerate_data(small_problem):
     tiny = LambdaData(
         lam=0.0,
         hamiltonian=small_problem.hamiltonian,
-        b_values=np.zeros_like(small_problem.b.values),
+        b_values=np.zeros_like(small_problem.b),
         psi_values=np.zeros(small_problem.grid.num_nodes),
         m_init_values=np.ones(small_problem.grid.num_nodes),
         potential=Potential(v2_kind="linear", coef=1e-15),
@@ -122,10 +122,11 @@ def test_inverse_density_checks(small_problem):
     assert rec.values["int_m^-2_max"] == pytest.approx(1.0, rel=1e-14)
 
     # an initial slice with structure: quadrature matches the refined grid
-    m0 = small_problem.m0
-    coarse = integrate(Field(m0.grid, m0.values**-2.0))
-    fine_field = fourier_interpolate(m0, 2 * m0.grid.points_per_dim)
-    fine = integrate(Field(fine_field.grid, fine_field.values**-2.0))
+    grid = small_problem.grid
+    fine_grid = PeriodicGrid(grid.dim, 2 * grid.points_per_dim)
+    coarse = integrate(small_problem.m0**-2.0, grid)
+    fine_m0 = fourier_interpolate(small_problem.m0, fine_grid.points_per_dim, grid)
+    fine = integrate(fine_m0**-2.0, fine_grid)
     assert abs(coarse - fine) < 1e-8
 
     bad = state.pair.copy()

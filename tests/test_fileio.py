@@ -70,7 +70,7 @@ def test_realize_field_matches_analytic():
     x = grid.coordinates()[0]
     f = realize_field(parse_field_expression("1 + 0.2*cos(1) + -0.5*sin(3)", 1), grid)
     expected = 1.0 + 0.2 * np.cos(2 * np.pi * x) - 0.5 * np.sin(6 * np.pi * x)
-    assert np.max(np.abs(f.values - expected)) < 1e-14
+    assert np.max(np.abs(f - expected)) < 1e-14
 
 
 def test_config_round_trip_and_problem_build(tmp_path):
@@ -79,7 +79,7 @@ def test_config_round_trip_and_problem_build(tmp_path):
     assert cfg.points_per_dim == 32
     assert cfg.gamma == 1.5
     problem = build_problem(cfg)
-    assert integrate(problem.m0) == pytest.approx(1.0, abs=1e-14)
+    assert integrate(problem.m0, problem.grid) == pytest.approx(1.0, abs=1e-14)
     assert problem.time.dt == pytest.approx(0.02 / 8)
 
 

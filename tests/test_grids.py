@@ -1,12 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mfgcon.grids import (
-    Field,
     PeriodicGrid,
     SpaceTimeField,
     TimeGrid,
-    VectorField,
     _div_lap_stack,
     _grad_lap_stack,
     _irfft_stack,
@@ -15,7 +15,7 @@ from mfgcon.grids import (
 )
 
 from mfgcon.linearized import Perturbation, apply_L
-from mfgcon.system import LambdaData, MFGProblem, SolutionPair
+from mfgcon.system import LambdaData, SolutionPair
 
 from conftest import band_limited, fourier_interpolate, grad_stack, make_problem
 
@@ -79,19 +79,23 @@ def test_divergence_analytic_and_mean_free():
     rng = np.random.default_rng(0)
     # the transport rows rely on it: Laplacian plus divergence is mean-free
     stack = rng.normal(size=(2, GRID.num_nodes))
-    assert abs(integrate(Field(GRID, _div_lap_stack(stack, GRID)))) < 1e-13
+    assert abs(integrate(_div_lap_stack(stack, GRID), GRID)) < 1e-13
 
 
 def test_component_grid_mismatch_rejected():
-    # a drift whose components live on another grid is refused with the problem
+    # a data field sampled on another grid is refused with the problem: a drift
+    # on 64 nodes, a drift with the wrong number of components, and a coupling
+    # field on 64 nodes, which Potential.value would otherwise meet mid-solve
     problem = make_problem(n=32)
     other = PeriodicGrid(1, 64)
-    with pytest.raises(ValueError, match="problem grid"):
-        MFGProblem(
-            grid=problem.grid, time=problem.time, alpha=problem.alpha,
-            hamiltonian=problem.hamiltonian, b=VectorField.zero(other),
-            potential=problem.potential, psi=problem.psi, m0=problem.m0,
-        )
+    wrong = [
+        {"b": np.zeros((1, other.num_nodes))},
+        {"b": np.zeros((2, problem.grid.num_nodes))},
+        {"potential": replace(problem.potential, v1=np.zeros(other.num_nodes))},
+    ]
+    for fields in wrong:
+        with pytest.raises(ValueError, match="problem grid"):
+            replace(problem, **fields)
 
 
 def test_summation_by_parts():
@@ -99,9 +103,9 @@ def test_summation_by_parts():
     for _ in range(5):
         f = band_limited(GRID, rng, k_max=10)
         g = band_limited(GRID, rng, k_max=10)
-        lhs = integrate(Field(GRID, f.values * div(g.values[None, :])))
-        rhs = -integrate(Field(GRID, grad_and_lap(f.values)[0][0] * g.values))
-        scale = np.max(np.abs(f.values)) * np.max(np.abs(g.values)) + 1.0
+        lhs = integrate(f * div(g[None, :]), GRID)
+        rhs = -integrate(grad_and_lap(f)[0][0] * g, GRID)
+        scale = np.max(np.abs(f)) * np.max(np.abs(g)) + 1.0
         assert abs(lhs - rhs) <= 1e-10 * scale
 
 
@@ -111,44 +115,43 @@ def test_laplacian_eigenfunction_and_composition():
     assert np.max(np.abs(grad_and_lap(np.cos(2 * np.pi * X))[1] - expected)) < 1e-11
     rng = np.random.default_rng(3)
     g = band_limited(GRID, rng, k_max=12)
-    grad, direct = grad_and_lap(g.values)
+    grad, direct = grad_and_lap(g)
     composed = div(grad)
     assert np.max(np.abs(direct - composed)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_integrate_exact_values():
-    assert integrate(Field.constant(GRID, 1.0)) == pytest.approx(1.0, abs=1e-15)
-    assert integrate(Field(GRID, np.sin(2 * np.pi * X))) == pytest.approx(0.0, abs=1e-15)
-    assert integrate(Field(GRID, np.sin(2 * np.pi * X) ** 2)) == pytest.approx(0.5, abs=1e-14)
+    assert integrate(np.ones(GRID.num_nodes), GRID) == pytest.approx(1.0, abs=1e-15)
+    assert integrate(np.sin(2 * np.pi * X), GRID) == pytest.approx(0.0, abs=1e-15)
+    assert integrate(np.sin(2 * np.pi * X) ** 2, GRID) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_fourier_interpolate_band_limited_exact():
     fn = lambda x: 1.0 + 0.3 * np.cos(2 * np.pi * x) - 0.2 * np.sin(6 * np.pi * x)
-    coarse = Field(GRID, fn(X))
-    fine = fourier_interpolate(coarse, 128)
-    xf = fine.grid.coordinates()[0]
-    assert np.max(np.abs(fine.values - fn(xf))) < 1e-12
+    fine = fourier_interpolate(fn(X), 128, GRID)
+    xf = PeriodicGrid(1, 128).coordinates()[0]
+    assert np.max(np.abs(fine - fn(xf))) < 1e-12
 
 
 def test_two_dimensional_operators():
     grid = PeriodicGrid(2, 16)
     xx, yy = grid.coordinates()
-    f = Field(grid, (np.sin(2 * np.pi * xx) * np.cos(4 * np.pi * yy)).ravel())
-    g, lap = grad_and_lap(f.values, grid)
+    f = (np.sin(2 * np.pi * xx) * np.cos(4 * np.pi * yy)).ravel()
+    g, lap = grad_and_lap(f, grid)
     gx = 2 * np.pi * np.cos(2 * np.pi * xx) * np.cos(4 * np.pi * yy)
     gy = -4 * np.pi * np.sin(2 * np.pi * xx) * np.sin(4 * np.pi * yy)
     assert np.max(np.abs(g[0] - gx.ravel())) < 1e-12
     assert np.max(np.abs(g[1] - gy.ravel())) < 1e-12
-    expected = -(4 * np.pi**2 + 16 * np.pi**2) * f.values
+    expected = -(4 * np.pi**2 + 16 * np.pi**2) * f
     assert np.max(np.abs(lap - expected)) < 1e-10
     # div grad = Laplacian, and the divergence of the gradient's rotation is zero
     assert np.max(np.abs(div(g, grid) - lap)) <= 1e-12 * np.max(np.abs(lap))
     assert np.max(np.abs(div(np.stack([-g[1], g[0]]), grid))) <= 1e-11
     # interpolation consistency in 2d
-    fine = fourier_interpolate(f, 32)
-    xf, yf = fine.grid.coordinates()
+    fine = fourier_interpolate(f, 32, grid)
+    xf, yf = PeriodicGrid(2, 32).coordinates()
     target = np.sin(2 * np.pi * xf) * np.cos(4 * np.pi * yf)
-    assert np.max(np.abs(fine.values - target.ravel())) < 1e-12
+    assert np.max(np.abs(fine - target.ravel())) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +256,9 @@ def test_fourier_interpolate_matches_complex_zero_padding(dim, n):
         assert isinstance(fine, SpaceTimeField) and fine.grid == PeriodicGrid(dim, m)
         assert fine.time == stack.time
         assert rel_err(fine.values, ref.resample(vals, m)) <= 1e-12
-    # a single field takes the same path and stays a Field
-    single = fourier_interpolate(Field(grid, vals[4]), 2 * n)
-    assert isinstance(single, Field)
-    assert rel_err(single.values, ref.resample(vals[4:5], 2 * n)[0]) <= 1e-12
+    # a single field's node values take the same path
+    single = fourier_interpolate(vals[4], 2 * n, grid)
+    assert rel_err(single, ref.resample(vals[4:5], 2 * n)[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16)], ids=["d1", "d2"])

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from mfgcon.continuation import trivial_solution
-from mfgcon.grids import (
-    Field,
-    PeriodicGrid,
-    SpaceTimeField,
-    TimeGrid,
-    VectorField,
-    integrate,
-)
+from mfgcon.grids import PeriodicGrid, SpaceTimeField, TimeGrid, integrate
 from mfgcon.hamiltonians import HamiltonianModel
 from mfgcon.linearized import Perturbation, apply_L
 from mfgcon.system import (
@@ -37,9 +30,9 @@ def test_congestion_ratio_values():
 
 def test_lambda_data_identities(small_problem):
     at_zero = LambdaData.from_problem(small_problem, 0.0)
-    assert np.array_equal(at_zero.b_values, small_problem.b.values)
-    assert np.array_equal(at_zero.psi_values, small_problem.psi.values)
-    assert np.array_equal(at_zero.m_init_values, small_problem.m0.values)
+    assert np.array_equal(at_zero.b_values, small_problem.b)
+    assert np.array_equal(at_zero.psi_values, small_problem.psi)
+    assert np.array_equal(at_zero.m_init_values, small_problem.m0)
     assert at_zero.hamiltonian is small_problem.hamiltonian
 
     at_one = LambdaData.from_problem(small_problem, 1.0)
@@ -48,7 +41,7 @@ def test_lambda_data_identities(small_problem):
     assert np.max(np.abs(at_one.m_init_values - 1.0)) == 0.0
     for lam in (0.0, 0.25, 0.7, 1.0):
         data = LambdaData.from_problem(small_problem, lam)
-        mass = integrate(Field(small_problem.grid, data.m_init_values))
+        mass = integrate(data.m_init_values, small_problem.grid)
         assert mass == pytest.approx(1.0, abs=1e-13)
     with pytest.raises(ValueError):
         LambdaData.from_problem(small_problem, 1.5)
@@ -175,14 +168,14 @@ def test_problem_validation():
     time = TimeGrid(0.05, 8)
     x = grid.coordinates()[0]
     ham = HamiltonianModel(1.5, 1.0)
-    b = VectorField.zero(grid)
+    b = np.zeros((1, grid.num_nodes))
     pot = Potential(v2_kind="arctan")
-    psi = Field.constant(grid, 0.0)
-    good_m0 = Field.constant(grid, 1.0)
+    psi = np.zeros(grid.num_nodes)
+    good_m0 = np.ones(grid.num_nodes)
 
     with pytest.raises(ValueError):
-        MFGProblem(grid, time, 0.5, ham, b, pot, psi, Field.constant(grid, 2.0))
-    bad_m0 = Field(grid, 1.0 + 1.5 * np.cos(2 * np.pi * x))
+        MFGProblem(grid, time, 0.5, ham, b, pot, psi, np.full(grid.num_nodes, 2.0))
+    bad_m0 = 1.0 + 1.5 * np.cos(2 * np.pi * x)
     with pytest.raises(ValueError):
         MFGProblem(grid, time, 0.5, ham, b, pot, psi, bad_m0)
     with pytest.raises(ValueError):
