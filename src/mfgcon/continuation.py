@@ -38,7 +38,7 @@ lam = 1 as if no level had been nested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .system import LambdaData, MFGProblem, ResidualBundle, SolutionPair, residu
 __all__ = [
     "SolverConfig",
     "ContinuationState",
-    "NewtonDiagnostics",
     "NewtonFailure",
     "HorizonError",
     "trivial_solution",
@@ -122,40 +121,43 @@ class SolverConfig:
 
 @dataclass
 class ContinuationState:
-    """An accepted point on the homotopy path with its residual certificate."""
+    """An accepted point on the homotopy path with its residual certificate.
+
+    ``residual_history`` holds the residual sup-norms of the correction that
+    certified the state, its start first; the lam = 1 state has the one entry
+    of its exact start.  The certificate is the last entry.
+    """
 
     lam: float
     pair: SolutionPair
-    residual_norm: float
-    newton_iters: int
+    residual_history: list
     step: float
-    theta: float = 0.0  # first contraction of its correction, 0 without an iteration
+
+    @property
+    def residual_norm(self) -> float:
+        return self.residual_history[-1]
+
+    @property
+    def newton_iters(self) -> int:
+        return len(self.residual_history) - 1
+
+    @property
+    def theta(self) -> float:
+        """First contraction r_1 / r_0 of its correction, 0 without an iteration."""
+        hist = self.residual_history
+        return hist[1] / hist[0] if len(hist) > 1 else 0.0
 
     def min_density(self) -> float:
         return self.pair.min_density()
 
 
-@dataclass
-class NewtonDiagnostics:
-    residual_history: list = field(default_factory=list)
-
-    @property
-    def iterations(self) -> int:
-        return len(self.residual_history) - 1
-
-    @property
-    def contraction(self) -> float:
-        """First contraction r_1 / r_0, or 0 when no iteration was taken."""
-        hist = self.residual_history
-        return hist[1] / hist[0] if len(hist) > 1 else 0.0
-
-
 class NewtonFailure(RuntimeError):
-    """A correction gave up; ``reason`` names the test that ended it: "contraction",
-    "iteration budget", "line search", "inner solve" or "start density"."""
+    """A correction gave up; ``history`` holds its residual sup-norms so far, and
+    ``reason`` names the test that ended it: "contraction", "iteration budget",
+    "line search", "inner solve" or "start density"."""
 
-    def __init__(self, message: str, diagnostics: NewtonDiagnostics, reason: str):
-        self.diagnostics = diagnostics
+    def __init__(self, message: str, history: list, reason: str):
+        self.history = history
         self.reason = reason
         super().__init__(message)
 
@@ -188,9 +190,7 @@ def _trivial_start(problem: MFGProblem) -> tuple[ContinuationState, ResidualBund
         m=SpaceTimeField(problem.grid, problem.time, m_vals),
     )
     at_one = residual_full(problem, LambdaData.from_problem(problem, 1.0), pair)
-    state = ContinuationState(
-        lam=1.0, pair=pair, residual_norm=at_one.sup_norm(), newton_iters=0, step=0.0
-    )
+    state = ContinuationState(1.0, pair, [at_one.sup_norm()], step=0.0)
     return state, at_one
 
 
@@ -217,8 +217,11 @@ def newton_correct(
     pair: SolutionPair,
     config: SolverConfig = SolverConfig(),
     theta_max: float | None = None,
-) -> tuple[SolutionPair, NewtonDiagnostics]:
+) -> tuple[SolutionPair, list]:
     """Inexact damped Newton iteration on the full residual.
+
+    Returns the corrected pair and the residual sup-norms of the iteration,
+    its start first and the accepted pair's last.
 
     Each iteration solves L w = r at the current pair to the relative
     tolerance of :func:`_forcing_term` and steps along -w.  Accepts once the
@@ -232,21 +235,22 @@ def newton_correct(
     """
     if pair.min_density() < config.m_positivity_margin:
         raise NewtonFailure(
-            "start density is below the positivity margin", NewtonDiagnostics(), "start density"
+            "start density is below the positivity margin", [], "start density"
         )
     current = pair.copy()
     bundle = residual_full(problem, lam_data, current)
     res = bundle.sup_norm()
-    diag = NewtonDiagnostics(residual_history=[res])
+    history = [res]
     res_prev = None
     for _ in range(config.newton_max_iters):
         if res <= config.newton_tol:
-            return current, diag
+            return current, history
         eta = _forcing_term(res, res_prev, config.newton_tol)
         try:
             w: Perturbation = solve_linearized(problem, lam_data, current, bundle, rtol=eta)
         except LinearSolveError as exc:
-            raise NewtonFailure(f"inner linear solve failed: {exc}", diag, "inner solve") from exc
+            message = f"inner linear solve failed: {exc}"
+            raise NewtonFailure(message, history, "inner solve") from exc
         step = 1.0
         accepted = None
         for _ in range(40):
@@ -270,23 +274,23 @@ def newton_correct(
         if accepted is None:
             raise NewtonFailure(
                 "line search could not decrease the residual while keeping m positive",
-                diag,
+                history,
                 "line search",
             )
         res_prev = res
         current, bundle, res = accepted
-        diag.residual_history.append(res)
+        history.append(res)
         if theta_max is not None and config.newton_tol < res and theta_max * res_prev < res:
             raise NewtonFailure(
                 f"residual contracted by {res / res_prev:.3f} > {theta_max} (residual {res:.3e})",
-                diag,
+                history,
                 "contraction",
             )
     if res <= config.newton_tol:
-        return current, diag
+        return current, history
     raise NewtonFailure(
         f"no convergence in {config.newton_max_iters} iterations (residual {res:.3e})",
-        diag,
+        history,
         "iteration budget",
     )
 
@@ -372,7 +376,7 @@ def _march(
     if on_state is not None:
         on_state(state)
     tangent = _euler_tangent(problem, state.pair, at_one)
-    del at_one  # its Hamiltonian terms would otherwise stay alive for the whole path
+    del at_one  # its evaluation record would otherwise stay alive for the whole path
     dl = config.dlambda_init
     lam = 1.0
     retried = False
@@ -386,21 +390,14 @@ def _march(
         else:
             guess = _secant_guess(states, lam_next, config.m_positivity_margin)
         try:
-            pair, diag = newton_correct(problem, lam_data, guess, config, theta_max=_THETA_MAX)
+            pair, history = newton_correct(problem, lam_data, guess, config, theta_max=_THETA_MAX)
         except NewtonFailure as failure:
             dl *= 0.5
             if dl < config.dlambda_min:
                 raise HorizonError(states, lam_next, failure.reason)
             retried = True
             continue
-        state = ContinuationState(
-            lam=lam_next,
-            pair=pair,
-            residual_norm=diag.residual_history[-1],
-            newton_iters=diag.iterations,
-            step=lam - lam_next,
-            theta=diag.contraction,
-        )
+        state = ContinuationState(lam_next, pair, history, step=lam - lam_next)
         states.append(state)
         if on_state is not None:
             on_state(state)
@@ -530,7 +527,7 @@ def solve_path(
     ):
         try:
             states = solve_path(_coarse_problem(problem), config, on_state)
-            pair, diag = newton_correct(
+            pair, history = newton_correct(
                 problem,
                 LambdaData.from_problem(problem, 0.0),
                 _lift(states[-1].pair, problem),
@@ -539,14 +536,7 @@ def solve_path(
         except (HorizonError, NewtonFailure):
             pass
         else:
-            state = ContinuationState(
-                lam=0.0,
-                pair=pair,
-                residual_norm=diag.residual_history[-1],
-                newton_iters=diag.iterations,
-                step=0.0,
-                theta=diag.contraction,
-            )
+            state = ContinuationState(0.0, pair, history, step=0.0)
             if on_state is not None:
                 on_state(state)
             return states + [state]

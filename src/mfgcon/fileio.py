@@ -365,7 +365,10 @@ def read_field(path: str):
         raise error(
             f"value {values[n_slice, n_node]} at slice {n_slice}, node {n_node} is not finite"
         )
-    name = raw_name.rstrip(b"\0").decode()
+    try:
+        name = raw_name.rstrip(b"\0").decode()
+    except UnicodeDecodeError as exc:
+        raise error(f"field name is not UTF-8: {exc}") from exc
     return SpaceTimeField(grid, time, values.copy()), name
 
 

@@ -49,7 +49,6 @@ class FourierBasis:
     grid: PeriodicGrid
     values: np.ndarray   # (n, M)
     grads: np.ndarray    # (d, n, M)
-    freqs: tuple         # frequency vector per mode
 
     @classmethod
     def build(cls, grid: PeriodicGrid, n_modes: int) -> "FourierBasis":
@@ -61,10 +60,8 @@ class FourierBasis:
                 f"the grid resolves {1 + 2 * len(kvecs)} modes below its Nyquist frequency"
             )
         coords = grid.coordinates()
-        modes, grads, freqs = [], [], []
-        modes.append(np.ones(grid.num_nodes))
-        grads.append(np.zeros((grid.dim, grid.num_nodes)))
-        freqs.append((0,) * grid.dim)
+        modes = [np.ones(grid.num_nodes)]
+        grads = [np.zeros((grid.dim, grid.num_nodes))]
         for kvec in kvecs[: n_modes // 2]:
             phase = 2.0 * np.pi * sum(k * c for k, c in zip(kvec, coords))
             root2 = np.sqrt(2.0)
@@ -78,13 +75,11 @@ class FourierBasis:
             )
             modes.append(cos_m)
             grads.append(cos_g)
-            freqs.append(kvec)
             if len(modes) < n_modes:
                 modes.append(sin_m)
                 grads.append(sin_g)
-                freqs.append(kvec)
         values = np.stack(modes)
-        basis = cls(grid=grid, values=values, grads=np.stack(grads, axis=1), freqs=tuple(freqs))
+        basis = cls(grid=grid, values=values, grads=np.stack(grads, axis=1))
         gram = basis.gram()
         if np.max(np.abs(gram - np.eye(len(modes)))) > 1e-12:
             raise AssertionError("basis lost discrete orthonormality")

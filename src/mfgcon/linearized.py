@@ -4,23 +4,23 @@ The derivative is taken of the discrete equations themselves, so Newton
 inherits quadratic local convergence and a finite-difference check of the
 directional derivative is exact up to the quadratic remainder.  The operator
 is applied matrix-free on the real half spectrum, with its coefficient fields
-frozen once per solve.  A Newton solve takes q, H(q) and D_pH(q) from the
-residual evaluation that made its right-hand side, when that evaluation was
-at the same pair and the same LambdaData; every other caller evaluates them
-afresh.  Its rows split as L = H + N: H is the two decoupled implicit heat
-chains, N the coupling rows, and one helper computes N for both the plain
-apply and the solve.  Every linear solve is one restarted GMRES loop of
-this module on the right preconditioned operator I + N H^-1, where H^-1
-marches both chains on one batched real transform of all their time
-slices.  The loop stops on its Arnoldi residual estimate, which with right
-preconditioning from a zero start is the residual of L w = rhs in exact
-arithmetic, so it makes no closing apply to recheck it.  Each chain's
-recurrence, rescaled by powers of its factor c, is a prefix sum in time:
-one cumsum between two table multiplies, in blocks short enough that no
-weight c^-j exceeds 1e100, so nothing overflows.  One apply of it takes
-2d + 4 real field transforms: that forward transform of the iterate, one
-inverse of (Dv, f) from the chain spectra, and the flux divergence's forward
-and inverse pair.
+frozen once per solve.  A Newton solve reads q, H(q) and D_pH(q) off the
+``terms`` record of the residual bundle that is its right-hand side, when
+that record was taken at the same pair under the same LambdaData; every
+other caller evaluates them afresh.  Its rows split as L = H + N: H is the
+two decoupled implicit heat chains, N the coupling rows, and one helper
+computes N for both the plain apply and the solve.  Every linear solve is
+one restarted GMRES loop of this module on the right preconditioned
+operator I + N H^-1, where H^-1 marches both chains on one batched real
+transform of all their time slices.  The loop stops on its Arnoldi residual
+estimate, which with right preconditioning from a zero start is the
+residual of L w = rhs in exact arithmetic, so it makes no closing apply to
+recheck it.  Each chain's recurrence, rescaled by powers of its factor c,
+is a prefix sum in time: one cumsum between two table multiplies, in blocks
+short enough that no weight c^-j exceeds 1e100, so nothing overflows.  One
+apply of it takes 2d + 4 real field transforms: that forward transform of
+the iterate, one inverse of (Dv, f) from the chain spectra, and the flux
+divergence's forward and inverse pair.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from .system import (
     ResidualBundle,
     SolutionPair,
     _M_FLOOR,
-    _hamiltonian_terms,
-    _HamiltonianTerms,
+    _pair_terms,
+    _PairTerms,
 )
 
 __all__ = [
@@ -90,7 +90,7 @@ def _base_coefficients(
     problem: MFGProblem,
     lam_data: LambdaData,
     base: SolutionPair,
-    terms: _HamiltonianTerms | None = None,
+    terms: _PairTerms | None = None,
 ) -> _BaseCoefficients:
     """The coefficient fields at ``base``.
 
@@ -99,7 +99,7 @@ def _base_coefficients(
     another pair or another lambda.
     """
     if terms is None or not terms.taken_at(lam_data, base):
-        terms = _hamiltonian_terms(problem, lam_data, base)
+        terms = _pair_terms(problem, lam_data, base)
     alpha = problem.alpha
     m = base.m.values
     q, h_val, dp_h = terms.q, terms.h, terms.dp_h
@@ -324,11 +324,12 @@ def solve_linearized(
     is the residual of L w = rhs.  One apply of I + N H^-1 takes 2d + 4 real
     field transforms: the chains' forward transform of y, one inverse of
     (Dv, f) from the chain spectra, and the flux divergence's transform
-    pair.  The coefficients of L take q, H(q) and D_pH(q) from
-    ``rhs.terms`` when :func:`residual_full` made ``rhs`` at this ``base``
-    under this ``lam_data`` (the Newton corrector's case), and evaluate them
-    afresh otherwise.  A solve that misses its tolerance raises
-    :class:`LinearSolveError`; ``rtol`` below ``_KRYLOV_RTOL`` raises ValueError.
+    pair.  The coefficients of L read q, H(q) and D_pH(q) off ``rhs.terms``,
+    the record of the :func:`residual_full` evaluation that made ``rhs``,
+    when it was taken at this ``base`` under this ``lam_data`` (the Newton
+    corrector's case), and evaluate them afresh otherwise.  A solve that
+    misses its tolerance raises :class:`LinearSolveError`; ``rtol`` below
+    ``_KRYLOV_RTOL`` raises ValueError.
     """
     if rtol < _KRYLOV_RTOL:
         raise ValueError(

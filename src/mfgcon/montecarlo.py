@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import SpaceTimeField
-from .system import LambdaData, MFGProblem, SolutionPair, _shared_terms
+from .system import LambdaData, MFGProblem, SolutionPair, _pair_terms
 
 __all__ = [
     "NonfiniteDriftError",
@@ -231,8 +231,7 @@ def simulate_density(
     """
     grid, time = problem.grid, problem.time
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        q = _shared_terms(problem, pair).q
-        drift = -(lam_data.hamiltonian.grad(q) + lam_data.b_values[:, None, :])  # (d, K, M)
+        drift = -(_pair_terms(problem, lam_data, pair).dp_h + lam_data.b_values[:, None, :])
     finite = np.isfinite(drift).all(axis=0)
     if not finite.all():
         n_slice, n_node = divmod(int(np.argmin(finite)), grid.num_nodes)

@@ -105,9 +105,10 @@ class Potential:
 class MFGProblem:
     """All data of the congestion system on one space-time grid.
 
-    The data fields are float arrays of node values on ``grid``, like the
-    Hamiltonian weight: the drift ``b`` has shape (d, N**d), the terminal
-    cost ``psi`` and the initial density ``m0`` have shape (N**d,).
+    The data fields are float arrays of node values on ``grid``: the drift
+    ``b`` has shape (d, N**d), the terminal cost ``psi`` and the initial
+    density ``m0`` have shape (N**d,), and the Hamiltonian weight is a scalar
+    or has shape (N**d,).
     """
 
     grid: PeriodicGrid
@@ -123,12 +124,13 @@ class MFGProblem:
         if self.alpha < 0.0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         nodes = (self.grid.num_nodes,)
-        v1 = self.potential.v1
+        v1, weight = self.potential.v1, self.hamiltonian.weight
         if (
             np.shape(self.b) != (self.grid.dim,) + nodes
             or np.shape(self.psi) != nodes
             or np.shape(self.m0) != nodes
             or (v1 is not None and np.shape(v1) != nodes)
+            or (np.ndim(weight) and np.shape(weight) != nodes)
         ):
             raise ValueError("data fields must live on the problem grid")
         mass = integrate(self.m0, self.grid)
@@ -140,10 +142,6 @@ class MFGProblem:
         m_hi = float(np.max(self.m0)) * 2.0 + 1.0
         if self.potential.monotonicity_margin(0.5 * m_min, m_hi) <= 0.0:
             raise ValueError("potential coupling must be strictly increasing in the density")
-        if np.ndim(self.hamiltonian.weight) and (
-            np.asarray(self.hamiltonian.weight).size != self.grid.num_nodes
-        ):
-            raise ValueError("Hamiltonian weight field does not match the grid")
 
 
 @dataclass
@@ -200,15 +198,13 @@ class LambdaData:
 
 class ResidualBundle(NamedTuple):
     """The residual rows: transport (slice 0 is the initial-data row), then
-    value (the last slice is the terminal-data row)."""
+    value (the last slice is the terminal-data row).  ``terms`` is the
+    evaluation that produced them, on the bundles :func:`residual_full`
+    returns, and None on every other bundle."""
 
     fp: SpaceTimeField
     hjb: SpaceTimeField
-
-    # The Hamiltonian terms of the evaluation that produced the rows, on the
-    # bundles residual_full returns; an attribute, not a field, so a bundle
-    # still unpacks as (fp, hjb).
-    terms = None
+    terms: Optional[_PairTerms] = None
 
     def sup_norm(self) -> float:
         return max(self.fp.sup_norm(), self.hjb.sup_norm())
@@ -221,67 +217,50 @@ def _check_positive_density(m: np.ndarray) -> None:
         raise NonpositiveDensityError(n_slice, n_node, float(m[n_slice, n_node]))
 
 
-class _SharedTerms(NamedTuple):
-    """Fields both residual rows evaluate at one pair."""
+class _PairTerms(NamedTuple):
+    """The fields one evaluation computes at one pair under one LambdaData.
 
-    du: np.ndarray      # (d, K, M) gradient of u
-    lap_u: np.ndarray   # (K, M)
-    q: np.ndarray       # (d, K, M) congestion ratio
-    m_pow: np.ndarray   # (K, M) max(m, floor)^alpha
-
-
-def _shared_terms(problem: MFGProblem, pair: SolutionPair) -> _SharedTerms:
-    m = pair.m.values
-    _check_positive_density(m)
-    d = problem.grid.dim
-    du_lap = _grad_lap_stack(pair.u.values, problem.grid)
-    m_pow = np.maximum(m, _M_FLOOR) ** problem.alpha
-    du = du_lap[:d]
-    return _SharedTerms(du=du, lap_u=du_lap[d], q=du / m_pow, m_pow=m_pow)
-
-
-class _HamiltonianTerms(NamedTuple):
-    """q, H(q) and D_pH(q) of one pair under one LambdaData.
-
-    The residual rows and the linearization's coefficients both use them.  The
-    pair's arrays and the data are kept so that :meth:`taken_at` can tell by
-    identity whether the terms belong to a given pair and data.
+    The residual rows, the linearization's coefficients and the particle
+    drift all read them.  The pair's arrays and the data are kept so that
+    :meth:`taken_at` can tell by identity whether the terms belong to a given
+    pair and data.
     """
 
     lam_data: LambdaData
     u: np.ndarray
     m: np.ndarray
-    q: np.ndarray      # (d, K, M) congestion ratio
-    h: np.ndarray      # (K, M) H(q)
-    dp_h: np.ndarray   # (d, K, M) D_pH(q)
+    du: np.ndarray      # (d, K, M) gradient of u
+    lap_u: np.ndarray   # (K, M)
+    q: np.ndarray       # (d, K, M) congestion ratio
+    m_pow: np.ndarray   # (K, M) max(m, floor)^alpha
+    h: np.ndarray       # (K, M) H(q)
+    dp_h: np.ndarray    # (d, K, M) D_pH(q)
 
     def taken_at(self, lam_data: LambdaData, pair: SolutionPair) -> bool:
         return self.lam_data is lam_data and self.u is pair.u.values and self.m is pair.m.values
 
 
-def _hamiltonian_terms(
-    problem: MFGProblem, lam_data: LambdaData, pair: SolutionPair, q: Optional[np.ndarray] = None
-) -> _HamiltonianTerms:
-    """The Hamiltonian terms at ``pair``; ``q`` is its congestion ratio when already known."""
-    if q is None:
-        q = _shared_terms(problem, pair).q
-    ham = lam_data.hamiltonian
-    return _HamiltonianTerms(lam_data, pair.u.values, pair.m.values, q, ham.value(q), ham.grad(q))
-
-
-class _EvaluatedResidual(ResidualBundle):
-    """The rows of :func:`residual_full`; unlike a plain bundle it can hold ``terms``."""
-
-
-def _hjb_rows(problem, lam_data, pair, terms: _SharedTerms, h_vals) -> SpaceTimeField:
-    dt = problem.time.dt
+def _pair_terms(problem: MFGProblem, lam_data: LambdaData, pair: SolutionPair) -> _PairTerms:
     u, m = pair.u.values, pair.m.values
+    _check_positive_density(m)
+    d = problem.grid.dim
+    du_lap = _grad_lap_stack(u, problem.grid)
+    m_pow = np.maximum(m, _M_FLOOR) ** problem.alpha
+    du = du_lap[:d]
+    q = du / m_pow
+    ham = lam_data.hamiltonian
+    return _PairTerms(lam_data, u, m, du, du_lap[d], q, m_pow, ham.value(q), ham.grad(q))
+
+
+def _hjb_rows(problem: MFGProblem, terms: _PairTerms) -> SpaceTimeField:
+    dt = problem.time.dt
+    lam_data, u, m = terms.lam_data, terms.u, terms.m
     drift = np.einsum("dm,dkm->km", lam_data.b_values, terms.du)
     out = np.empty_like(u)
     out[:-1] = (
         (u[:-1] - u[1:]) / dt
         - terms.lap_u[:-1]
-        + terms.m_pow[:-1] * h_vals[:-1]
+        + terms.m_pow[:-1] * terms.h[:-1]
         + drift[:-1]
         - lam_data.potential_value(m[:-1])
     )
@@ -289,11 +268,11 @@ def _hjb_rows(problem, lam_data, pair, terms: _SharedTerms, h_vals) -> SpaceTime
     return SpaceTimeField(problem.grid, problem.time, out)
 
 
-def _fp_rows(problem, lam_data, pair, dp_h) -> SpaceTimeField:
+def _fp_rows(problem: MFGProblem, terms: _PairTerms) -> SpaceTimeField:
     grid, dt = problem.grid, problem.time.dt
-    m = pair.m.values
+    lam_data, m = terms.lam_data, terms.m
     flux_m = np.empty((grid.dim + 1,) + m.shape)
-    np.multiply(dp_h + lam_data.b_values[:, None, :], m, out=flux_m[: grid.dim])
+    np.multiply(terms.dp_h + lam_data.b_values[:, None, :], m, out=flux_m[: grid.dim])
     flux_m[grid.dim] = m
     lap_div = _div_lap_stack(flux_m, grid)  # Laplacian of m plus the flux divergence
     out = np.empty_like(m)
@@ -313,15 +292,10 @@ def residual_full(
     the initial mass exactly.  Value slice n < N_t carries (u^n - u^(n+1))/dt
     with all spatial terms on slice n, and the last slice the terminal
     mismatch u(., T) - psi.  The density check, the gradient and Laplacian of
-    u and the congestion ratio are computed once and shared by both rows.
-    The bundle keeps q, H(q) and D_pH(q) as its ``terms``, so that a linear
-    solve at the same pair and data need not evaluate them again.
+    u, the congestion ratio, H(q) and D_pH(q) are computed once, by
+    :func:`_pair_terms`, and both rows read them.  The bundle keeps that
+    record as its ``terms``, so that a linear solve at the same pair and data
+    need not evaluate them again.
     """
-    shared = _shared_terms(problem, pair)
-    terms = _hamiltonian_terms(problem, lam_data, pair, shared.q)
-    bundle = _EvaluatedResidual(
-        fp=_fp_rows(problem, lam_data, pair, terms.dp_h),
-        hjb=_hjb_rows(problem, lam_data, pair, shared, terms.h),
-    )
-    bundle.terms = terms
-    return bundle
+    terms = _pair_terms(problem, lam_data, pair)
+    return ResidualBundle(fp=_fp_rows(problem, terms), hjb=_hjb_rows(problem, terms), terms=terms)

@@ -280,7 +280,9 @@ def _field_with_bad_grid(path):
 
 
 @pytest.mark.parametrize("command", ["check", "mc"])
-@pytest.mark.parametrize("case", ["truncated", "three_dimensional", "density_time_grid"])
+@pytest.mark.parametrize(
+    "case", ["truncated", "three_dimensional", "density_time_grid", "undecodable_name"]
+)
 def test_bad_field_files_are_usage_errors(workdir, tmp_path, capsys, command, case):
     u_path = os.path.join(workdir["out"], "u.field")
     m_path = os.path.join(workdir["out"], "m.field")
@@ -289,6 +291,11 @@ def test_bad_field_files_are_usage_errors(workdir, tmp_path, capsys, command, ca
         open(bad, "wb").write(open(m_path, "rb").read()[:-3])
     elif case == "three_dimensional":
         _field_with_bad_grid(bad)
+    elif case == "undecodable_name":  # the header checksum holds, the name is not UTF-8
+        blob = open(m_path, "rb").read()
+        header = _HEADER.pack(*_HEADER.unpack(blob[: _HEADER.size])[:-1], b"\xff\xfe")
+        open(bad, "wb").write(header + struct.pack("<I", zlib.crc32(header))
+                              + blob[_HEADER.size + 4:])
     else:  # a uniform density on 8 time steps; the config has n_t = 16
         m, _ = read_field(m_path)
         time = TimeGrid(m.time.horizon, 8)
@@ -299,6 +306,8 @@ def test_bad_field_files_are_usage_errors(workdir, tmp_path, capsys, command, ca
     assert code == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"{command}: ")
+    if case == "undecodable_name":
+        assert bad in err[0]
 
 
 # One corrupted input per row: the field edited (None: the config's grid
@@ -597,9 +606,7 @@ def test_nested_solve_falls_back_to_the_config_grid(tmp_path, monkeypatch):
 
     def coarse_only(problem, *args, **kwargs):
         if problem.grid.points_per_dim == 32:
-            raise continuation.NewtonFailure(
-                "fine grid", continuation.NewtonDiagnostics(), "inner solve"
-            )
+            raise continuation.NewtonFailure("fine grid", [], "inner solve")
         return real(problem, *args, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_correct", coarse_only)

@@ -50,9 +50,8 @@ def test_trivial_solution_certificate(small_problem):
 def test_newton_zero_iterations_at_solution(small_problem):
     state = trivial_solution(small_problem)
     lam = LambdaData.from_problem(small_problem, 1.0)
-    pair, diag = newton_correct(small_problem, lam, state.pair)
-    assert diag.iterations == 0
-    assert diag.residual_history == [state.residual_norm]
+    pair, history = newton_correct(small_problem, lam, state.pair)
+    assert history == [state.residual_norm]
 
 
 def test_newton_recovers_from_cosine_perturbation(small_problem):
@@ -67,12 +66,11 @@ def test_newton_recovers_from_cosine_perturbation(small_problem):
         ),
         m=state.pair.m.copy(),
     )
-    pair, diag = newton_correct(small_problem, lam, bumped)
-    assert diag.iterations <= 5
+    pair, hist = newton_correct(small_problem, lam, bumped)
+    assert len(hist) - 1 <= 5
     final = residual_full(small_problem, lam, pair).sup_norm()
     assert final <= 1e-10
     # contraction accelerates along the tail of the iteration
-    hist = diag.residual_history
     if len(hist) >= 3:
         assert hist[-1] / hist[-2] < hist[-2] / hist[-3]
 
@@ -173,7 +171,7 @@ def test_newton_failure_carries_diagnostics(small_problem):
     cfg = SolverConfig(newton_max_iters=1)
     with pytest.raises(NewtonFailure) as err:
         newton_correct(small_problem, lam, state.pair, cfg)
-    assert err.value.diagnostics.residual_history
+    assert err.value.history
 
 
 REFERENCE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.cfg")
@@ -220,8 +218,8 @@ def test_predictor_falls_back_when_extrapolated_density_dips(small_problem, monk
         m = np.repeat((bump / np.mean(bump))[None, :], problem.time.num_slices, axis=0)
         pair = SolutionPair(u=state.pair.u, m=SpaceTimeField(problem.grid, problem.time, m))
         at_one = residual_full(problem, LambdaData.from_problem(problem, 1.0), pair)
-        skewed = ContinuationState(lam=1.0, pair=pair, residual_norm=at_one.sup_norm(),
-                                   newton_iters=0, step=0.0)
+        skewed = ContinuationState(lam=1.0, pair=pair, residual_history=[at_one.sup_norm()],
+                                   step=0.0)
         return skewed, at_one
 
     monkeypatch.setattr(continuation, "_trivial_start", skewed_start)
@@ -261,11 +259,11 @@ def test_first_solve_far_from_the_solution_is_loose(small_problem, monkeypatch):
     rtols = _record_rtols(monkeypatch)
     state = trivial_solution(small_problem)
     lam = LambdaData.from_problem(small_problem, 0.5)
-    _, diag = newton_correct(small_problem, lam, state.pair)
-    assert diag.residual_history[0] > 1e3 * SolverConfig().newton_tol
-    assert diag.residual_history[-1] <= SolverConfig().newton_tol
+    _, history = newton_correct(small_problem, lam, state.pair)
+    assert history[0] > 1e3 * SolverConfig().newton_tol
+    assert history[-1] <= SolverConfig().newton_tol
     assert rtols[0] == 0.1
-    assert len(rtols) == diag.iterations
+    assert len(rtols) == len(history) - 1
 
 
 def test_reference_solve_work_stays_bounded(monkeypatch):
@@ -361,7 +359,7 @@ def test_reference_path_evaluates_each_linearization_once(monkeypatch):
 
         def wrapper(*args, **kwargs):
             tally = counts.setdefault(grid_of(*args), dict.fromkeys(
-                ("residual", "shared", "value", "grad"), 0))
+                ("residual", "terms", "value", "grad"), 0))
             tally[key] += 1
             return real(*args, **kwargs)
 
@@ -374,7 +372,8 @@ def test_reference_path_evaluates_each_linearization_once(monkeypatch):
         return q.shape[-1], q.shape[-2] - 1
 
     counted(continuation, "residual_full", "residual", of_problem)
-    counted(system, "_shared_terms", "shared", of_problem)
+    counted(system, "_pair_terms", "terms", of_problem)  # residual_full's
+    counted(linearized, "_pair_terms", "terms", of_problem)  # a fresh linearization's
     counted(HamiltonianModel, "value", "value", of_momentum)
     counted(HamiltonianModel, "grad", "grad", of_momentum)
     cfg = load_config(REFERENCE_CFG)
@@ -382,10 +381,10 @@ def test_reference_path_evaluates_each_linearization_once(monkeypatch):
     assert states[-1].lam == 0.0
     assert list(counts) == [(32, 32), (64, 64)]
     coarse, fine = counts[32, 32], counts[64, 64]
-    assert coarse["residual"] == 18 and coarse["shared"] == coarse["residual"] + 1
-    assert fine["residual"] == fine["shared"] == 3
+    assert coarse["residual"] == 18 and coarse["terms"] == coarse["residual"] + 1
+    assert fine["residual"] == fine["terms"] == 3
     for tally in (coarse, fine):
-        assert tally["value"] == tally["grad"] == tally["shared"]
+        assert tally["value"] == tally["grad"] == tally["terms"]
 
 
 def _record_newton_starts(monkeypatch):
@@ -475,7 +474,7 @@ def test_rejected_step_is_retried_at_half_the_size(monkeypatch):
     cfg = SolverConfig()
     states = solve_path(problem, cfg)
     assert [(lam, f.reason) for lam, f in failures] == [(0.0, "contraction")]
-    hist = failures[0][1].diagnostics.residual_history
+    hist = failures[0][1].history
     assert len(hist) == 2 and hist[1] > _THETA_MAX * hist[0] > cfg.newton_tol
     assert len(starts) == 3
     assert [s.lam for s in states] == [1.0, 0.5, 0.0]
@@ -496,14 +495,14 @@ def test_contraction_test_stops_a_correction_after_its_first_slow_iteration(monk
     with pytest.raises(NewtonFailure) as free:
         newton_correct(problem, lam, start, cfg)
     assert free.value.reason != "contraction"
-    assert free.value.diagnostics.iterations > 1
+    assert len(free.value.history) - 1 > 1
     with pytest.raises(NewtonFailure) as tested:
         newton_correct(problem, lam, start, cfg, theta_max=_THETA_MAX)
     assert tested.value.reason == "contraction"
-    hist = tested.value.diagnostics.residual_history
+    hist = tested.value.history
     ratios = [b / a for a, b in zip(hist, hist[1:])]
     assert ratios[-1] > _THETA_MAX and all(r <= _THETA_MAX for r in ratios[:-1])
-    assert hist == free.value.diagnostics.residual_history[: len(hist)]
+    assert hist == free.value.history[: len(hist)]
 
 
 def test_line_search_accepts_a_damped_step(monkeypatch):
@@ -526,8 +525,8 @@ def test_line_search_accepts_a_damped_step(monkeypatch):
     monkeypatch.setattr(continuation, "solve_linearized", solve)
     monkeypatch.setattr(continuation, "residual_full", residual)
     cfg = SolverConfig()
-    _, diag = newton_correct(problem, LambdaData.from_problem(problem, 0.9), start, cfg)
-    assert diag.residual_history[-1] <= cfg.newton_tol
+    _, history = newton_correct(problem, LambdaData.from_problem(problem, 0.9), start, cfg)
+    assert history[-1] <= cfg.newton_tol
     # after a solve at base the line search tries base - s w for s = 1, 1/2,
     # ... and keeps the first that lowers the residual: the last one tried
     taken = []
@@ -544,7 +543,7 @@ def test_line_search_accepts_a_damped_step(monkeypatch):
                 if np.array_equal(later.m.values, base.m.values - s * w.f.values)
             ]
         taken.append(tried[-1])
-    assert len(taken) == diag.iterations
+    assert len(taken) == len(history) - 1
     assert taken[0] == 0.5
     assert taken[-1] == 1.0
 
@@ -739,7 +738,7 @@ def test_failed_middle_correction_marches_that_level(tmp_path, monkeypatch):
         if prob.grid.points_per_dim == 16:
             middle_calls.append(lam_data.lam)
             if middle_calls == [0.0]:
-                raise NewtonFailure("injected", continuation.NewtonDiagnostics(), "inner solve")
+                raise NewtonFailure("injected", [], "inner solve")
         return real(prob, lam_data, pair, config, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_correct", failing_newton)
@@ -774,7 +773,7 @@ def test_nested_path_falls_back_to_the_target_grid(tmp_path, monkeypatch, failin
         if on_target:
             fine_calls.append(lam_data.lam)
         if (failing == "coarse path" and not on_target) or fine_calls == [0.0]:
-            raise NewtonFailure("injected", continuation.NewtonDiagnostics(), "inner solve")
+            raise NewtonFailure("injected", [], "inner solve")
         return real(prob, lam_data, pair, config, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_correct", failing_newton)

@@ -84,18 +84,29 @@ def test_divergence_analytic_and_mean_free():
 
 def test_component_grid_mismatch_rejected():
     # a data field sampled on another grid is refused with the problem: a drift
-    # on 64 nodes, a drift with the wrong number of components, and a coupling
-    # field on 64 nodes, which Potential.value would otherwise meet mid-solve
+    # on 64 nodes, a drift with the wrong number of components, a coupling
+    # field on 64 nodes, which Potential.value would otherwise meet mid-solve,
+    # and a Hamiltonian weight of 2 x 16 nodes, the node count in another shape
     problem = make_problem(n=32)
     other = PeriodicGrid(1, 64)
+
+    def weighted(problem, shape):
+        return {"hamiltonian": replace(problem.hamiltonian, weight=np.ones(shape))}
+
     wrong = [
         {"b": np.zeros((1, other.num_nodes))},
         {"b": np.zeros((2, problem.grid.num_nodes))},
         {"potential": replace(problem.potential, v1=np.zeros(other.num_nodes))},
+        weighted(problem, (2, 16)),
     ]
     for fields in wrong:
         with pytest.raises(ValueError, match="problem grid"):
             replace(problem, **fields)
+    # in d = 2 the weight holds the nodes in one axis, not in the grid's shape
+    square = make_problem(n=16, dim=2)
+    with pytest.raises(ValueError, match="problem grid"):
+        replace(square, **weighted(square, (16, 16)))
+    replace(square, **weighted(square, (256,)))
 
 
 def test_summation_by_parts():

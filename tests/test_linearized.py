@@ -360,15 +360,17 @@ def test_fine_grid_chain_march_stays_finite():
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def _count_shared_terms(monkeypatch):
+def _count_pair_terms(monkeypatch):
+    # residual_full calls the system module's name, a fresh linearization its own
     calls = []
-    real = system._shared_terms
+    real = system._pair_terms
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(system, "_shared_terms", counting)
+    monkeypatch.setattr(system, "_pair_terms", counting)
+    monkeypatch.setattr(linearized, "_pair_terms", counting)
     return calls
 
 
@@ -382,7 +384,7 @@ def test_newton_solve_reuses_the_residual_terms_exactly(small_problem, dim, monk
     base = perturbed_base(problem, np.random.default_rng(12))
     lam = LambdaData.from_problem(problem, 0.6)
     rhs = residual_full(problem, lam, base)
-    calls = _count_shared_terms(monkeypatch)
+    calls = _count_pair_terms(monkeypatch)
     reused = solve_linearized(problem, lam, base, rhs, rtol=1e-3)
     assert calls == []
     fresh = solve_linearized(problem, lam, base, _without_terms(rhs), rtol=1e-3)
@@ -403,7 +405,7 @@ def test_terms_of_another_evaluation_are_never_reused(monkeypatch):
         _base_coefficients(problem, lam_one, pair, stale).zero_order_u,
         _base_coefficients(problem, lam_one, pair).zero_order_u,
     )
-    calls = _count_shared_terms(monkeypatch)
+    calls = _count_pair_terms(monkeypatch)
     got = solve_linearized(problem, lam_one, pair, rhs)
     expect = solve_linearized(problem, lam_one, pair, _without_terms(rhs))
     assert len(calls) == 2

@@ -50,9 +50,9 @@ def test_lambda_data_identities(small_problem):
 def test_trivial_pair_residuals_vanish(small_problem):
     state = trivial_solution(small_problem)
     lam_data = LambdaData.from_problem(small_problem, 1.0)
-    r_m, r_u = residual_full(small_problem, lam_data, state.pair)
-    assert r_u.sup_norm() <= 1e-12
-    assert r_m.sup_norm() <= 1e-12
+    rows = residual_full(small_problem, lam_data, state.pair)
+    assert rows.hjb.sup_norm() <= 1e-12
+    assert rows.fp.sup_norm() <= 1e-12
 
 
 def test_terminal_row_tracks_terminal_condition(small_problem):
