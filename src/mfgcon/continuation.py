@@ -21,18 +21,22 @@ residual above THETA_MAX times the last one, and the step is retried
 shorter.  Every
 accepted state carries the residual certificate Newton accepted it on.
 
-A path on a fine enough grid is solved one level down first, as in the
+A path on a fine enough grid is solved on coarser grids first, as in the
 nested iteration of full multigrid (Brandt, "Multi-level adaptive solutions
-to boundary-value problems", Math. Comp. 31, 1977): the problem is injected
-onto every other node, with n_t halved when even, its path is solved there
-by the same rule, so levels nest until the coarse grid would keep too few
-nodes, and the coarse lam = 0 state, interpolated back, starts one Newton
-correction on the grid above.  By the mesh-independence principle
-(Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986) that
-correction needs only a few iterations.  Data with modes the coarse grid
-cannot hold would alias there, so such a path is marched on its own grid,
-and so is one whose coarse path stalls or whose correction fails, from
-lam = 1 as if no level had been nested.
+to boundary-value problems", Math. Comp. 31, 1977).  Space is halved, the
+data injected onto every other node, while the coarse grid keeps enough
+nodes; on the coarsest grid an even n_t is then halved as many times as
+space was.  The path is marched there, and the lam = 0 state climbs the
+levels back, time first and space last: each is interpolated onto the next
+level and starts one Newton correction there.  By the mesh-independence
+principle (Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23,
+1986) a correction needs only a few iterations.  The coarse scheme's time
+error is corrected on the coarsest grid, where it is cheap; space is
+resolved there already, so a space lift starts within one Newton step of
+the solution, and its correction solves its first Newton system to that
+one step's accuracy.  Data with modes a coarse grid cannot hold would alias
+there, so space is not halved for them, and a level whose coarser path
+stalls or whose correction fails is marched on its own grid from lam = 1.
 """
 
 from __future__ import annotations
@@ -99,6 +103,15 @@ _NEST_MIN_COARSE_NODES = 32
 # aliased_2d in tests/test_cli.py reads 0.17, and every grid2d field of the
 # benchmark at most 2e-16.
 _ALIAS_TOL = 1e-8
+# A correction whose start was lifted in space alone, with a first residual
+# r_0 <= ETA_MAX, solves its first Newton system to ONE_STEP_FRACTION *
+# newton_tol / r_0, so that one step certifies it.  Near 0.1 roundoff decides
+# the count: over the twelve torus shifts of perfbench's grid2d seeds 0-11
+# the 32x32 correction took 3 applies on 7 and 2 on 5 at 0.1, and the 16x16
+# one 4 on 2 of them at 0.05; every fraction from 0.04 down to 0.01 gave all
+# twelve 5 applies on 16x16 and 3 on 32x32, and 0.006 gave the 16x16 one 6
+# on ten.  0.02 sits a factor of 2 inside either end.
+_ONE_STEP_FRACTION = 0.02
 
 
 @dataclass(frozen=True)
@@ -199,14 +212,19 @@ def trivial_solution(problem: MFGProblem) -> ContinuationState:
     return _trivial_start(problem)[0]
 
 
-def _forcing_term(res: float, res_prev: float | None, tol: float) -> float:
+def _forcing_term(res: float, res_prev: float | None, tol: float, one_step: bool = False) -> float:
     """Relative Krylov tolerance of the next Newton solve (Eisenstat-Walker choice 2).
 
     The first solve of a correction uses ``_ETA_MAX``.  The floor keeps the
     solve from aiming below a tenth of ``tol`` in absolute terms, and never
     below ``_KRYLOV_RTOL``.  The usual safeguard max(eta, GAMMA eta_prev^2)
     only acts when GAMMA eta_prev^2 > 0.1, which the cap at 0.1 rules out.
+    With ``one_step``, a first solve at a residual of at most ``_ETA_MAX``
+    aims at ``_ONE_STEP_FRACTION * tol`` in absolute terms instead, so that
+    its step certifies the correction, and still never below ``_KRYLOV_RTOL``.
     """
+    if res_prev is None and one_step and res <= _ETA_MAX:
+        return max(_ONE_STEP_FRACTION * tol / res, _KRYLOV_RTOL)
     eta = _ETA_MAX if res_prev is None else min(_EW_GAMMA * (res / res_prev) ** 2, _ETA_MAX)
     return max(eta, _KRYLOV_RTOL, 0.1 * tol / res)
 
@@ -217,6 +235,7 @@ def newton_correct(
     pair: SolutionPair,
     config: SolverConfig = SolverConfig(),
     theta_max: float | None = None,
+    one_step: bool = False,
 ) -> tuple[SolutionPair, list]:
     """Inexact damped Newton iteration on the full residual.
 
@@ -232,6 +251,9 @@ def newton_correct(
     an inner linear solve that misses its tolerance, or, when ``theta_max``
     is given, an iteration that leaves the residual above ``newton_tol`` and
     above ``theta_max`` times the last one, raises NewtonFailure.
+    ``one_step`` marks a start that a space lift took within one Newton step
+    of the solution; :func:`_forcing_term` may then aim the first solve at
+    a one-step certificate.
     """
     if pair.min_density() < config.m_positivity_margin:
         raise NewtonFailure(
@@ -245,7 +267,7 @@ def newton_correct(
     for _ in range(config.newton_max_iters):
         if res <= config.newton_tol:
             return current, history
-        eta = _forcing_term(res, res_prev, config.newton_tol)
+        eta = _forcing_term(res, res_prev, config.newton_tol, one_step)
         try:
             w: Perturbation = solve_linearized(problem, lam_data, current, bundle, rtol=eta)
         except LinearSolveError as exc:
@@ -409,13 +431,13 @@ def _march(
 
 
 def _coarse_problem(problem: MFGProblem) -> MFGProblem:
-    """The problem on every other node, with n_t halved when it is even.
+    """The problem on every other node, on the same time grid.
 
     Coarse node j sits at fine node 2j, so injecting the data fields equals
     sampling their expressions on the coarse grid; m0 is renormalized to unit
     mass there.
     """
-    grid, time = problem.grid, problem.time
+    grid = problem.grid
     coarse = PeriodicGrid(grid.dim, grid.points_per_dim // 2)
     every_other = (Ellipsis,) + (slice(None, None, 2),) * grid.dim
 
@@ -429,7 +451,6 @@ def _coarse_problem(problem: MFGProblem) -> MFGProblem:
     return replace(
         problem,
         grid=coarse,
-        time=TimeGrid(time.horizon, time.steps // 2 if time.steps % 2 == 0 else time.steps),
         hamiltonian=replace(
             problem.hamiltonian, weight=inject(weight) if np.ndim(weight) else weight
         ),
@@ -443,14 +464,17 @@ def _coarse_problem(problem: MFGProblem) -> MFGProblem:
 def _lift(pair: SolutionPair, problem: MFGProblem) -> SolutionPair:
     """``pair`` on the problem's grids: Fourier interpolation in space, linear in time.
 
-    The stacked (u, m) goes through one forward transform, the zero-padding
-    of ``grids._pad_spectrum`` and one inverse transform.  When the coarse
-    path halved n_t, even fine slices copy the coarse ones and odd slices
-    average their two neighbours.
+    Each is done only where the grids differ.  A coarser space grid takes
+    the stacked (u, m) through one forward transform, the zero-padding of
+    ``grids._pad_spectrum`` and one inverse transform.  Where n_t was halved,
+    even fine slices copy the coarse ones and odd slices average their two
+    neighbours.
     """
     grid = pair.u.grid
-    spec = _rfft_stack(np.stack([pair.u.values, pair.m.values]), grid)
-    lifted = _irfft_stack(_pad_spectrum(spec, grid, problem.grid.points_per_dim), problem.grid)
+    lifted = np.stack([pair.u.values, pair.m.values])
+    if grid != problem.grid:
+        spec = _rfft_stack(lifted, grid)
+        lifted = _irfft_stack(_pad_spectrum(spec, grid, problem.grid.points_per_dim), problem.grid)
     num_slices = problem.time.num_slices
     if lifted.shape[1] != num_slices:
         coarse = lifted
@@ -485,6 +509,54 @@ def _coarse_holds_the_data(problem: MFGProblem) -> bool:
     return bool(np.all(tail <= _ALIAS_TOL * np.max(spec, axis=1)))
 
 
+def _levels(problem: MFGProblem) -> list[MFGProblem]:
+    """The problems a nested path is solved on, coarsest first and ``problem`` last.
+
+    Space is halved by :func:`_coarse_problem` while the coarse grid keeps at
+    least ``_NEST_MIN_COARSE_NODES`` nodes per slice and
+    :func:`_coarse_holds_the_data`; then n_t is halved, while it is even, as
+    many times as space was.
+    """
+    levels = [problem]
+    while (
+        levels[-1].grid.num_nodes >> levels[-1].grid.dim >= _NEST_MIN_COARSE_NODES
+        and _coarse_holds_the_data(levels[-1])
+    ):
+        levels.append(_coarse_problem(levels[-1]))
+    for _ in range(len(levels) - 1):
+        time = levels[-1].time
+        if time.steps % 2:
+            break
+        levels.append(replace(levels[-1], time=TimeGrid(time.horizon, time.steps // 2)))
+    return levels[::-1]
+
+
+def _solve_levels(
+    levels: list[MFGProblem], config: SolverConfig, on_state
+) -> list[ContinuationState]:
+    """The path of ``levels[-1]``, nested on the levels before it (see :func:`solve_path`)."""
+    problem = levels[-1]
+    if len(levels) > 1:
+        try:
+            states = _solve_levels(levels[:-1], config, on_state)
+            coarse = states[-1].pair
+            pair, history = newton_correct(
+                problem,
+                LambdaData.from_problem(problem, 0.0),
+                _lift(coarse, problem),
+                config,
+                one_step=coarse.u.grid != problem.grid,
+            )
+        except (HorizonError, NewtonFailure):
+            pass
+        else:
+            state = ContinuationState(0.0, pair, history, step=0.0)
+            if on_state is not None:
+                on_state(state)
+            return states + [state]
+    return _march(problem, config, on_state)
+
+
 def solve_path(
     problem: MFGProblem,
     config: SolverConfig = SolverConfig(),
@@ -508,36 +580,20 @@ def solve_path(
     raises :class:`HorizonError` carrying the states accepted so far and the
     test that ended the last correction.
 
-    When the coarse grid of :func:`_coarse_problem` keeps at least
-    ``_NEST_MIN_COARSE_NODES`` nodes per slice and :func:`_coarse_holds_the_data`,
-    the path of the coarse problem is solved first, by this same rule, and
-    its lam = 0 state, lifted by :func:`_lift`, starts one Newton correction
-    at lam = 0 on the problem's grids, with no contraction test.  The states
-    returned are then the coarse path's, coarsest grid first, followed by
-    that corrected state (``step`` 0), so the last one always lives on the
-    problem's grids; every state carries the certificate of its own grid.
-    If the coarse path raises :class:`HorizonError` or the correction
+    When :func:`_levels` finds coarser levels, the path is marched on the
+    coarsest one only.  Its lam = 0 state climbs the others in order (n_t
+    doubled on the coarsest space grid first, then space refined): at each
+    level it is lifted by :func:`_lift` and starts one Newton correction at
+    lam = 0, with no contraction test.  A correction whose start was lifted
+    in space solves its first Newton system toward a one-step certificate
+    (``one_step`` of :func:`newton_correct`).  The states returned are the
+    coarsest path's, followed by one corrected state per level (``step``
+    0), so the last one always lives on the problem's grids; every state
+    carries the certificate of its own grid.  If the path below a level
+    raises :class:`HorizonError` or that level's correction
     :class:`NewtonFailure` (a lifted density that dips below the margin
-    among them), the path is marched again on the problem's grids from
-    lam = 1, and its states alone are returned.
+    among them), the level is marched on its own grids from lam = 1, and the
+    levels above it climb from its states.  For a problem with no coarser
+    level the path is that march alone.
     """
-    if (
-        problem.grid.num_nodes >> problem.grid.dim >= _NEST_MIN_COARSE_NODES
-        and _coarse_holds_the_data(problem)
-    ):
-        try:
-            states = solve_path(_coarse_problem(problem), config, on_state)
-            pair, history = newton_correct(
-                problem,
-                LambdaData.from_problem(problem, 0.0),
-                _lift(states[-1].pair, problem),
-                config,
-            )
-        except (HorizonError, NewtonFailure):
-            pass
-        else:
-            state = ContinuationState(0.0, pair, history, step=0.0)
-            if on_state is not None:
-                on_state(state)
-            return states + [state]
-    return _march(problem, config, on_state)
+    return _solve_levels(_levels(problem), config, on_state)

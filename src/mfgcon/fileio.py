@@ -300,7 +300,16 @@ _HEADER = struct.Struct("<4sHcBIId32s")
 
 
 def write_field(path: str, stf: SpaceTimeField, name: str) -> None:
-    """Write a space-time field; atomic via temp file plus rename."""
+    """Write a space-time field; atomic via temp file plus rename.
+
+    The header holds ``name`` in 32 UTF-8 bytes; a longer name raises
+    ValueError before anything is written.
+    """
+    raw_name = name.encode()
+    if len(raw_name) > 32:
+        raise ValueError(
+            f"field name {name!r} takes {len(raw_name)} UTF-8 bytes; the header holds 32"
+        )
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
@@ -309,7 +318,7 @@ def write_field(path: str, stf: SpaceTimeField, name: str) -> None:
         stf.grid.points_per_dim,
         stf.time.steps,
         stf.time.horizon,
-        name.encode()[:32].ljust(32, b"\0"),
+        raw_name.ljust(32, b"\0"),
     )
     checksum = struct.pack("<I", zlib.crc32(header))
     payload = np.ascontiguousarray(stf.values, dtype="<f8").tobytes()

@@ -151,27 +151,31 @@ def _spectra(dim: int, n: int):
     return ideriv, ksq
 
 
-def _fft_axes(dim: int) -> tuple[int, ...]:
-    return tuple(range(-dim, 0))
-
-
 def _rfft_stack(values: np.ndarray, grid: PeriodicGrid, out=None) -> np.ndarray:
     """Half spectrum of a (..., N**d) stack of real fields, written into ``out`` if given.
 
     In d = 1 the one-axis rfft gives rfftn's bits without its n-d argument
     handling, a few microseconds per call on the small stacks of a d = 1 solve.
+    In d = 2 the rfft of the last axis is followed by an in-place fft of the
+    other, which are rfftn's two passes, bit for bit, without its second array.
     """
     if grid.dim == 1:
         return np.fft.rfft(values, axis=-1, out=out)
     shaped = values.reshape(values.shape[:-1] + grid.shape)
-    return np.fft.rfftn(shaped, axes=_fft_axes(grid.dim), out=out)
+    spec = np.fft.rfft(shaped, axis=-1, out=out)
+    return np.fft.fft(spec, axis=-2, out=spec)
 
 
 def _irfft_stack(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Real (..., N**d) stack of fields with the given half spectra."""
+    """Real (..., N**d) stack of fields with the given half spectra.
+
+    In d = 2 ``spec`` is overwritten: an in-place ifft of the full axis is
+    followed by the irfft of the half axis, irfftn's two passes, bit for bit.
+    """
     if grid.dim == 1:
         return np.fft.irfft(spec, n=grid.points_per_dim, axis=-1)
-    out = np.fft.irfftn(spec, s=grid.shape, axes=_fft_axes(grid.dim))
+    np.fft.ifft(spec, axis=-2, out=spec)
+    out = np.fft.irfft(spec, n=grid.points_per_dim, axis=-1)
     return out.reshape(out.shape[: out.ndim - grid.dim] + (grid.num_nodes,))
 
 

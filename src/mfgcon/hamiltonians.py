@@ -327,12 +327,19 @@ def uniqueness_terms(model: HamiltonianModel, p: np.ndarray, alpha: float) -> Un
     p = 0 for any alpha; centering at the zero-momentum value isolates the
     coercive structure whose sign matches the alpha < 4/gamma certificate.
     The Hessian a I + b p (x) p has the eigenvalues a (tangential) and
-    a + b |p|^2 (radial); b <= 0 for subquadratic growth.
+    a + b |p|^2 (radial); b <= 0 for subquadratic growth.  One power
+    t = w (1 + |p|^2)^(gamma/2 - 2) gives every term by multiplication:
+    a = gamma t (1 + |p|^2), DpH = a p, H = t (1 + |p|^2)^2,
+    b = gamma (gamma - 2) t, and H(x, 0) is the weight w itself.
     """
     s = np.sum(np.square(p), axis=0)
-    coercive = np.sum(p * model.grad(p), axis=0) - model.value(p)
-    support = coercive + model.value(np.zeros_like(p))
-    a, b = model.hess_coeffs(p)
+    gamma = model.gamma
+    one_s = 1.0 + s
+    t = model.weight * one_s ** (0.5 * gamma - 2.0)
+    a = gamma * t * one_s
+    b = gamma * (gamma - 2.0) * t
+    coercive = a * s - t * one_s * one_s
+    support = coercive + model.weight
     radial = a + b * s
     curvature = 0.25 * alpha * (radial * s)
     return UniquenessTerms(

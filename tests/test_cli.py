@@ -366,20 +366,29 @@ def test_corrupted_inputs_end_in_their_exit_codes(workdir, tmp_path, capsys, cas
 # one or two edits of configs/reference.cfg each, with the exit code of solve
 # and a bound on the operator applies of its path on each grid (N, n_t),
 # coarsest first, at today's counts, so that a step controller that regresses
-# on hard data fails here, and fails fast.  The d = 1 paths nest one level:
-# 32 nodes and 32 steps under the config's 64 and 64
+# on hard data fails here, and fails fast.  The d = 1 paths march on 32 nodes
+# and 32 steps, correct the time error on 32 nodes and 64 steps, and lift
+# space to the config's 64 nodes; a bound of 0 names a grid whose correction
+# certifies its lifted start without a linear solve
 SOLVE_EDGES = {
-    "horizon_5": ([("t = 0.05", "t = 5")], 0, {(32, 32): 26, (64, 64): 8}),
+    "horizon_5": ([("t = 0.05", "t = 5")], 0, {(32, 32): 26, (32, 64): 8, (64, 64): 0}),
     "m0_near_zero": ([("m0 = 1 + 0.2*cos(1)", "m0 = 1 + 0.999*cos(1)")], 0,
-                     {(32, 32): 34, (64, 64): 7}),
+                     {(32, 32): 34, (32, 64): 7, (64, 64): 7}),
     "gamma_near_2": ([("gamma = 1.5", "gamma = 1.999"), ("alpha = 0.5", "alpha = 0")], 1,
-                     {(32, 32): 46, (64, 64): 9}),
-    "alpha_2_5": ([("alpha = 0.5", "alpha = 2.5")], 1, {(32, 32): 59, (64, 64): 10}),
-    "steep_psi": ([("psi = 0.05*cos(1)", "psi = 20*cos(3)")], 1, {(32, 32): 161, (64, 64): 34}),
-    "strong_b": ([("b_x = 0.1*sin(1)", "b_x = 50*sin(1)")], 1, {(32, 32): 1668, (64, 64): 403}),
-    # the coarse march stalls, and so does the fallback march on the config grid
+                     {(32, 32): 46, (32, 64): 9, (64, 64): 0}),
+    "alpha_2_5": ([("alpha = 0.5", "alpha = 2.5")], 1,
+                  {(32, 32): 59, (32, 64): 10, (64, 64): 0}),
+    "steep_psi": ([("psi = 0.05*cos(1)", "psi = 20*cos(3)")], 1,
+                  {(32, 32): 161, (32, 64): 35, (64, 64): 38}),
+    # the lifted start on 64 nodes reads 0.11 > ETA_MAX, so its first solve
+    # keeps the forcing term 0.1: 199 applies, where a one-step target there
+    # took 387
+    "strong_b": ([("b_x = 0.1*sin(1)", "b_x = 50*sin(1)")], 1,
+                 {(32, 32): 1668, (32, 64): 561, (64, 64): 199}),
+    # the coarse march stalls, and so do the fallback marches on 32 nodes and
+    # 64 steps and on the config grid
     "tol_below_roundoff": ([("newton_tol = 1e-10", "newton_tol = 1e-16")], 2,
-                           {(32, 32): 70, (64, 64): 62}),
+                           {(32, 32): 70, (32, 64): 65, (64, 64): 62}),
     "two_nodes": ([("n = 64", "n = 2")], 3, {}),
     "odd_nodes": ([("n = 64", "n = 63")], 3, {}),
     "misspelled_key": ([("newton_tol = 1e-10", "newton_tolerance = 1e-10")], 3, {}),
@@ -422,8 +431,11 @@ def test_solve_edge_configs_end_in_their_exit_codes(tmp_path, capsys, monkeypatc
     # the records name the grids the work was counted on, coarsest first, and
     # the last one the config grid
     dim = 2 if "d = 2" in text else 1
-    grids = [dict(item.split("=") for item in line.split())["grid"] for line in records + [last]]
-    assert list(dict.fromkeys(grids)) == ["x".join([str(n)] * dim) for n, _ in applies]
+    grids = [
+        (item["grid"], int(item["n_t"]))
+        for item in (dict(kv.split("=") for kv in line.split()) for line in records + [last])
+    ]
+    assert list(dict.fromkeys(grids)) == [("x".join([str(n)] * dim), n_t) for n, n_t in applies]
     n = re.search(r"^n = (\d+)$", text, re.M).group(1)
     assert record["grid"] == "x".join([n] * dim)
 
@@ -457,11 +469,21 @@ def test_check_reports_nonpositive_density_as_a_failed_check(workdir, tmp_path, 
 
 @pytest.mark.parametrize("text", [TINY, FLAT2D], ids=["d1", "d2"])
 def test_solve_and_check_make_no_complex_fft(tmp_path, monkeypatch, text):
-    # every spectral step works on the real half spectrum
+    # every spectral step works on the real half spectrum: the only complex
+    # transforms are the full-axis passes of a d = 2 half spectrum
     def refuse(*args, **kwargs):
         raise AssertionError("complex FFT called")
 
-    for name in ("fft", "ifft", "fftn", "ifftn"):
+    def full_axis_of_a_half_spectrum(real):
+        def call(a, *args, axis=-1, **kwargs):
+            if "d = 2" in text and axis == -2 and a.shape[-1] == a.shape[-2] // 2 + 1:
+                return real(a, *args, axis=axis, **kwargs)
+            raise AssertionError("complex FFT called")
+        return call
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, full_axis_of_a_half_spectrum(getattr(np.fft, name)))
+    for name in ("fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, refuse)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -577,8 +599,9 @@ NESTED2D = FLAT2D.replace("n = 8", "n = 32").replace("n_t = 6", "n_t = 8")
 
 
 def test_nested_solve_logs_the_coarsest_grid_first(tmp_path):
-    # 32x32 nests 16x16, which nests 8x8: the 8x8 path, then the lifted
-    # lam = 0 corrections on 16x16 and 32x32, each certified on its own grid
+    # 32x32 nests 16x16, which nests 8x8, where n_t = 8 is halved twice: the
+    # 8x8 path on 2 steps, then the lifted lam = 0 corrections on 4 and 8
+    # steps and on 16x16 and 32x32, each certified on its own grid
     cfg = tmp_path / "nested.cfg"
     cfg.write_text(NESTED2D)
     out = tmp_path / "o"
@@ -586,10 +609,11 @@ def test_nested_solve_logs_the_coarsest_grid_first(tmp_path):
     log = (out / "path.log").read_text().strip().splitlines()
     records = [dict(kv.split("=") for kv in line.split()) for line in log]
     grids = [(r["grid"], r["n_t"]) for r in records]
-    assert grids[-2:] == [("16x16", "4"), ("32x32", "8")]
-    assert set(grids[:-2]) == {("8x8", "2")}
+    assert grids[-4:] == [("8x8", "4"), ("8x8", "8"), ("16x16", "8"), ("32x32", "8")]
+    assert set(grids[:-4]) == {("8x8", "2")}
     assert float(records[0]["lambda"]) == 1.0
-    assert [float(r["lambda"]) for r in records[-3:]] == [0.0, 0.0, 0.0]
+    assert [float(r["lambda"]) for r in records[-5:]] == [0.0] * 5
+    assert all(float(r["dlambda"]) == 0.0 for r in records[-4:])
     assert all(float(r["residual"]) <= 1e-10 for r in records)
     stf, _ = read_field(str(out / "u.field"))
     assert stf.grid.shape == (32, 32) and stf.time.steps == 8
@@ -597,9 +621,9 @@ def test_nested_solve_logs_the_coarsest_grid_first(tmp_path):
 
 def test_nested_solve_falls_back_to_the_config_grid(tmp_path, monkeypatch):
     # every Newton correction on the config grid fails: the 8x8 path and the
-    # 16x16 correction are certified and logged on their own grids, coarsest
-    # first, the fallback march from lambda = 1 underflows, and the fields
-    # written are on the config grid
+    # corrections on 8x8 with 4 and 8 steps and on 16x16 are certified and
+    # logged on their own grids, coarsest first, the fallback march from
+    # lambda = 1 underflows, and the fields written are on the config grid
     from mfgcon import continuation
 
     real = continuation.newton_correct
@@ -619,9 +643,10 @@ def test_nested_solve_falls_back_to_the_config_grid(tmp_path, monkeypatch):
     records = [dict(kv.split("=") for kv in line.split()) for line in log[:-1]]
     grids = [(r["grid"], r["n_t"]) for r in records]
     assert grids[-1] == ("32x32", "8") and float(records[-1]["lambda"]) == 1.0
-    assert grids[-2] == ("16x16", "4") and float(records[-2]["lambda"]) == 0.0
-    assert set(grids[:-2]) == {("8x8", "2")}
-    assert float(records[0]["lambda"]) == 1.0 and float(records[-3]["lambda"]) == 0.0
+    assert grids[-4:-1] == [("8x8", "4"), ("8x8", "8"), ("16x16", "8")]
+    assert all(float(r["lambda"]) == 0.0 for r in records[-5:-1])
+    assert set(grids[:-4]) == {("8x8", "2")}
+    assert float(records[0]["lambda"]) == 1.0
     for name in ("u.field", "m.field"):
         stf, _ = read_field(str(out / name))
         assert stf.grid.shape == (32, 32) and stf.time.steps == 8

@@ -7,6 +7,8 @@ import pytest
 
 from mfgcon import continuation, linearized, system
 from mfgcon.continuation import (
+    _ETA_MAX,
+    _ONE_STEP_FRACTION,
     _TANGENT_RTOL,
     _THETA_MAX,
     ContinuationState,
@@ -266,23 +268,63 @@ def test_first_solve_far_from_the_solution_is_loose(small_problem, monkeypatch):
     assert len(rtols) == len(history) - 1
 
 
+def test_a_start_near_the_solution_is_certified_in_one_step(small_problem, monkeypatch):
+    # with one_step, a start whose residual is at most ETA_MAX has its first
+    # system solved to ONE_STEP_FRACTION * newton_tol in absolute terms, and
+    # one Newton iteration certifies it where Eisenstat-Walker's 0.1 takes
+    # more; a start further out keeps 0.1 and its iterations, as strong_b's
+    # space-lifted start on 64 nodes (r_0 = 0.11) does in test_cli.py
+    rtols = _record_rtols(monkeypatch)
+    cfg = SolverConfig()
+    grid, time = small_problem.grid, small_problem.time
+    solution = solve_path(small_problem, cfg)[-1].pair
+    lam = LambdaData.from_problem(small_problem, 0.0)
+    wave = np.cos(2 * np.pi * grid.coordinates()[0])
+    for amp in (1e-6, 1e-2):
+        start = SolutionPair(u=SpaceTimeField(grid, time, solution.u.values + amp * wave),
+                             m=solution.m)
+        rtols.clear()
+        _, one_step = newton_correct(small_problem, lam, start, cfg, one_step=True)
+        first = rtols[0]
+        _, plain = newton_correct(small_problem, lam, start, cfg)
+        if amp == 1e-6:
+            assert one_step[0] <= _ETA_MAX
+            assert first == _ONE_STEP_FRACTION * cfg.newton_tol / one_step[0]
+            assert len(one_step) == 2 and len(plain) > 2
+        else:
+            assert one_step[0] > _ETA_MAX and first == _ETA_MAX and one_step == plain
+
+
 def test_reference_solve_work_stays_bounded(monkeypatch):
-    # the path nests one level: 32 nodes and 32 steps under the config's 64
-    # and 64.  The tangent first step, the secant predictor, the forcing terms
-    # and the contraction step control hold the coarse path to 11 Newton
-    # iterations plus the tangent solve: 12 Krylov solves with 28 applies in
-    # all.  The lifted lam = 0 state then takes 2 Newton iterations, 2 solves
-    # and 6 applies on the config grid, where the path marched directly took
-    # 10 iterations, 11 solves and 28 applies
+    # the path marches on 32 nodes and 32 steps, corrects the time error on 32
+    # nodes and 64 steps, and lifts space to the config's 64 and 64.  The
+    # tangent first step, the secant predictor, the forcing terms and the
+    # contraction step control hold the march to 11 Newton iterations plus
+    # the tangent solve: 12 Krylov solves with 28 applies in all.  The time
+    # correction takes 2 Newton iterations, 2 solves and 6 applies.  Space is
+    # resolved on 32 nodes, so the lifted start on the config grid is
+    # certified by its one residual evaluation, where a correction of the
+    # state lifted in space and time took 2 iterations and 6 applies there
+    # and the path marched directly 10 iterations, 11 solves and 28 applies
     counts = count_krylov_work(monkeypatch)
+    residuals = []
+    real = continuation.residual_full
+
+    def counted(problem, *args):
+        residuals.append(problem.grid.points_per_dim)
+        return real(problem, *args)
+
+    monkeypatch.setattr(continuation, "residual_full", counted)
     cfg = load_config(REFERENCE_CFG)
     states = solve_path(build_problem(cfg), cfg.solver)
     assert states[-1].lam == 0.0
-    *coarse, final = states
-    assert sum(s.newton_iters for s in coarse) <= 11 and final.newton_iters <= 2
-    assert list(counts) == [(32, 32), (64, 64)]
+    *coarse, middle, final = states
+    assert sum(s.newton_iters for s in coarse) <= 11
+    assert middle.newton_iters <= 2 and final.newton_iters == 0
+    assert list(counts) == [(32, 32), (32, 64)]
     assert 0 < counts[32, 32]["solves"] <= 12 and 0 < counts[32, 32]["applies"] <= 28
-    assert 0 < counts[64, 64]["solves"] <= 2 and 0 < counts[64, 64]["applies"] <= 6
+    assert 0 < counts[32, 64]["solves"] <= 2 and 0 < counts[32, 64]["applies"] <= 6
+    assert residuals.count(64) == 1
 
 
 # Data fields of configs/reference.cfg and of the 2-D benchmark data: a
@@ -349,9 +391,11 @@ def test_reference_path_evaluates_each_linearization_once(monkeypatch):
     # on each grid, every Newton solve takes q, H(q) and D_pH(q) from the
     # residual of its right-hand side; only the tangent of the coarse path,
     # whose right-hand side is a difference of two residuals, evaluates them
-    # again.  So 18 residuals on the 32-node grid make 19 calls, where one per
-    # solve on top would make 30, and the 3 residuals of the correction on
-    # the config grid make 3.  Marched directly, the path took 17 and 18
+    # again.  So 18 residuals of the march on 32 nodes and 32 steps make 19
+    # calls, where one per solve on top would make 30, the 3 residuals of the
+    # time correction on 64 steps make 3, and the one residual that
+    # certifies the space lift on the config grid makes 1.  Marched
+    # directly, the path took 17 and 18
     counts = {}
 
     def counted(owner, name, key, grid_of):
@@ -379,11 +423,12 @@ def test_reference_path_evaluates_each_linearization_once(monkeypatch):
     cfg = load_config(REFERENCE_CFG)
     states = solve_path(build_problem(cfg), cfg.solver)
     assert states[-1].lam == 0.0
-    assert list(counts) == [(32, 32), (64, 64)]
-    coarse, fine = counts[32, 32], counts[64, 64]
+    assert list(counts) == [(32, 32), (32, 64), (64, 64)]
+    coarse, middle, fine = counts[32, 32], counts[32, 64], counts[64, 64]
     assert coarse["residual"] == 18 and coarse["terms"] == coarse["residual"] + 1
-    assert fine["residual"] == fine["terms"] == 3
-    for tally in (coarse, fine):
+    assert middle["residual"] == middle["terms"] == 3
+    assert fine["residual"] == fine["terms"] == 1
+    for tally in (coarse, middle, fine):
         assert tally["value"] == tally["grad"] == tally["terms"]
 
 
@@ -628,7 +673,7 @@ def _sup_gap(a, b):
 def test_coarse_problem_is_the_config_on_the_coarse_grid(tmp_path):
     problem, _ = _nested_problem(tmp_path, 8)
     path = tmp_path / "coarse.cfg"
-    path.write_text(NESTED_2D.format(n_t=4).replace("n = 32", "n = 16"))
+    path.write_text(NESTED_2D.format(n_t=8).replace("n = 32", "n = 16"))
     direct = build_problem(load_config(str(path)))
     coarse = continuation._coarse_problem(problem)
     assert coarse.grid == direct.grid and coarse.time == direct.time
@@ -649,8 +694,10 @@ def test_coarse_problem_is_the_config_on_the_coarse_grid(tmp_path):
 
 @pytest.mark.parametrize("n_t, coarse_n_t", [(8, 4), (7, 7)])
 def test_lift_is_exact_on_band_limited_fields_linear_in_time(n_t, coarse_n_t):
+    # three lifts: in space and time, in time alone and in space alone; on 7
+    # steps, which are not halved, the lift in time alone is a copy
     fine = make_problem(n=32, n_t=n_t, dim=2)
-    coarse_grid, coarse_time = PeriodicGrid(2, 16), TimeGrid(fine.time.horizon, coarse_n_t)
+    horizon = fine.time.horizon
 
     def sample(grid, time):
         x, y = grid.coordinates()
@@ -658,46 +705,58 @@ def test_lift_is_exact_on_band_limited_fields_linear_in_time(n_t, coarse_n_t):
         vals = (1.0 + 5.0 * time.times())[:, None] * f.ravel()[None, :] + 2.0
         return SpaceTimeField(grid, time, vals)
 
-    coarse = sample(coarse_grid, coarse_time)
-    lifted = continuation._lift(SolutionPair(u=coarse, m=coarse), fine)
     want = sample(fine.grid, fine.time).values
-    for f in (lifted.u, lifted.m):
-        assert f.grid == fine.grid and f.time == fine.time
-        np.testing.assert_allclose(f.values, want, rtol=0.0, atol=1e-13)
+    for grid, steps in [(PeriodicGrid(2, 16), coarse_n_t), (fine.grid, coarse_n_t),
+                        (PeriodicGrid(2, 16), n_t)]:
+        coarse = sample(grid, TimeGrid(horizon, steps))
+        lifted = continuation._lift(SolutionPair(u=coarse, m=coarse), fine)
+        for f in (lifted.u, lifted.m):
+            assert f.grid == fine.grid and f.time == fine.time
+            assert not np.shares_memory(f.values, coarse.values)
+            np.testing.assert_allclose(f.values, want, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n_t, coarse_n_t", [(8, 4), (7, 7)])
 def test_nested_path_matches_the_direct_march(tmp_path, n_t, coarse_n_t):
-    # the 32x32 path nests two levels: the 8x8 path, then one correction on
-    # 16x16 and one on 32x32; each level halves an even n_t
-    level_n_t = (coarse_n_t // 2 if coarse_n_t % 2 == 0 else coarse_n_t, coarse_n_t)
+    # the 32x32 path halves space twice, to 8x8, and then an even n_t as
+    # often: it marches on 8x8, doubles n_t there back to the config's, one
+    # correction per level, and lifts to 16x16 and to 32x32, where space is
+    # resolved already and one Newton iteration certifies each lifted start
+    march_n_t = coarse_n_t // 2 if coarse_n_t % 2 == 0 else coarse_n_t
+    time_levels = [steps for steps in (coarse_n_t, n_t) if steps != march_n_t]
+    levels = [((8, 8), steps) for steps in time_levels] + [((16, 16), n_t), ((32, 32), n_t)]
     problem, cfg = _nested_problem(tmp_path, n_t)
     states = solve_path(problem, cfg)
     direct = continuation._march(problem, cfg)
-    *coarsest, middle, final = states
+    coarsest, climbed = states[: -len(levels)], states[-len(levels):]
     for s in coarsest:
-        assert s.pair.u.grid.shape == (8, 8) and s.pair.u.time.steps == level_n_t[0]
+        assert s.pair.u.grid.shape == (8, 8) and s.pair.u.time.steps == march_n_t
         assert s.residual_norm <= cfg.newton_tol
     assert coarsest[0].lam == 1.0 and coarsest[-1].lam == 0.0
-    for s, shape, steps in ((middle, (16, 16), level_n_t[1]), (final, (32, 32), n_t)):
+    for s, (shape, steps) in zip(climbed, levels):
         assert s.pair.u.grid.shape == shape and s.pair.m.time.steps == steps
         assert s.lam == 0.0 and s.step == 0.0
         assert s.newton_iters <= 3
         assert s.residual_norm <= cfg.newton_tol
+    assert [s.newton_iters for s in climbed[-2:]] == [1, 1]
+    final = climbed[-1]
     assert final.pair.u.grid == problem.grid and final.pair.m.time == problem.time
     assert _sup_gap(final.pair, direct[-1].pair) <= 1e-13
 
 
 def test_reference_path_nests_one_level_in_one_dimension():
-    # 64 nodes keep 32 on the coarse grid; 32 would keep 16, so the coarse
-    # path is marched
+    # 64 nodes keep 32 on the coarse grid; 32 would keep 16, so the path is
+    # marched on 32 nodes with n_t halved once, as space was, and its lam = 0
+    # state is corrected on 64 steps and then on 64 nodes
     cfg = load_config(REFERENCE_CFG)
     problem = build_problem(cfg)
-    *coarse, final = solve_path(problem, cfg.solver)
+    *coarse, middle, final = solve_path(problem, cfg.solver)
     assert all(s.pair.u.grid.num_nodes == s.pair.u.time.steps == 32 for s in coarse)
     assert coarse[0].lam == 1.0 and coarse[-1].lam == 0.0 < coarse[-1].step
+    assert middle.pair.u.grid.num_nodes == 32 and middle.pair.u.time == problem.time
     assert final.pair.u.grid == problem.grid and final.pair.u.time == problem.time
-    assert final.step == 0.0 and final.residual_norm <= cfg.solver.newton_tol
+    for s in (middle, final):
+        assert s.lam == s.step == 0.0 and s.residual_norm <= cfg.solver.newton_tol
     direct = continuation._march(problem, cfg.solver)
     assert _sup_gap(final.pair, direct[-1].pair) <= 1e-13
 
@@ -723,12 +782,14 @@ def test_nested_work_does_not_depend_on_an_odd_torus_shift(tmp_path, monkeypatch
         assert solve_path(build_problem(cfg), cfg.solver)[-1].lam == 0.0
         work.append({grid: dict(tally) for grid, tally in counts.items()})
     assert work[0] == work[1]
-    assert len(work[0]) == (2 if data == "reference" else 3)
+    # the reference path's lifted start on 64 nodes needs no linear solve
+    assert len(work[0]) == (2 if data == "reference" else 5)
 
 
 def test_failed_middle_correction_marches_that_level(tmp_path, monkeypatch):
     # the 16x16 correction of the 8x8 path fails: the 16x16 path is marched
-    # from lam = 1, and its lam = 0 state still starts the 32x32 correction
+    # from lam = 1 on the config's 8 steps, and its lam = 0 state still
+    # starts the 32x32 correction
     problem, _ = _nested_problem(tmp_path, 8)
     cfg = CAPPED
     real = continuation.newton_correct
@@ -746,13 +807,48 @@ def test_failed_middle_correction_marches_that_level(tmp_path, monkeypatch):
     states = solve_path(problem, cfg, on_state=accepted.append)
     assert middle_calls[:2] == [0.0, 0.9]
     *middle, final = states
-    assert all(s.pair.u.grid.shape == (16, 16) and s.pair.u.time.steps == 4 for s in middle)
+    assert all(s.pair.u.grid.shape == (16, 16) and s.pair.u.time.steps == 8 for s in middle)
     assert middle[0].lam == 1.0 and middle[-1].lam == 0.0 < middle[-1].step
     assert final.pair.u.grid == problem.grid and final.pair.u.time == problem.time
     assert final.lam == final.step == 0.0 and final.residual_norm <= cfg.newton_tol
     # the 8x8 states were reported before the 16x16 march's
     early = accepted[: len(accepted) - len(states)]
     assert early and all(s.pair.u.grid.shape == (8, 8) for s in early)
+    assert all(a is b for a, b in zip(accepted[len(early):], states))
+    monkeypatch.setattr(continuation, "newton_correct", real)
+    direct = continuation._march(problem, cfg)
+    assert _sup_gap(final.pair, direct[-1].pair) <= 1e-13
+
+
+def test_failed_time_correction_marches_that_level(tmp_path, monkeypatch):
+    # the correction on 8x8 with 4 steps of the march on 2 fails: that level
+    # is marched from lam = 1 on its own grids, and its lam = 0 state climbs
+    # on to 8 steps, to 16x16 and to 32x32
+    problem, _ = _nested_problem(tmp_path, 8)
+    cfg = CAPPED
+    real = continuation.newton_correct
+    level_calls = []
+
+    def failing_newton(prob, lam_data, pair, config, **kwargs):
+        if prob.grid.points_per_dim == 8 and prob.time.steps == 4:
+            level_calls.append(lam_data.lam)
+            if level_calls == [0.0]:
+                raise NewtonFailure("injected", [], "inner solve")
+        return real(prob, lam_data, pair, config, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_correct", failing_newton)
+    accepted = []
+    states = solve_path(problem, cfg, on_state=accepted.append)
+    assert level_calls[:2] == [0.0, 0.9]
+    *level, to_8_steps, to_16, final = states
+    assert all(s.pair.u.grid.shape == (8, 8) and s.pair.u.time.steps == 4 for s in level)
+    assert level[0].lam == 1.0 and level[-1].lam == 0.0 < level[-1].step
+    for s, shape in ((to_8_steps, (8, 8)), (to_16, (16, 16)), (final, (32, 32))):
+        assert s.pair.u.grid.shape == shape and s.pair.u.time == problem.time
+        assert s.lam == s.step == 0.0 and s.residual_norm <= cfg.newton_tol
+    # the states of the march on 2 steps were reported before the 4-step march's
+    early = accepted[: len(accepted) - len(states)]
+    assert early and all(s.pair.u.time.steps == 2 for s in early)
     assert all(a is b for a, b in zip(accepted[len(early):], states))
     monkeypatch.setattr(continuation, "newton_correct", real)
     direct = continuation._march(problem, cfg)

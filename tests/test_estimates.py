@@ -337,8 +337,9 @@ def test_one_pass_report_matches_the_field_by_field_reference(
     for name in ("rfft", "irfft", "rfftn", "irfftn", "fft", "ifft", "fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     report = run_all_checks(pair, problem)
-    # one forward transform, one inverse for both gradients, one inverse per refined block
-    assert len(calls) == 2 + blocks
+    # one forward transform, one inverse for both gradients, one inverse per
+    # refined block; a d = 2 transform is two one-axis passes
+    assert len(calls) == dim * (2 + blocks)
     assert all(r.passed for r in report.records)
 
     want = _reference_values(pair, problem)

@@ -3,9 +3,12 @@
 ``data/field_regression.json`` was written by :func:`record` with the
 tangent-first-step, secant-after continuation, its step control from the
 first Newton contraction and its inexact Newton corrector, and with the
-reference path nested on 32 nodes: its coarse path and the lam = 0
-correction on the config grid.  Its final fields match those of the same
-path marched on the config grid alone to within 9.3e-15 in every
+reference path marched on 32 nodes and 32 steps: its lam = 0 state is
+corrected on 64 steps and then lifted to the config grid, where its first
+residual certifies it.  Its ``FIELD_KEYS`` entries match those of the
+earlier nesting, which halved space and time together and corrected on the
+config grid, to within 4.5e-16; that path's final fields matched those of
+the same path marched on the config grid alone to within 9.3e-15 in every
 ``FIELD_KEYS`` entry; that march's fields matched those of the earlier step
 rule, which grew the step 1.5x after a hundredfold contraction and ended on
 0.275 -> 0.1375 -> 0, to within 1.4e-14; those matched the secant-only path

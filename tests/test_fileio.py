@@ -150,6 +150,21 @@ def test_field_file_round_trip(tmp_path):
     assert back.time.steps == 4
 
 
+@pytest.mark.parametrize("name", ["a" * 31 + "é", "a" * 40], ids=["cut_in_a_character", "ascii_40"])
+def test_field_name_past_the_header_is_refused(tmp_path, name):
+    # 33 and 40 UTF-8 bytes: a cut would have written a name read_field
+    # refuses, or a shorter one, without a word
+    stf = SpaceTimeField.zeros(PeriodicGrid(1, 16), TimeGrid(0.05, 4))
+    path = tmp_path / "f.field"
+    with pytest.raises(ValueError, match="the header holds 32"):
+        write_field(str(path), stf, name)
+    assert list(tmp_path.iterdir()) == []
+    # the longest names that fit come back whole
+    fits = name.encode()[:32].decode(errors="ignore")
+    write_field(str(path), stf, fits)
+    assert read_field(str(path))[1] == fits
+
+
 def test_field_file_detects_corruption(tmp_path):
     grid = PeriodicGrid(1, 16)
     time = TimeGrid(0.05, 4)

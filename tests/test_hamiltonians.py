@@ -124,6 +124,28 @@ def test_hessian_positive_definite_on_sample():
         assert w[0] == pytest.approx(eig_min[j], rel=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_uniqueness_terms_match_the_model_evaluations(dim):
+    # the one-power terms against value, grad and hess_coeffs, term by term;
+    # the products reassociate, so they agree to a few ulps
+    rng = np.random.default_rng(11)
+    p = rng.normal(size=(dim, 7, 64)) * rng.uniform(0.0, 5.0, size=(1, 7, 64))
+    for gamma in (1.1, 1.5, 1.999):
+        for weight in (0.8, 1.0 + 0.5 * rng.random(64)):
+            model = HamiltonianModel(gamma, weight)
+            s = np.sum(p * p, axis=0)
+            coercive = np.sum(p * model.grad(p), axis=0) - model.value(p)
+            support = coercive + model.value(np.zeros_like(p))
+            a, b = model.hess_coeffs(p)
+            curvature = 0.25 * 0.5 * (a + b * s) * s
+            want = dict(support=support, coercive=coercive, centered=support - curvature,
+                        raw=coercive - curvature, eig_min=np.minimum(a, a + b * s))
+            got = uniqueness_terms(model, p, alpha=0.5)
+            for key, value in want.items():
+                np.testing.assert_allclose(getattr(got, key), value, rtol=1e-13,
+                                           atol=1e-13, err_msg=key)
+
+
 def test_batched_conjugate_matches_the_quadratic_dual():
     # sup over t of s t - a t^2 / 2 is s^2 / (2a), at t = s / a; slope 0 has
     # its maximizer at t = 0, the left end of its bracket
