@@ -13,7 +13,6 @@ reports success without a residual certificate in the log.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -36,7 +35,13 @@ from .fileio import (
 )
 from .grids import PeriodicGrid
 from .hamiltonians import LegendreBoundaryError, duality_table
-from .montecarlo import NonfiniteDriftError, l1_distance, sampling_l1_error, simulate_density
+from .montecarlo import (
+    NonfiniteDriftError,
+    SDEConfig,
+    l1_distance,
+    sampling_l1_error,
+    simulate_density,
+)
 from .system import LambdaData, NonpositiveDensityError, SolutionPair
 
 __all__ = ["main", "console_main"]
@@ -151,7 +156,7 @@ def _cmd_mc(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
     pair = _load_pair(args, problem)
-    mc_cfg = cfg.mc if args.seed is None else dataclasses.replace(cfg.mc, seed=args.seed)
+    mc_cfg = cfg.mc if args.seed is None else SDEConfig(cfg.mc.paths, args.seed)
     lam_data = LambdaData.from_problem(problem, 0.0)
     try:
         empirical = simulate_density(problem, lam_data, pair, mc_cfg)

@@ -42,7 +42,6 @@ stalls or whose correction fails is marched on its own grid from lam = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,13 +49,23 @@ from .grids import (
     PeriodicGrid,
     SpaceTimeField,
     TimeGrid,
+    _check_integer,
+    _Value,
     _irfft_stack,
     _pad_spectrum,
     _rfft_stack,
     integrate,
 )
+from .hamiltonians import HamiltonianModel
 from .linearized import _KRYLOV_RTOL, LinearSolveError, Perturbation, solve_linearized
-from .system import LambdaData, MFGProblem, ResidualBundle, SolutionPair, residual_full
+from .system import (
+    LambdaData,
+    MFGProblem,
+    Potential,
+    ResidualBundle,
+    SolutionPair,
+    residual_full,
+)
 
 __all__ = [
     "SolverConfig",
@@ -114,25 +123,30 @@ _ALIAS_TOL = 1e-8
 _ONE_STEP_FRACTION = 0.02
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    newton_tol: float = 1e-10
-    newton_max_iters: int = 12
-    dlambda_init: float = 1.0
-    dlambda_min: float = 1e-4
-    dlambda_max: float = 1.0
-    m_positivity_margin: float = 1e-6
-
-    def __post_init__(self):
-        if self.newton_tol <= 0.0 or self.m_positivity_margin <= 0.0:
-            raise ValueError("newton_tol and m_positivity_margin must be positive")
-        if self.newton_max_iters < 1:
-            raise ValueError(f"newton_max_iters must be at least 1, got {self.newton_max_iters}")
-        if not 0.0 < self.dlambda_min <= self.dlambda_init <= self.dlambda_max <= 1.0:
+class SolverConfig(_Value):
+    def __init__(
+        self,
+        newton_tol: float = 1e-10,
+        newton_max_iters: int = 12,
+        dlambda_init: float = 1.0,
+        dlambda_min: float = 1e-4,
+        dlambda_max: float = 1.0,
+        m_positivity_margin: float = 1e-6,
+    ):
+        if not (0.0 < newton_tol < math.inf and 0.0 < m_positivity_margin < math.inf):
+            raise ValueError("newton_tol and m_positivity_margin must be finite and positive")
+        _check_integer("newton_max_iters", newton_max_iters)
+        if newton_max_iters < 1:
+            raise ValueError(f"newton_max_iters must be at least 1, got {newton_max_iters}")
+        if not 0.0 < dlambda_min <= dlambda_init <= dlambda_max <= 1.0:
             raise ValueError("need 0 < dlambda_min <= dlambda_init <= dlambda_max <= 1")
+        vars(self).update(
+            newton_tol=newton_tol, newton_max_iters=newton_max_iters,
+            dlambda_init=dlambda_init, dlambda_min=dlambda_min, dlambda_max=dlambda_max,
+            m_positivity_margin=m_positivity_margin,
+        )
 
 
-@dataclass
 class ContinuationState:
     """An accepted point on the homotopy path with its residual certificate.
 
@@ -141,10 +155,11 @@ class ContinuationState:
     of its exact start.  The certificate is the last entry.
     """
 
-    lam: float
-    pair: SolutionPair
-    residual_history: list
-    step: float
+    def __init__(self, lam: float, pair: SolutionPair, residual_history: list, step: float):
+        self.lam = lam
+        self.pair = pair
+        self.residual_history = residual_history
+        self.step = step
 
     @property
     def residual_norm(self) -> float:
@@ -445,17 +460,18 @@ def _coarse_problem(problem: MFGProblem) -> MFGProblem:
         shaped = np.reshape(values, np.shape(values)[:-1] + grid.shape)
         return shaped[every_other].reshape(shaped.shape[: -grid.dim] + (coarse.num_nodes,))
 
-    weight = problem.hamiltonian.weight
-    v1 = problem.potential.v1
+    ham, pot = problem.hamiltonian, problem.potential
+    weight = ham.weight
     m0 = inject(problem.m0)
-    return replace(
-        problem,
+    return MFGProblem(
         grid=coarse,
-        hamiltonian=replace(
-            problem.hamiltonian, weight=inject(weight) if np.ndim(weight) else weight
-        ),
+        time=problem.time,
+        alpha=problem.alpha,
+        hamiltonian=HamiltonianModel(ham.gamma, inject(weight) if np.ndim(weight) else weight),
         b=inject(problem.b),
-        potential=replace(problem.potential, v1=None if v1 is None else inject(v1)),
+        potential=Potential(
+            None if pot.v1 is None else inject(pot.v1), pot.v2_kind, pot.coef, pot.exponent
+        ),
         psi=inject(problem.psi),
         m0=m0 / integrate(m0, coarse),
     )
@@ -524,10 +540,13 @@ def _levels(problem: MFGProblem) -> list[MFGProblem]:
     ):
         levels.append(_coarse_problem(levels[-1]))
     for _ in range(len(levels) - 1):
-        time = levels[-1].time
-        if time.steps % 2:
+        p = levels[-1]
+        if p.time.steps % 2:
             break
-        levels.append(replace(levels[-1], time=TimeGrid(time.horizon, time.steps // 2)))
+        halved = TimeGrid(p.time.horizon, p.time.steps // 2)
+        levels.append(
+            MFGProblem(p.grid, halved, p.alpha, p.hamiltonian, p.b, p.potential, p.psi, p.m0)
+        )
     return levels[::-1]
 
 

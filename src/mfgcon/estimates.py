@@ -17,12 +17,11 @@ a bare flag, and is recomputable from the candidate and problem data alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from .grids import (
     PeriodicGrid,
+    _Frozen,
     _apply_symbols,
     _irfft_stack,
     _pad_spectrum,
@@ -47,13 +46,20 @@ __all__ = [
 ]
 
 
-@dataclass
 class CheckRecord:
-    name: str
-    criterion: str
-    passed: bool
-    values: dict = dc_field(default_factory=dict)
-    location: dict | None = None
+    def __init__(
+        self,
+        name: str,
+        criterion: str,
+        passed: bool,
+        values: dict,
+        location: dict | None = None,
+    ):
+        self.name = name
+        self.criterion = criterion
+        self.passed = passed
+        self.values = values
+        self.location = location
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -62,9 +68,9 @@ class CheckRecord:
         return f"{self.name}: {status} {vals}"
 
 
-@dataclass
 class EstimateReport:
-    records: list
+    def __init__(self, records: list):
+        self.records = records
 
     @property
     def all_pass(self) -> bool:
@@ -104,8 +110,7 @@ class EstimateReport:
 _REFINED_BLOCK_VALUES = 2**15
 
 
-@dataclass(frozen=True)
-class _SpectralPass:
+class _SpectralPass(_Frozen):
     """What the refinement and uniqueness checks read of one candidate.
 
     ``coarse`` and ``refined`` map each statistic of :func:`_slice_stats` to
@@ -113,10 +118,8 @@ class _SpectralPass:
     ``q`` is the congestion momentum Du / m^alpha on the run's grid.
     """
 
-    dt: float
-    q: np.ndarray
-    coarse: dict
-    refined: dict
+    def __init__(self, dt: float, q: np.ndarray, coarse: dict, refined: dict):
+        vars(self).update(dt=dt, q=q, coarse=coarse, refined=refined)
 
 
 def _slice_stats(u, m, du, dm, vol: float, problem: MFGProblem):

@@ -13,13 +13,13 @@ writes go through a temp file and an atomic rename.
 from __future__ import annotations
 
 import configparser
+import inspect
 import json
 import math
 import os
 import re
 import struct
 import zlib
-from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -96,28 +96,48 @@ def realize_field(terms, grid: PeriodicGrid) -> np.ndarray:
     return out.ravel()
 
 
-@dataclass
 class RunConfig:
     """Validated run description: problem data plus solver, MC and output blocks."""
 
-    dim: int
-    points_per_dim: int
-    time_steps: int
-    horizon: float
-    gamma: float
-    alpha: float
-    weight_terms: list
-    b_terms: list          # one term list per axis
-    v1_terms: list
-    v2_kind: str
-    v2_coef: float
-    v2_exponent: float
-    psi_terms: list
-    m0_terms: list
-    solver: SolverConfig
-    mc: SDEConfig
-    mc_l1_tol: float
-    out_formats: dict = dc_field(default_factory=dict)
+    def __init__(
+        self,
+        dim: int,
+        points_per_dim: int,
+        time_steps: int,
+        horizon: float,
+        gamma: float,
+        alpha: float,
+        weight_terms: list,
+        b_terms: list,          # one term list per axis
+        v1_terms: list,
+        v2_kind: str,
+        v2_coef: float,
+        v2_exponent: float,
+        psi_terms: list,
+        m0_terms: list,
+        solver: SolverConfig,
+        mc: SDEConfig,
+        mc_l1_tol: float,
+        out_formats: dict,
+    ):
+        self.dim = dim
+        self.points_per_dim = points_per_dim
+        self.time_steps = time_steps
+        self.horizon = horizon
+        self.gamma = gamma
+        self.alpha = alpha
+        self.weight_terms = weight_terms
+        self.b_terms = b_terms
+        self.v1_terms = v1_terms
+        self.v2_kind = v2_kind
+        self.v2_coef = v2_coef
+        self.v2_exponent = v2_exponent
+        self.psi_terms = psi_terms
+        self.m0_terms = m0_terms
+        self.solver = solver
+        self.mc = mc
+        self.mc_l1_tol = mc_l1_tol
+        self.out_formats = out_formats
 
 
 def _get(section, key, cast, default=None, positive=False, name=""):
@@ -138,24 +158,25 @@ def _get(section, key, cast, default=None, positive=False, name=""):
 
 
 def _present(section, config_class) -> dict:
-    """The fields of ``config_class`` that ``section`` sets, cast to the type of their defaults.
+    """The parameters of ``config_class`` that ``section`` sets, cast to the type of
+    their defaults.
 
     An absent key keeps the default; the class checks the ranges.
     """
     return {
-        f.name: _get(section, f.name, type(f.default))
-        for f in fields(config_class)
-        if f.name in section
+        p.name: _get(section, p.name, type(p.default))
+        for p in inspect.signature(config_class).parameters.values()
+        if p.name in section
     }
 
 
-# The keys each section may set.  [solver] and [mc] set the fields of the
+# The keys each section may set.  [solver] and [mc] set the parameters of the
 # classes they build; b_y is known in d = 1 too, and substeps only says 1.
 _KNOWN_KEYS = {
     "problem": ("d", "n", "n_t", "t", "gamma", "alpha", "weight", "b_x", "b_y",
                 "v1", "v2", "psi", "m0"),
-    "solver": tuple(f.name for f in fields(SolverConfig)),
-    "mc": tuple(f.name for f in fields(SDEConfig)) + ("substeps", "l1_tol"),
+    "solver": tuple(inspect.signature(SolverConfig).parameters),
+    "mc": tuple(inspect.signature(SDEConfig).parameters) + ("substeps", "l1_tol"),
     "output": ("plots", "galerkin_modes"),
 }
 

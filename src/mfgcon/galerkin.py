@@ -20,11 +20,9 @@ linear solve; it is not the production solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grids import PeriodicGrid, SpaceTimeField
+from .grids import PeriodicGrid, SpaceTimeField, _Frozen
 from .linearized import Perturbation, _base_coefficients
 from .system import LambdaData, MFGProblem, ResidualBundle, SolutionPair
 
@@ -37,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FourierBasis:
+class FourierBasis(_Frozen):
     """First n real Fourier modes: the constant, then cos/sin pairs by frequency.
 
     Orthonormal in the discrete L2 inner product and orthogonal in H1; plane
@@ -46,9 +43,13 @@ class FourierBasis:
     frequencies below the grid's Nyquist frequency in every component.
     """
 
-    grid: PeriodicGrid
-    values: np.ndarray   # (n, M)
-    grads: np.ndarray    # (d, n, M)
+    def __init__(
+        self,
+        grid: PeriodicGrid,
+        values: np.ndarray,  # (n, M)
+        grads: np.ndarray,   # (d, n, M)
+    ):
+        vars(self).update(grid=grid, values=values, grads=grads)
 
     @classmethod
     def build(cls, grid: PeriodicGrid, n_modes: int) -> "FourierBasis":
@@ -114,7 +115,6 @@ def _frequency_order(grid: PeriodicGrid):
     return sorted(cands, key=lambda kv: (sum(k * k for k in kv), kv))
 
 
-@dataclass
 class GalerkinSystem:
     """Per-slice coupling matrices of the projected linearized equations.
 
@@ -129,13 +129,23 @@ class GalerkinSystem:
     bidiagonal in A and the value rows block upper bidiagonal in B.
     """
 
-    basis: FourierBasis
-    dt: float
-    stiffness: np.ndarray   # (n, n)
-    p_blocks: np.ndarray    # (K+1, n, n) transport against De_k in the density rows
-    s_blocks: np.ndarray    # (K+1, n, n) value-gradient coupling in the density rows
-    r_blocks: np.ndarray    # (K+1, n, n) transport in the value rows
-    g_blocks: np.ndarray    # (K+1, n, n) density coupling in the value rows
+    def __init__(
+        self,
+        basis: FourierBasis,
+        dt: float,
+        stiffness: np.ndarray,  # (n, n)
+        p_blocks: np.ndarray,   # (K+1, n, n) transport against De_k in the density rows
+        s_blocks: np.ndarray,   # (K+1, n, n) value-gradient coupling in the density rows
+        r_blocks: np.ndarray,   # (K+1, n, n) transport in the value rows
+        g_blocks: np.ndarray,   # (K+1, n, n) density coupling in the value rows
+    ):
+        self.basis = basis
+        self.dt = dt
+        self.stiffness = stiffness
+        self.p_blocks = p_blocks
+        self.s_blocks = s_blocks
+        self.r_blocks = r_blocks
+        self.g_blocks = g_blocks
 
 
 def assemble_galerkin_system(

@@ -21,7 +21,7 @@ internally for the FFTs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -34,23 +34,56 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PeriodicGrid:
+class _Frozen:
+    """Base of the immutable records.
+
+    A subclass's ``__init__`` fills ``vars(self)`` directly; assigning or
+    deleting an attribute afterwards raises AttributeError.  The records are
+    written-out classes, not dataclasses or NamedTuples, whose methods are
+    generated as source text and compiled on every import of the package.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class _Value(_Frozen):
+    """An immutable record that equals, and hashes like, one of its type with equal attributes."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+
+def _check_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+class PeriodicGrid(_Value):
     """Uniform grid on [0, 1)^d with periodic identification, d in {1, 2}.
 
     Nodes sit at x_i = i * h with h = 1/N; x + 1 is identified with x.
     N is restricted to powers of two for FFT simplicity.
     """
 
-    dim: int
-    points_per_dim: int
-
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        n = self.points_per_dim
+    def __init__(self, dim: int, points_per_dim: int):
+        _check_integer("dim", dim)
+        if dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {dim}")
+        _check_integer("points_per_dim", points_per_dim)
+        n = points_per_dim
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError(f"points_per_dim must be a power of two >= 4, got {n}")
+        vars(self).update(dim=dim, points_per_dim=points_per_dim)
 
     @property
     def spacing(self) -> float:
@@ -76,18 +109,16 @@ class PeriodicGrid:
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(_Value):
     """Uniform grid on [0, T] with N_t steps, so N_t + 1 slices."""
 
-    horizon: float
-    steps: int
-
-    def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+    def __init__(self, horizon: float, steps: int):
+        if not 0.0 < horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {horizon}")
+        _check_integer("steps", steps)
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
+        vars(self).update(horizon=horizon, steps=steps)
 
     @property
     def dt(self) -> float:
@@ -101,18 +132,13 @@ class TimeGrid:
         return np.arange(self.steps + 1) * self.dt
 
 
-@dataclass
 class SpaceTimeField:
     """Time-indexed stack of fields: values has shape (N_t + 1, N**d)."""
 
-    grid: PeriodicGrid
-    time: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(
-            self.time.num_slices, self.grid.num_nodes
-        )
+    def __init__(self, grid: PeriodicGrid, time: TimeGrid, values: np.ndarray):
+        self.grid = grid
+        self.time = time
+        self.values = np.asarray(values, dtype=float).reshape(time.num_slices, grid.num_nodes)
 
     @classmethod
     def zeros(cls, grid: PeriodicGrid, time: TimeGrid) -> "SpaceTimeField":

@@ -20,9 +20,9 @@ certifies the structural hypotheses of the run's Hamiltonian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .grids import _Frozen
 
 __all__ = [
     "HamiltonianModel",
@@ -38,24 +38,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HamiltonianModel:
+class HamiltonianModel(_Frozen):
     """Isotropic power Hamiltonian H(x, p) = weight(x) * (1 + |p|^2)^(gamma/2).
 
     ``weight`` is either a scalar or an array of per-node samples; array
     weights broadcast against the trailing axis of momentum stacks.
     """
 
-    gamma: float
-    weight: object = 1.0
-
-    def __post_init__(self):
-        if not 1.0 < self.gamma < 2.0:
-            raise ValueError(f"gamma must lie in (1, 2), got {self.gamma}")
-        w = np.asarray(self.weight, dtype=float)
+    def __init__(self, gamma: float, weight=1.0):
+        if not 1.0 < gamma < 2.0:
+            raise ValueError(f"gamma must lie in (1, 2), got {gamma}")
+        w = np.asarray(weight, dtype=float)
         if np.any(w <= 0.0):
             raise ValueError("weight must be strictly positive")
-        object.__setattr__(self, "weight", w if w.ndim else float(w))
+        vars(self).update(gamma=gamma, weight=w if w.ndim else float(w))
 
     @classmethod
     def blend(cls, base: "HamiltonianModel", lam: float) -> "HamiltonianModel":
@@ -89,20 +85,16 @@ class HamiltonianModel:
         return a, b
 
 
-@dataclass(frozen=True)
-class LagrangianModel:
+class LagrangianModel(_Frozen):
     """Superquadratic running cost L(x, v) = weight(x) * (1 + |v|^2)^(gamma'/2)."""
 
-    gamma_prime: float
-    weight: object = 1.0
-
-    def __post_init__(self):
-        if self.gamma_prime <= 2.0:
-            raise ValueError(f"gamma_prime must exceed 2, got {self.gamma_prime}")
-        w = np.asarray(self.weight, dtype=float)
+    def __init__(self, gamma_prime: float, weight=1.0):
+        if gamma_prime <= 2.0:
+            raise ValueError(f"gamma_prime must exceed 2, got {gamma_prime}")
+        w = np.asarray(weight, dtype=float)
         if np.any(w <= 0.0):
             raise ValueError("weight must be strictly positive")
-        object.__setattr__(self, "weight", w if w.ndim else float(w))
+        vars(self).update(gamma_prime=gamma_prime, weight=w if w.ndim else float(w))
 
     @property
     def gamma(self) -> float:
@@ -227,14 +219,20 @@ def growth_constants(lagrangian: LagrangianModel) -> dict[str, float]:
     }
 
 
-@dataclass(frozen=True)
-class DualityTable:
+class DualityTable(_Frozen):
     """What :func:`duality_table` measured, with its pass rule and its text."""
 
-    max_deviation: float                # worst |L** - L| over the sampled speeds
-    ratio_range: tuple[float, float]    # H0 / (|p|^gamma / gamma) over the momenta
-    window: tuple[float, float]         # envelope the ratios must stay in
-    envelope_margin: float              # worst slack of L in its envelope at the speeds
+    def __init__(
+        self,
+        max_deviation: float,               # worst |L** - L| over the sampled speeds
+        ratio_range: tuple[float, float],   # H0 / (|p|^gamma / gamma) over the momenta
+        window: tuple[float, float],        # envelope the ratios must stay in
+        envelope_margin: float,             # worst slack of L in its envelope at the speeds
+    ):
+        vars(self).update(
+            max_deviation=max_deviation, ratio_range=ratio_range, window=window,
+            envelope_margin=envelope_margin,
+        )
 
     @property
     def passed(self) -> bool:
@@ -309,15 +307,20 @@ def duality_table(lagrangian: LagrangianModel, seed: int) -> DualityTable:
     )
 
 
-@dataclass(frozen=True)
-class UniquenessTerms:
+class UniquenessTerms(_Frozen):
     """The uniqueness inequality at a stack of momenta, entry by entry."""
 
-    support: np.ndarray     # p.DpH - H + H(x,0), >= 0 by convexity
-    coercive: np.ndarray    # p.DpH - H
-    centered: np.ndarray    # support - (alpha/4) p.D2H.p
-    raw: np.ndarray         # coercive - (alpha/4) p.D2H.p
-    eig_min: np.ndarray     # smallest eigenvalue of D2H
+    def __init__(
+        self,
+        support: np.ndarray,    # p.DpH - H + H(x,0), >= 0 by convexity
+        coercive: np.ndarray,   # p.DpH - H
+        centered: np.ndarray,   # support - (alpha/4) p.D2H.p
+        raw: np.ndarray,        # coercive - (alpha/4) p.D2H.p
+        eig_min: np.ndarray,    # smallest eigenvalue of D2H
+    ):
+        vars(self).update(
+            support=support, coercive=coercive, centered=centered, raw=raw, eig_min=eig_min
+        )
 
 
 def uniqueness_terms(model: HamiltonianModel, p: np.ndarray, alpha: float) -> UniquenessTerms:

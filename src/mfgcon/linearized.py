@@ -26,13 +26,12 @@ divergence's forward and inverse pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .grids import (
     SpaceTimeField,
+    _Frozen,
     _apply_symbols,
     _div_spectrum,
     _grad_lap_stack,
@@ -60,11 +59,11 @@ __all__ = [
 ]
 
 
-class Perturbation(NamedTuple):
+class Perturbation(_Frozen):
     """Direction (v, f) in value-function and density components."""
 
-    v: SpaceTimeField
-    f: SpaceTimeField
+    def __init__(self, v: SpaceTimeField, f: SpaceTimeField):
+        vars(self).update(v=v, f=f)
 
     def sup_norm(self) -> float:
         return max(self.v.sup_norm(), self.f.sup_norm())
@@ -74,16 +73,24 @@ class LinearSolveError(RuntimeError):
     """The inner linear solve did not reach the requested tolerance."""
 
 
-@dataclass
 class _BaseCoefficients:
     """Frozen per-slice coefficient fields of the linearization at a base pair."""
 
-    q: np.ndarray             # (d, K, M) congestion ratio
-    flux_a: np.ndarray        # (K, M) m^(1-alpha) times the isotropic Hessian coefficient
-    flux_b: np.ndarray        # (K, M) m^(1-alpha) times the rank-one Hessian coefficient
-    drift_coef: np.ndarray    # (d, K, M) flux coefficient in front of f
-    transport: np.ndarray     # (d, K, M) D_pH(q) + b, the value equation's drift
-    zero_order_u: np.ndarray  # (K, M) coefficient of f in the value equation
+    def __init__(
+        self,
+        q: np.ndarray,             # (d, K, M) congestion ratio
+        flux_a: np.ndarray,        # (K, M) m^(1-alpha) times the isotropic Hessian coefficient
+        flux_b: np.ndarray,        # (K, M) m^(1-alpha) times the rank-one Hessian coefficient
+        drift_coef: np.ndarray,    # (d, K, M) flux coefficient in front of f
+        transport: np.ndarray,     # (d, K, M) D_pH(q) + b, the value equation's drift
+        zero_order_u: np.ndarray,  # (K, M) coefficient of f in the value equation
+    ):
+        self.q = q
+        self.flux_a = flux_a
+        self.flux_b = flux_b
+        self.drift_coef = drift_coef
+        self.transport = transport
+        self.zero_order_u = zero_order_u
 
 
 def _base_coefficients(

@@ -20,12 +20,10 @@ on scheduling.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SpaceTimeField
+from .grids import SpaceTimeField, _check_integer, _Value
 from .system import LambdaData, MFGProblem, SolutionPair, _pair_terms
 
 __all__ = [
@@ -45,16 +43,15 @@ class NonfiniteDriftError(ValueError):
     """The feedback drift read off a pair is not finite at some node."""
 
 
-@dataclass(frozen=True)
-class SDEConfig:
-    paths: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.paths < 1:
-            raise ValueError(f"paths must be at least 1, got {self.paths}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+class SDEConfig(_Value):
+    def __init__(self, paths: int = 100_000, seed: int = 0):
+        _check_integer("paths", paths)
+        if paths < 1:
+            raise ValueError(f"paths must be at least 1, got {paths}")
+        _check_integer("seed", seed)
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        vars(self).update(paths=paths, seed=seed)
 
 
 def _sample_initial(m0_values: np.ndarray, grid, rng, n: int) -> np.ndarray:
@@ -229,6 +226,10 @@ def simulate_density(
     depends on ``seed`` only.  An exception in any batch reaches the caller
     unchanged.
     """
+    # imported here, since with the logging it loads it adds about 5 ms to
+    # the start-up of every command, and only mc runs a pool
+    from concurrent.futures import ThreadPoolExecutor
+
     grid, time = problem.grid, problem.time
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         drift = -(_pair_terms(problem, lam_data, pair).dp_h + lam_data.b_values[:, None, :])

@@ -13,15 +13,13 @@ endpoint (lam = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
-
 import numpy as np
 
 from .grids import (
     PeriodicGrid,
     SpaceTimeField,
     TimeGrid,
+    _Frozen,
     _div_lap_stack,
     _grad_lap_stack,
     integrate,
@@ -57,26 +55,27 @@ class NonpositiveDensityError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(_Frozen):
     """Separable coupling V(x, z) = v1(x) + v2(z) with v2 strictly increasing.
 
     Built-in v2 choices: arctan(z), linear coef*z, and power coef*z**exponent.
     v1 holds the node values of v1(x), shape (N**d,), or is None for v1 = 0.
     """
 
-    v1: Optional[np.ndarray] = None
-    v2_kind: str = "arctan"
-    coef: float = 1.0
-    exponent: float = 2.0
-
-    def __post_init__(self):
-        if self.v2_kind not in ("arctan", "linear", "power"):
-            raise ValueError(f"unknown v2 kind {self.v2_kind!r}")
-        if self.v2_kind in ("linear", "power") and self.coef <= 0.0:
+    def __init__(
+        self,
+        v1: np.ndarray | None = None,
+        v2_kind: str = "arctan",
+        coef: float = 1.0,
+        exponent: float = 2.0,
+    ):
+        if v2_kind not in ("arctan", "linear", "power"):
+            raise ValueError(f"unknown v2 kind {v2_kind!r}")
+        if v2_kind in ("linear", "power") and coef <= 0.0:
             raise ValueError("coef must be positive for an increasing coupling")
-        if self.v2_kind == "power" and self.exponent < 1.0:
+        if v2_kind == "power" and exponent < 1.0:
             raise ValueError("power coupling needs exponent >= 1")
+        vars(self).update(v1=v1, v2_kind=v2_kind, coef=coef, exponent=exponent)
 
     def _v2(self, z: np.ndarray) -> np.ndarray:
         if self.v2_kind == "arctan":
@@ -101,8 +100,7 @@ class Potential:
         return float(np.min(self.dz(np.linspace(z_lo, z_hi, 256))))
 
 
-@dataclass(frozen=True)
-class MFGProblem:
+class MFGProblem(_Frozen):
     """All data of the congestion system on one space-time grid.
 
     The data fields are float arrays of node values on ``grid``: the drift
@@ -111,45 +109,50 @@ class MFGProblem:
     or has shape (N**d,).
     """
 
-    grid: PeriodicGrid
-    time: TimeGrid
-    alpha: float
-    hamiltonian: HamiltonianModel
-    b: np.ndarray
-    potential: Potential
-    psi: np.ndarray
-    m0: np.ndarray
-
-    def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        nodes = (self.grid.num_nodes,)
-        v1, weight = self.potential.v1, self.hamiltonian.weight
+    def __init__(
+        self,
+        grid: PeriodicGrid,
+        time: TimeGrid,
+        alpha: float,
+        hamiltonian: HamiltonianModel,
+        b: np.ndarray,
+        potential: Potential,
+        psi: np.ndarray,
+        m0: np.ndarray,
+    ):
+        if alpha < 0.0:
+            raise ValueError(f"alpha must be nonnegative, got {alpha}")
+        nodes = (grid.num_nodes,)
+        v1, weight = potential.v1, hamiltonian.weight
         if (
-            np.shape(self.b) != (self.grid.dim,) + nodes
-            or np.shape(self.psi) != nodes
-            or np.shape(self.m0) != nodes
+            np.shape(b) != (grid.dim,) + nodes
+            or np.shape(psi) != nodes
+            or np.shape(m0) != nodes
             or (v1 is not None and np.shape(v1) != nodes)
             or (np.ndim(weight) and np.shape(weight) != nodes)
         ):
             raise ValueError("data fields must live on the problem grid")
-        mass = integrate(self.m0, self.grid)
+        mass = integrate(m0, grid)
         if abs(mass - 1.0) > 1e-12:
             raise ValueError(f"m0 must have unit mass, integral is {mass!r}")
-        m_min = float(np.min(self.m0))
+        m_min = float(np.min(m0))
         if not m_min > 0.0:
             raise ValueError(f"m0 must be positive, min m0={m_min}")
-        m_hi = float(np.max(self.m0)) * 2.0 + 1.0
-        if self.potential.monotonicity_margin(0.5 * m_min, m_hi) <= 0.0:
+        m_hi = float(np.max(m0)) * 2.0 + 1.0
+        if potential.monotonicity_margin(0.5 * m_min, m_hi) <= 0.0:
             raise ValueError("potential coupling must be strictly increasing in the density")
+        vars(self).update(
+            grid=grid, time=time, alpha=alpha, hamiltonian=hamiltonian, b=b,
+            potential=potential, psi=psi, m0=m0,
+        )
 
 
-@dataclass
 class SolutionPair:
     """Candidate (u, m) on the problem's grids; the solver keeps m positive."""
 
-    u: SpaceTimeField
-    m: SpaceTimeField
+    def __init__(self, u: SpaceTimeField, m: SpaceTimeField):
+        self.u = u
+        self.m = m
 
     def copy(self) -> "SolutionPair":
         return SolutionPair(self.u.copy(), self.m.copy())
@@ -158,8 +161,7 @@ class SolutionPair:
         return float(np.min(self.m.values))
 
 
-@dataclass(frozen=True)
-class LambdaData:
+class LambdaData(_Frozen):
     """Blended data at homotopy parameter lam in [0, 1].
 
     b -> (1-lam) b,  psi -> (1-lam) psi,  m0 -> (1-lam) m0 + lam,
@@ -168,12 +170,19 @@ class LambdaData:
     At lam = 0 everything reduces to the original data.
     """
 
-    lam: float
-    hamiltonian: HamiltonianModel
-    b_values: np.ndarray
-    psi_values: np.ndarray
-    m_init_values: np.ndarray
-    potential: Potential
+    def __init__(
+        self,
+        lam: float,
+        hamiltonian: HamiltonianModel,
+        b_values: np.ndarray,
+        psi_values: np.ndarray,
+        m_init_values: np.ndarray,
+        potential: Potential,
+    ):
+        vars(self).update(
+            lam=lam, hamiltonian=hamiltonian, b_values=b_values, psi_values=psi_values,
+            m_init_values=m_init_values, potential=potential,
+        )
 
     @classmethod
     def from_problem(cls, problem: MFGProblem, lam: float) -> "LambdaData":
@@ -196,15 +205,14 @@ class LambdaData:
         return (1.0 - self.lam) * self.potential.dz(m) + self.lam / (1.0 + m * m)
 
 
-class ResidualBundle(NamedTuple):
+class ResidualBundle(_Frozen):
     """The residual rows: transport (slice 0 is the initial-data row), then
     value (the last slice is the terminal-data row).  ``terms`` is the
     evaluation that produced them, on the bundles :func:`residual_full`
     returns, and None on every other bundle."""
 
-    fp: SpaceTimeField
-    hjb: SpaceTimeField
-    terms: Optional[_PairTerms] = None
+    def __init__(self, fp: SpaceTimeField, hjb: SpaceTimeField, terms: _PairTerms | None = None):
+        vars(self).update(fp=fp, hjb=hjb, terms=terms)
 
     def sup_norm(self) -> float:
         return max(self.fp.sup_norm(), self.hjb.sup_norm())
@@ -217,7 +225,7 @@ def _check_positive_density(m: np.ndarray) -> None:
         raise NonpositiveDensityError(n_slice, n_node, float(m[n_slice, n_node]))
 
 
-class _PairTerms(NamedTuple):
+class _PairTerms(_Frozen):
     """The fields one evaluation computes at one pair under one LambdaData.
 
     The residual rows, the linearization's coefficients and the particle
@@ -226,15 +234,21 @@ class _PairTerms(NamedTuple):
     pair and data.
     """
 
-    lam_data: LambdaData
-    u: np.ndarray
-    m: np.ndarray
-    du: np.ndarray      # (d, K, M) gradient of u
-    lap_u: np.ndarray   # (K, M)
-    q: np.ndarray       # (d, K, M) congestion ratio
-    m_pow: np.ndarray   # (K, M) max(m, floor)^alpha
-    h: np.ndarray       # (K, M) H(q)
-    dp_h: np.ndarray    # (d, K, M) D_pH(q)
+    def __init__(
+        self,
+        lam_data: LambdaData,
+        u: np.ndarray,
+        m: np.ndarray,
+        du: np.ndarray,     # (d, K, M) gradient of u
+        lap_u: np.ndarray,  # (K, M)
+        q: np.ndarray,      # (d, K, M) congestion ratio
+        m_pow: np.ndarray,  # (K, M) max(m, floor)^alpha
+        h: np.ndarray,      # (K, M) H(q)
+        dp_h: np.ndarray,   # (d, K, M) D_pH(q)
+    ):
+        vars(self).update(
+            lam_data=lam_data, u=u, m=m, du=du, lap_u=lap_u, q=q, m_pow=m_pow, h=h, dp_h=dp_h
+        )
 
     def taken_at(self, lam_data: LambdaData, pair: SolutionPair) -> bool:
         return self.lam_data is lam_data and self.u is pair.u.values and self.m is pair.m.values

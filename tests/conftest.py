@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -39,7 +37,7 @@ def fourier_interpolate(f, points_per_dim, grid=None):
         fine = PeriodicGrid(grid.dim, points_per_dim)
         return _irfft_stack(_pad_spectrum(_rfft_stack(f, grid), grid, points_per_dim), fine)
     fine_values = fourier_interpolate(f.values, points_per_dim, f.grid)
-    return replace(f, grid=PeriodicGrid(f.grid.dim, points_per_dim), values=fine_values)
+    return SpaceTimeField(PeriodicGrid(f.grid.dim, points_per_dim), f.time, fine_values)
 
 
 def band_limited(grid, rng, k_max=3, amp=1.0):

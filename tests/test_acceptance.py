@@ -7,14 +7,13 @@ solved by the same ``solve_path(problem, cfg.solver)`` call as
 coupling, psi 0.05 cos, m0 proportional to 1 + 0.2 cos.
 """
 
-import dataclasses
 import os
 import time as clock
 
 import numpy as np
 import pytest
 
-from mfgcon import linearized
+from mfgcon import linearized, system
 from mfgcon.continuation import (
     SolverConfig,
     _lift,
@@ -35,7 +34,14 @@ from mfgcon.grids import SpaceTimeField
 from mfgcon.hamiltonians import duality_table
 from mfgcon.linearized import Perturbation, apply_L, bundle_to_vector, solve_linearized
 from mfgcon.montecarlo import SDEConfig, l1_distance, sampling_l1_error, simulate_density
-from mfgcon.system import _M_FLOOR, LambdaData, ResidualBundle, SolutionPair, residual_full
+from mfgcon.system import (
+    _M_FLOOR,
+    LambdaData,
+    ResidualBundle,
+    SolutionPair,
+    _PairTerms,
+    residual_full,
+)
 
 from conftest import (
     band_limited_spacetime,
@@ -213,7 +219,9 @@ def test_criterion_5_catches_a_coupling_error(reference, monkeypatch):
     original = linearized._coupling_rows
 
     def scaled(problem, coef, dv, f):
-        coef = dataclasses.replace(coef, zero_order_u=coef.zero_order_u * (1.0 + 1e-5))
+        coef = linearized._BaseCoefficients(
+            **{**vars(coef), "zero_order_u": coef.zero_order_u * (1.0 + 1e-5)}
+        )
         return original(problem, coef, dv, f)
 
     monkeypatch.setattr(linearized, "_coupling_rows", scaled)
@@ -330,3 +338,128 @@ def test_criterion_10_duality_oracle(reference):
     assert table.max_deviation <= 1e-12
     assert table.ratio_range == pytest.approx((0.4424605962779851, 0.564311053109206), abs=1e-9)
     assert table.envelope_margin == pytest.approx(1.0028352617830278, abs=1e-9)
+
+
+# The benchmark workloads' data besides the reference: stiff terminal data on
+# 32 nodes, and the two-dimensional run, which the nested path solves on 8x8,
+# 16x16 and 32x32.
+STIFF_1D = {"n = 64": "n = 32", "n_t = 64": "n_t = 32", "psi = 0.05*cos(1)": "psi = 2*cos(1)"}
+GRID_2D = {
+    "d = 1": "d = 2",
+    "n = 64": "n = 32",
+    "b_x = 0.1*sin(1)": "b_x = 0.1*sin(1,0)\nb_y = 0.05*sin(0,1)",
+    "v1 = 0.05*cos(1)": "v1 = 0.05*cos(1,1)",
+    "psi = 0.05*cos(1)": "psi = 0.05*cos(1,0)",
+    "m0 = 1 + 0.2*cos(1)": "m0 = 1 + 0.2*cos(1,0) + 0.1*cos(0,1)",
+}
+ADJOINT_LAMBDAS = (0.0, 0.37, 1.0)
+ADJOINT_TOL = 1e-13
+
+
+@pytest.fixture(scope="module")
+def solved_workloads(reference, tmp_path_factory):
+    """(name, problem, solved lambda = 0 pair) of ref1d, stiff1d and grid2d."""
+    text = open(CONFIG_PATH).read()
+    out = [("ref1d", reference["problem"], reference["states"][-1].pair)]
+    for name, edits in (("stiff1d", STIFF_1D), ("grid2d", GRID_2D)):
+        edited = text
+        for old, new in edits.items():
+            edited = edited.replace(old, new, 1)
+        path = tmp_path_factory.mktemp(name) / "run.cfg"
+        path.write_text(edited)
+        cfg = load_config(str(path))
+        problem = build_problem(cfg)
+        out.append((name, problem, solve_path(problem, cfg.solver)[-1].pair))
+    return out
+
+
+def adjoint_gap(problem, lam, pair, rng) -> float:
+    """Relative gap of the adjoint identity between the two rows at ``pair``.
+
+    T w is the transport rows with the density replaced by w and the drift
+    frozen at c = D_pH(q) + b; J v is the value rows of the linearization
+    applied to (v, 0).  For white noise w with w^0 = 0 and v with v^(N_t) = 0,
+    sum_(n >= 1) <(T w)^n, v^n> = sum_(n < N_t) <w^n, (J v)^n> holds exactly:
+    the implicit Euler chains run in opposite time directions with every
+    spatial term on slice n, and spectral differentiation sums by parts.  The
+    gap is taken relative to sum |T w . v|.  The rows are looked up on their
+    modules at each call, so that a test can replace them.
+    """
+    shape = (problem.time.num_slices, problem.grid.num_nodes)
+    v, w = rng.standard_normal(shape), rng.standard_normal(shape)
+    v[-1] = 0.0
+    w[0] = 0.0
+    terms = system._pair_terms(problem, lam, pair)
+    t_w = system._fp_rows(problem, _PairTerms(**{**vars(terms), "m": w})).values[1:]
+    coef = linearized._base_coefficients(problem, lam, pair, terms)
+    _, j_v = linearized._apply_rows(problem, coef, v, np.zeros(shape))
+    products = t_w * v[1:]
+    return abs(np.sum(products) - np.sum(w[:-1] * j_v[:-1])) / np.sum(np.abs(products))
+
+
+def worst_adjoint_gaps(workloads) -> dict:
+    """Largest gap over ``ADJOINT_LAMBDAS`` on each workload's solved state and
+    on a random state of its grids (white-noise u, m uniform in [0.5, 1.5])."""
+    rng = np.random.default_rng(20)
+    gaps = {}
+    for name, problem, solved in workloads:
+        grid, time = problem.grid, problem.time
+        shape = (time.num_slices, grid.num_nodes)
+        random = SolutionPair(u=SpaceTimeField(grid, time, rng.standard_normal(shape)),
+                              m=SpaceTimeField(grid, time, rng.uniform(0.5, 1.5, shape)))
+        gaps[name] = max(adjoint_gap(problem, LambdaData.from_problem(problem, lam), pair, rng)
+                         for lam in ADJOINT_LAMBDAS for pair in (solved, random))
+    return gaps
+
+
+def test_criterion_11_adjoint_structure(solved_workloads):
+    gaps = worst_adjoint_gaps(solved_workloads)
+    ok = max(gaps.values()) <= ADJOINT_TOL
+    report(11, "transport rows adjoint to the linearized value rows", ok,
+           " ".join(f"{name}={gap:.1e}" for name, gap in gaps.items())
+           + f" (tol {ADJOINT_TOL:.0e})")
+    assert {problem.grid.dim for _, problem, _ in solved_workloads} == {1, 2}
+    assert ok
+
+
+def _flip_b(terms):
+    """``terms`` with the drift b of its data negated."""
+    lam = terms.lam_data
+    return _PairTerms(**{**vars(terms), "lam_data": LambdaData(
+        **{**vars(lam), "b_values": -lam.b_values})})
+
+
+def test_criterion_11_catches_a_transport_drift_error(solved_workloads, monkeypatch):
+    # b flipped in the transport rows alone
+    original = system._fp_rows
+    monkeypatch.setattr(
+        system, "_fp_rows", lambda problem, terms: original(problem, _flip_b(terms))
+    )
+    assert min(worst_adjoint_gaps(solved_workloads).values()) > ADJOINT_TOL
+
+
+def test_criterion_11_catches_a_value_transport_error(solved_workloads, monkeypatch):
+    # the value rows' transport coefficient scaled by 1.01
+    original = linearized._apply_rows
+
+    def scaled(problem, coef, v, f):
+        coef = linearized._BaseCoefficients(**{**vars(coef), "transport": 1.01 * coef.transport})
+        return original(problem, coef, v, f)
+
+    monkeypatch.setattr(linearized, "_apply_rows", scaled)
+    assert min(worst_adjoint_gaps(solved_workloads).values()) > ADJOINT_TOL
+
+
+def test_criterion_11_catches_a_consistent_drift_flip(solved_workloads, monkeypatch):
+    # b flipped in the transport rows and in their linearization alike, which
+    # keeps the residual and its Jacobian consistent (criterion 4 cannot see it)
+    rows, coefficients = system._fp_rows, linearized._base_coefficients
+
+    def flipped_coefficients(problem, lam_data, base, terms=None):
+        coef = coefficients(problem, lam_data, base, terms)
+        drift = coef.drift_coef - 2.0 * lam_data.b_values[:, None, :]
+        return linearized._BaseCoefficients(**{**vars(coef), "drift_coef": drift})
+
+    monkeypatch.setattr(system, "_fp_rows", lambda problem, terms: rows(problem, _flip_b(terms)))
+    monkeypatch.setattr(linearized, "_base_coefficients", flipped_coefficients)
+    assert min(worst_adjoint_gaps(solved_workloads).values()) > ADJOINT_TOL

@@ -520,7 +520,8 @@ def _cli_imports(*argv) -> tuple[int, set]:
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # the package depends on numpy alone, the Galerkin spectrum dump included
+    # the package depends on numpy alone, the Galerkin spectrum dump included;
+    # the thread pool (concurrent.futures, and the logging it loads) is mc's alone
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(TINY + "\n[output]\ngalerkin_modes = 6\n")
     out = tmp_path / "o"
@@ -536,6 +537,7 @@ def test_no_command_loads_scipy(tmp_path):
         assert code == 0, argv
         assert "mfgcon.estimates" in modules
         assert not any(name.split(".")[0] == "scipy" for name in modules), argv
+        assert ("concurrent.futures" in modules) == (argv[0] == "mc"), argv
     assert np.loadtxt(out / "galerkin_spectrum.txt").shape == (12,)
 
 

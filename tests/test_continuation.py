@@ -38,6 +38,15 @@ def test_solver_config_validation():
         SolverConfig(newton_tol=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(dlambda_init=0.5, dlambda_max=0.2)
+    for bad in ({"newton_tol": float("nan")}, {"m_positivity_margin": float("inf")}):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(**bad)
+    with pytest.raises(ValueError, match="newton_max_iters must be an integer"):
+        SolverConfig(newton_max_iters=2.5)
+    assert SolverConfig(newton_max_iters=7) == SolverConfig(newton_max_iters=7) != CAPPED
+    assert hash(SolverConfig(newton_max_iters=7)) == hash(SolverConfig(newton_max_iters=7))
+    with pytest.raises(AttributeError):
+        CAPPED.newton_tol = 1.0
 
 
 def test_trivial_solution_certificate(small_problem):

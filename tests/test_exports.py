@@ -41,3 +41,32 @@ def test_package_imports_cleanly():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_importing_the_package_compiles_nothing():
+    # dataclasses and NamedTuples compile their generated methods from source
+    # text on every import, which made most of a re-import's time; the
+    # records are written-out classes, so a re-import compiles nothing
+    script = "\n".join([
+        "import importlib, sys",
+        "import mfgcon.cli",  # loads the standard library modules the package uses
+        "for name in [k for k in sys.modules if k.split('.')[0] == 'mfgcon']:",
+        "    del sys.modules[name]",
+        "compiled = []",
+        "def hook(event, args):",
+        "    if event == 'compile' and args[1] == '<string>':",
+        "        compiled.append(args[0])",
+        "sys.addaudithook(hook)",
+        f"for name in {MODULES!r}:",
+        "    importlib.import_module('mfgcon.' + name)",
+        "print(len(compiled))",
+        "for source in compiled[:3]:",
+        "    print(source)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, _, sources = proc.stdout.partition("\n")
+    assert (len(MODULES), count) == (10, "0"), sources

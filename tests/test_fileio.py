@@ -1,7 +1,11 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from mfgcon.fileio import (
+    _HEADER,
     ConfigError,
     FieldFileError,
     build_problem,
@@ -192,6 +196,21 @@ def test_field_file_detects_corruption(tmp_path):
 
     with pytest.raises(FieldFileError):
         read_field(str(tmp_path / "nope.field"))
+
+
+def test_field_file_refuses_a_nan_horizon(tmp_path):
+    # a header with a consistent checksum but a NaN horizon is a bad grid; it
+    # used to load and fail later as a grid mismatch against the config
+    path = str(tmp_path / "m.field")
+    write_field(path, SpaceTimeField.zeros(PeriodicGrid(1, 16), TimeGrid(0.05, 4)), "m")
+    blob = bytearray(open(path, "rb").read())
+    header = _HEADER.size
+    struct.pack_into("<d", blob, header - 40, float("nan"))  # the horizon precedes the name
+    struct.pack_into("<I", blob, header, zlib.crc32(bytes(blob[:header])))
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(FieldFileError, match="bad grid in the header: horizon") as caught:
+        read_field(path)
+    assert str(caught.value).startswith(f"{path}: ")
 
 
 def test_report_files_and_plot_columns(tmp_path):

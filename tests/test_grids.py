@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -14,8 +12,9 @@ from mfgcon.grids import (
     integrate,
 )
 
+from mfgcon.hamiltonians import HamiltonianModel
 from mfgcon.linearized import Perturbation, apply_L
-from mfgcon.system import LambdaData, SolutionPair
+from mfgcon.system import LambdaData, MFGProblem, Potential, SolutionPair
 
 from conftest import band_limited, fourier_interpolate, grad_stack, make_problem
 
@@ -42,7 +41,31 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(-1.0, 4)
     assert PeriodicGrid(2, 16).num_nodes == 256
+    assert PeriodicGrid(np.int64(1), np.int64(32)) == PeriodicGrid(1, 32)
     assert TimeGrid(0.05, 64).dt * 64 == pytest.approx(0.05, abs=1e-17)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PeriodicGrid(1, 32.0), "points_per_dim must be an integer"),
+    (lambda: PeriodicGrid(1.0, 32), "dim must be an integer"),
+    (lambda: TimeGrid(float("nan"), 4), "horizon must be finite and positive"),
+    (lambda: TimeGrid(float("inf"), 4), "horizon must be finite and positive"),
+    (lambda: TimeGrid(0.05, 2.5), "steps must be an integer"),
+])
+def test_grids_refuse_unusable_values(make, message):
+    # each used to construct (or failed on an unrelated operator), leaving a
+    # grid with a NaN dt or a fractional slice count
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_grids_compare_and_hash_by_value():
+    assert PeriodicGrid(2, 16) == PeriodicGrid(2, 16) != PeriodicGrid(1, 16)
+    assert TimeGrid(0.05, 8) == TimeGrid(0.05, 8) != TimeGrid(0.05, 16)
+    assert len({PeriodicGrid(1, 16), PeriodicGrid(1, 16), TimeGrid(0.05, 8)}) == 2
+    for record in (PeriodicGrid(1, 16), TimeGrid(0.05, 8)):
+        with pytest.raises(AttributeError):
+            record.dim = 2
 
 
 def test_gradient_constant_is_zero():
@@ -90,23 +113,26 @@ def test_component_grid_mismatch_rejected():
     problem = make_problem(n=32)
     other = PeriodicGrid(1, 64)
 
+    def rebuilt(problem, **fields):
+        return MFGProblem(**{**vars(problem), **fields})
+
     def weighted(problem, shape):
-        return {"hamiltonian": replace(problem.hamiltonian, weight=np.ones(shape))}
+        return {"hamiltonian": HamiltonianModel(problem.hamiltonian.gamma, np.ones(shape))}
 
     wrong = [
         {"b": np.zeros((1, other.num_nodes))},
         {"b": np.zeros((2, problem.grid.num_nodes))},
-        {"potential": replace(problem.potential, v1=np.zeros(other.num_nodes))},
+        {"potential": Potential(v1=np.zeros(other.num_nodes))},
         weighted(problem, (2, 16)),
     ]
     for fields in wrong:
         with pytest.raises(ValueError, match="problem grid"):
-            replace(problem, **fields)
+            rebuilt(problem, **fields)
     # in d = 2 the weight holds the nodes in one axis, not in the grid's shape
     square = make_problem(n=16, dim=2)
     with pytest.raises(ValueError, match="problem grid"):
-        replace(square, **weighted(square, (16, 16)))
-    replace(square, **weighted(square, (256,)))
+        rebuilt(square, **weighted(square, (16, 16)))
+    rebuilt(square, **weighted(square, (256,)))
 
 
 def test_summation_by_parts():

@@ -29,6 +29,7 @@ from mfgcon.system import (
     LambdaData,
     ResidualBundle,
     SolutionPair,
+    _PairTerms,
     residual_full,
 )
 
@@ -400,7 +401,7 @@ def test_terms_of_another_evaluation_are_never_reused(monkeypatch):
     pair = trivial_solution(problem).pair
     lam_one = LambdaData.from_problem(problem, 1.0)
     rhs = residual_full(problem, LambdaData.from_problem(problem, 0.9), pair)
-    stale = rhs.terms._replace(lam_data=lam_one)
+    stale = _PairTerms(**{**vars(rhs.terms), "lam_data": lam_one})
     assert not np.array_equal(
         _base_coefficients(problem, lam_one, pair, stale).zero_order_u,
         _base_coefficients(problem, lam_one, pair).zero_order_u,

@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,6 +82,12 @@ def test_monte_carlo_rate(mc_problem):
 def test_paths_validated():
     with pytest.raises(ValueError):
         SDEConfig(paths=0)
+    with pytest.raises(ValueError, match="paths must be an integer"):
+        SDEConfig(paths=2.5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SDEConfig(seed=1.0)
+    assert SDEConfig(seed=3) == SDEConfig(100_000, 3) != SDEConfig(seed=4)
+    assert hash(SDEConfig(seed=3)) == hash(SDEConfig(100_000, 3))
 
 
 def test_two_dimensional_uniform_smoke():
@@ -237,7 +242,7 @@ def test_zero_drift_walk_has_the_two_point_law(dim):
     grid, time = problem.grid, problem.time
     coords = [x.ravel() for x in grid.coordinates()]
     m0 = np.prod([1.0 + 0.8 * np.cos(2 * np.pi * x) for x in coords], axis=0)
-    lam = replace(LambdaData.from_problem(problem, 0.0), m_init_values=m0)
+    lam = LambdaData(**{**vars(LambdaData.from_problem(problem, 0.0)), "m_init_values": m0})
     flat = SpaceTimeField(grid, time, np.ones((time.num_slices, grid.num_nodes)))
     pair = SolutionPair(u=SpaceTimeField.zeros(grid, time), m=flat)
     paths = 100_000
